@@ -32,7 +32,7 @@ from .logic import (
     two_valued_states,
 )
 from .parity import ParityError, ParityScenario, analyze as parity_analyze, eigenstate_table
-from .pauli import PauliString, realization, serial_product
+from .pauli import PHASE_TEXT, PauliString, parse_pauli, realization, serial_product
 from .pencil import (
     Context,
     DegeneratePencilError,
@@ -47,9 +47,6 @@ BUILTINS = {
     "bipartite": "bipartite.scn",
     "intro-pair": "intro_pair.scn",
 }
-
-_PHASE_PREFIXES = {"+1": 0, "+i": 1, "-1": 2, "-i": 3}
-_PHASE_TEXT = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}
 
 Observable = tuple[PauliString, ...]
 
@@ -127,35 +124,22 @@ def parse_scenario(text: bytes | str) -> ScenarioFile:
 
 
 def _parse_observable(line: str, ln: int, site_count: int) -> Observable:
-    parts = line.split()
-    phase_power = 0
-    if parts[0] in _PHASE_PREFIXES:
-        phase_power = _PHASE_PREFIXES[parts[0]]
-        parts = parts[1:]
-    elif parts[0][0] in "+-":  # words never start with a sign
-        raise ScenarioParseError(ln, f"malformed phase prefix {parts[0]!r}")
-    if len(parts) != 1:
-        raise ScenarioParseError(ln, "expected one observable per line")
-    factors = []
-    for word in parts[0].split("*"):
-        if not word:
-            raise ScenarioParseError(ln, "empty factor in product")
-        bad = [c for c in word if c not in "IXYZ"]
-        if bad:
-            raise ScenarioParseError(ln, f"unknown letter {bad[0]!r} in {word!r}")
-        if len(word) != site_count:
-            raise ScenarioParseError(
-                ln, f"word {word!r} has {len(word)} letters, expected {site_count}"
-            )
-        factors.append(PauliString.from_word(word))
-    factors[0] = PauliString(factors[0].letters, phase_power)
-    return tuple(factors)
+    """An optional phase prefix, then ``*``-separated words, e.g. ``-1 ZX*XZ``."""
+    prefix, _, product = line.rpartition(" ")
+    first, *rest = product.split("*")
+    try:
+        return (
+            parse_pauli(f"{prefix} {first}", site_count),
+            *(parse_pauli(word, site_count) for word in rest),
+        )
+    except ValueError as e:
+        raise ScenarioParseError(ln, str(e)) from None
 
 
 def observable_text(factors: Observable) -> str:
     total_phase = sum(f.phase_power for f in factors) % 4
     body = "*".join("".join(f.letters) for f in factors)
-    return (f"{_PHASE_TEXT[total_phase]} " if total_phase else "") + body
+    return (f"{PHASE_TEXT[total_phase]} " if total_phase else "") + body
 
 
 def format_scenario(s: ScenarioFile) -> str:
@@ -422,6 +406,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(p: argparse.ArgumentParser, formats=("text", "json", "dot")):
     p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--out", metavar="PATH", help="write output to a file")
@@ -432,7 +422,7 @@ def _add_common(p: argparse.ArgumentParser, formats=("text", "json", "dot")):
     )
     p.add_argument(
         "--max-snap-norm",
-        type=int,
+        type=_positive_int,
         default=4,
         metavar="N",
         help="largest integer multiplier tried when snapping eigenvectors",
@@ -453,7 +443,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--file", metavar="F", help="scenario file (default: pm-square)")
     p.add_argument("--critical", action="store_true", help="list critical collections")
-    p.add_argument("--jobs", type=int, default=1, metavar="K")
+    p.add_argument("--jobs", type=_positive_int, default=1, metavar="K")
     _add_common(p, formats=("text", "json"))
     p = sub.add_parser("export", help="export a scenario's context hypergraph")
     p.add_argument("--file", metavar="F", help="scenario file (default: pm-square)")
@@ -494,7 +484,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "subsets":
             scenario = _load_scenario(args)
             h, _ = scenario_hypergraph(scenario, coeffs, args.max_snap_norm)
-            result = noncolorable_subsets(h, jobs=args.jobs)
+            try:
+                result = noncolorable_subsets(h, jobs=args.jobs)
+            except ValueError as e:  # the scenario is over the sweep's edge cap
+                raise _UsageError(str(e)) from None
             shapes: dict[tuple[int, int], int] = {}
             for ec, vc in result.critical_shapes(h):
                 shapes[(ec, vc)] = shapes.get((ec, vc), 0) + 1

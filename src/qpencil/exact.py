@@ -412,35 +412,12 @@ def commutator_is_zero(a: ExactMatrix, b: ExactMatrix) -> bool:
     return (a @ b - b @ a).is_zero()
 
 
-def rank(m: ExactMatrix) -> int:
-    """Exact rank by Gaussian elimination over the Gaussian rationals."""
-    work = [list(m.row(i)) for i in range(m.rows)]
-    r = 0
-    for col in range(m.cols):
-        pivot = next(
-            (i for i in range(r, m.rows) if not work[i][col].is_zero()), None
-        )
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = ONE / work[r][col]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(m.rows):
-            if i != r and not work[i][col].is_zero():
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == m.rows:
-            break
-    return r
-
-
-def nullspace(m: ExactMatrix) -> list[tuple[GaussianRational, ...]]:
-    """Exact basis of the right nullspace (reduced row echelon back-substitution)."""
+def _rref(m: ExactMatrix) -> tuple[list[list[GaussianRational]], list[int]]:
+    """Reduced row echelon form by Gaussian elimination, and its pivot columns."""
     work = [list(m.row(i)) for i in range(m.rows)]
     pivots: list[int] = []
-    r = 0
     for col in range(m.cols):
+        r = len(pivots)
         pivot = next(
             (i for i in range(r, m.rows) if not work[i][col].is_zero()), None
         )
@@ -454,12 +431,21 @@ def nullspace(m: ExactMatrix) -> list[tuple[GaussianRational, ...]]:
                 f = work[i][col]
                 work[i] = [x - f * y for x, y in zip(work[i], work[r])]
         pivots.append(col)
-        r += 1
-        if r == m.rows:
+        if len(pivots) == m.rows:
             break
+    return work, pivots
+
+
+def rank(m: ExactMatrix) -> int:
+    """Exact rank by Gaussian elimination over the Gaussian rationals."""
+    return len(_rref(m)[1])
+
+
+def nullspace(m: ExactMatrix) -> list[tuple[GaussianRational, ...]]:
+    """Exact basis of the right nullspace (reduced row echelon back-substitution)."""
+    work, pivots = _rref(m)
     basis = []
-    free_cols = [c for c in range(m.cols) if c not in pivots]
-    for free in free_cols:
+    for free in (c for c in range(m.cols) if c not in pivots):
         vec = [ZERO] * m.cols
         vec[free] = ONE
         for prow, pcol in enumerate(pivots):

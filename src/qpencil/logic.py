@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exact import Ray, inner_product, is_product_state
 
@@ -161,15 +161,17 @@ def _edge_bitmasks(edges: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(sum(1 << v for v in e) for e in edges)
 
 
-def _has_state(edge_masks: Sequence[int]) -> bool:
-    """Existence-only backtracking solve with early exit.
+def _search(edge_masks: Sequence[int], found: Callable[[int], bool | None]) -> bool:
+    """Backtracking search for two-valued states, reporting each to ``found``.
 
     Picks the first edge with no 1 yet, tries each still-available vertex
     (lowest index first) as its designated 1, and propagates 0 to every
-    co-edge vertex.
+    co-edge vertex. Each complete state's ones-bitmask goes to ``found``, in
+    deterministic search order; a truthy return stops the search, which
+    then returns True.
     """
 
-    def rec(ones: int, zeros: int) -> bool:
+    def rec(ones: int, zeros: int) -> bool | None:
         for e in edge_masks:
             if e & ones:
                 continue
@@ -184,50 +186,26 @@ def _has_state(edge_masks: Sequence[int]) -> bool:
                 if rec(ones | v, nz):
                     return True
             return False
-        return True
+        return found(ones)
 
-    return rec(0, 0)
+    return bool(rec(0, 0))
 
 
-def _all_states(edge_masks: Sequence[int]) -> list[int]:
-    """Every admissible ones-bitmask, in deterministic search order."""
-    out: list[int] = []
-
-    def rec(ones: int, zeros: int):
-        for e in edge_masks:
-            if e & ones:
-                continue
-            cand = e & ~zeros
-            while cand:
-                v = cand & -cand
-                cand ^= v
-                nz = zeros
-                for e2 in edge_masks:
-                    if e2 & v:
-                        nz |= e2 & ~v
-                rec(ones | v, nz)
-            return
-        out.append(ones)
-
-    rec(0, 0)
-    return out
+def _has_state(edge_masks: Sequence[int]) -> bool:
+    """Existence-only solve: stops at the first state."""
+    return _search(edge_masks, lambda ones: True)
 
 
 def two_valued_states(h: ContextHypergraph) -> list[TwoValuedState]:
     """Complete, deterministic enumeration by backtracking over edges."""
-    masks = _edge_bitmasks(h.edges)
+    found: list[int] = []
+    _search(_edge_bitmasks(h.edges), found.append)
     n = len(h.vertices)
     states = [
-        TwoValuedState(tuple((ones >> i) & 1 for i in range(n)))
-        for ones in _all_states(masks)
+        TwoValuedState(tuple((ones >> i) & 1 for i in range(n))) for ones in found
     ]
     states.sort(key=lambda s: s.values)
     return states
-
-
-def admits_state(edge_masks: Sequence[int]) -> bool:
-    """Existence-only solve (early exit) on raw edge bitmasks."""
-    return _has_state(edge_masks)
 
 
 def is_separating(states: Sequence[TwoValuedState], h: ContextHypergraph) -> bool:

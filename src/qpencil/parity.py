@@ -14,9 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exact import GaussianRational
 from .pauli import PauliString, commutes, realization, serial_product
-from .pencil import Context, VerificationError
+from .pencil import Context, eigen_sign
 
 BRUTEFORCE_PAIR_CAP = 20
 
@@ -171,25 +170,11 @@ def eigenstate_table(context: Context, s: ParityScenario) -> list[tuple[int, ...
     observable; otherwise the observables do not share the context and the
     table is rejected.
     """
-    matrices = [realization(c) for c in s.composed()]
-    rows = []
-    for ray in context.rays:
-        comps = ray.components
-        row = []
-        for w, m in zip(s.composed(), matrices):
-            image = m.apply(comps)
-            value = None
-            for sign in (1, -1):
-                if all(
-                    (img - GaussianRational(sign) * c).is_zero()
-                    for img, c in zip(image, comps)
-                ):
-                    value = sign
-                    break
-            if value is None:
-                raise VerificationError(
-                    f"{ray!r} is not an eigenvector of observable {w}"
-                )
-            row.append(value)
-        rows.append(tuple(row))
-    return rows
+    words = s.composed()
+    matrices = [realization(w) for w in words]
+    return [
+        tuple(
+            eigen_sign(m, ray, f"observable {w}") for w, m in zip(words, matrices)
+        )
+        for ray in context.rays
+    ]

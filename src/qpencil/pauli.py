@@ -24,8 +24,9 @@ _SINGLE_SITE_PRODUCTS = {
     ("Y", "X"): (3, "Z"), ("Z", "Y"): (3, "X"), ("X", "Z"): (3, "Y"),
 }
 
-_PHASE_TEXT = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}
-_TEXT_PHASE = {"+1": 0, "+i": 1, "-1": 2, "-i": 3}
+# phase exponent k -> text of i**k, as written before a word
+PHASE_TEXT = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}
+_TEXT_PHASE = {text: k for k, text in PHASE_TEXT.items()}
 
 _SINGLE_SITE_MATRICES = {
     "I": ExactMatrix.from_rows([[1, 0], [0, 1]]),
@@ -56,7 +57,9 @@ class PauliString:
             raise ValueError("a Pauli word needs at least one site")
         bad = [l for l in self.letters if l not in LETTERS]
         if bad:
-            raise ValueError(f"unknown Pauli letters: {bad}")
+            raise ValueError(
+                f"unknown letter {bad[0]!r} in {''.join(map(str, self.letters))!r}"
+            )
         object.__setattr__(self, "phase_power", self.phase_power % 4)
 
     @staticmethod
@@ -75,7 +78,7 @@ class PauliString:
 
     @property
     def phase_text(self) -> str:
-        return _PHASE_TEXT[self.phase_power]
+        return PHASE_TEXT[self.phase_power]
 
     def __str__(self) -> str:
         word = "".join(self.letters)

@@ -6,7 +6,7 @@ every joint sign pattern of the terms, so a single numerical diagonalization
 of the pencil exposes the shared eigenbasis. Floating point appears only in
 the middle of the pipeline: eigenvectors are snapped to exact integer rays
 and every claim (eigenvalues, multiplicities, orthogonality, per-term signs)
-is re-verified in exact arithmetic before a context is returned.
+is certified in exact arithmetic before a context is returned.
 """
 
 from __future__ import annotations
@@ -16,17 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import (
-    ExactMatrix,
-    GaussianRational,
-    Ray,
-    commutator_is_zero,
-    inner_product,
-    rank,
-)
+from .exact import ExactMatrix, GaussianRational, Ray, commutator_is_zero, rank
 
-JACOBI_OFF_DIAGONAL_THRESHOLD = 1e-12
-JACOBI_MAX_SWEEPS = 100
 SNAP_TOLERANCE = 1e-6
 DEFAULT_MAX_SNAP_NORM = 4
 _EIGENVALUE_INT_TOLERANCE = 1e-6
@@ -65,10 +56,38 @@ class VerificationError(PencilError):
 
 @dataclass(frozen=True)
 class Pencil:
-    """Terms A_i with integer coefficients a_i, all validated at build time."""
+    """Terms A_i with integer coefficients a_i, validated on construction.
+
+    The terms must be square, Hermitian, of equal dimension and pairwise
+    commuting, so every ``Pencil`` value carries that guarantee.
+    """
 
     terms: tuple[ExactMatrix, ...]
     coefficients: tuple[int, ...]
+
+    def __post_init__(self):
+        terms = tuple(self.terms)
+        coefficients = tuple(int(c) for c in self.coefficients)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "coefficients", coefficients)
+        if not terms:
+            raise PencilError("a pencil needs at least one term")
+        if len(coefficients) != len(terms):
+            raise PencilError(
+                f"{len(terms)} terms but {len(coefficients)} coefficients"
+            )
+        d = terms[0].rows
+        for i, t in enumerate(terms):
+            if t.rows != t.cols:
+                raise PencilError(f"term {i} is not square")
+            if t.rows != d:
+                raise PencilError(f"term {i} has dimension {t.rows}, expected {d}")
+            if not t.is_hermitian():
+                raise PencilError(f"term {i} is not Hermitian")
+        for i in range(len(terms)):
+            for j in range(i + 1, len(terms)):
+                if not commutator_is_zero(terms[i], terms[j]):
+                    raise PencilError(f"terms {i} and {j} do not commute")
 
     @property
     def dim(self) -> int:
@@ -112,53 +131,28 @@ def build(
 ) -> Pencil:
     """Validate terms (square, Hermitian, equal dimension, pairwise commuting)."""
     terms = tuple(terms)
-    if not terms:
-        raise PencilError("a pencil needs at least one term")
     if coefficients is None:
-        coefficients = default_coefficients(len(terms))
-    coefficients = tuple(int(c) for c in coefficients)
-    if len(coefficients) != len(terms):
-        raise PencilError(
-            f"{len(terms)} terms but {len(coefficients)} coefficients"
-        )
-    d = terms[0].rows
-    for i, t in enumerate(terms):
-        if t.rows != t.cols:
-            raise PencilError(f"term {i} is not square")
-        if t.rows != d:
-            raise PencilError(f"term {i} has dimension {t.rows}, expected {d}")
-        if not t.is_hermitian():
-            raise PencilError(f"term {i} is not Hermitian")
-    for i in range(len(terms)):
-        for j in range(i + 1, len(terms)):
-            if not commutator_is_zero(terms[i], terms[j]):
-                raise PencilError(f"terms {i} and {j} do not commute")
+        coefficients = default_coefficients(len(terms)) if terms else ()
     return Pencil(terms, coefficients)
 
 
 def evaluate(p: Pencil) -> ExactMatrix:
-    """The exact Hermitian sum; commutes with every term by construction."""
+    """The exact Hermitian sum; commutes with every term by construction.
+
+    [P, A_j] = sum(a_i * [A_i, A_j]) = 0, because ``Pencil`` only exists
+    with pairwise-commuting terms.
+    """
     acc = p.terms[0].scale(p.coefficients[0])
     for a, t in zip(p.coefficients[1:], p.terms[1:]):
         acc = acc + t.scale(a)
-    for i, t in enumerate(p.terms):
-        # guards Pencil values constructed directly, bypassing build()
-        if not commutator_is_zero(acc, t):
-            raise PencilError(f"pencil does not commute with term {i}")
     return acc
 
 
-def hermitian_eigensystem(
-    m,
-    *,
-    tol: float = JACOBI_OFF_DIAGONAL_THRESHOLD,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
+def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
+    """Floating-point diagonalization of a Hermitian matrix by ``numpy.linalg.eigh``.
 
-    Returns (eigenvalues ascending, eigenvector columns). Each sweep zeroes
-    every off-diagonal pair via an exact 2x2 unitary; sweeps stop when the
-    off-diagonal Frobenius norm drops below ``tol``.
+    Returns (eigenvalues ascending, eigenvector columns). The result only
+    proposes candidates; ``joint_context`` certifies them exactly.
     """
     a = np.array(m, dtype=complex)
     n = a.shape[0]
@@ -167,46 +161,7 @@ def hermitian_eigensystem(
     scale = max(1.0, float(np.max(np.abs(a))))
     if float(np.max(np.abs(a - a.conj().T))) > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian to tolerance 1e-12")
-    a = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-
-    def off_norm():
-        return float(np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2)))
-
-    converged = off_norm() <= tol
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = a[p, q]
-                b = abs(beta)
-                if b == 0.0:
-                    continue
-                # Factor out the phase so the 2x2 block is real symmetric,
-                # then apply the stable small-angle rotation formula.
-                phase = beta / b
-                alpha = a[p, p].real
-                gamma = a[q, q].real
-                tau = (gamma - alpha) / (2.0 * b)
-                sign = 1.0 if tau >= 0.0 else -1.0
-                t = sign / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                u = np.array(
-                    [[c, s], [-s * np.conj(phase), c * np.conj(phase)]]
-                )
-                a[:, [p, q]] = a[:, [p, q]] @ u
-                a[[p, q], :] = u.conj().T @ a[[p, q], :]
-                v[:, [p, q]] = v[:, [p, q]] @ u
-        converged = off_norm() <= tol
-    if not converged:
-        raise ArithmeticError(
-            f"Jacobi iteration did not converge within {max_sweeps} sweeps"
-        )
-    eigenvalues = np.diag(a).real.copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return eigenvalues[order], v[:, order]
+    return np.linalg.eigh(a)
 
 
 def snap_to_ray(
@@ -270,16 +225,18 @@ def _exact_integer_spectrum(p_exact: ExactMatrix, approx: np.ndarray) -> dict[in
     return multiplicities
 
 
-def _exact_unit_eigenvalue(matrix: ExactMatrix, ray: Ray) -> int:
-    """The eigenvalue (+1 or -1) of a dichotomic operator on an exact ray."""
+def eigen_sign(operator: ExactMatrix, ray: Ray, name: str) -> int:
+    """The eigenvalue (+1 or -1) of a dichotomic operator on an exact ray.
+
+    Raises VerificationError, naming ``name``, unless the ray is exactly an
+    eigenvector of ``operator`` with eigenvalue +1 or -1.
+    """
     comps = ray.components
-    image = matrix.apply(comps)
+    image = operator.apply(comps)
     for sign in (1, -1):
         if all((img - GaussianRational(sign) * c).is_zero() for img, c in zip(image, comps)):
             return sign
-    raise VerificationError(
-        f"{ray!r} is not a +/-1 eigenvector of the given operator"
-    )
+    raise VerificationError(f"{ray!r} is not a +/-1 eigenvector of {name}")
 
 
 def joint_context(
@@ -294,6 +251,12 @@ def joint_context(
     when the pencil cannot single out a basis, SnapError when an eigenvector
     is not an integer ray, and VerificationError when any exact re-check
     fails.
+
+    Each snapped ray v is certified by one exact check: every term A_i has
+    sign s_i = +/-1 on v, and sum(a_i * s_i) equals the certified eigenvalue
+    lambda. Together these give P v = lambda v. The d eigenvalues are
+    distinct and P is exactly Hermitian, so the rays are also pairwise
+    orthogonal.
     """
     p = build(terms, coefficients)
     p_exact = evaluate(p)
@@ -304,34 +267,16 @@ def joint_context(
 
     spectrum = sorted(multiplicities)
     rays = []
+    eigentable = []
     for k, lam in enumerate(spectrum):
         ray = snap_to_ray(eigenvectors[:, k], max_snap_norm=max_snap_norm)
-        comps = ray.components
-        image = p_exact.apply(comps)
-        if any(
-            not (img - GaussianRational(lam) * c).is_zero()
-            for img, c in zip(image, comps)
-        ):
-            raise VerificationError(
-                f"snapped ray {ray!r} is not an exact eigenvector of the "
-                f"pencil for eigenvalue {lam}"
-            )
-        rays.append(ray)
-
-    for i in range(len(rays)):
-        for j in range(i + 1, len(rays)):
-            if not inner_product(rays[i], rays[j]).is_zero():
-                raise VerificationError(
-                    f"context rays {i} and {j} are not exactly orthogonal"
-                )
-
-    eigentable = []
-    for ray, lam in zip(rays, spectrum):
-        signs = tuple(_exact_unit_eigenvalue(t, ray) for t in p.terms)
+        signs = tuple(eigen_sign(t, ray, f"term {i}") for i, t in enumerate(p.terms))
         if sum(a * s for a, s in zip(p.coefficients, signs)) != lam:
             raise VerificationError(
-                "per-term signs do not recombine to the pencil eigenvalue"
+                f"per-term signs of {ray!r} do not recombine to the pencil "
+                f"eigenvalue {lam}"
             )
+        rays.append(ray)
         eigentable.append(signs)
 
     return Context(tuple(rays), tuple(eigentable), tuple(spectrum))

@@ -1,12 +1,17 @@
+import random
+
 import numpy as np
 import pytest
 
+from qpencil import pencil
 from qpencil.exact import GaussianRational, Ray, commutator_is_zero
-from qpencil.pauli import parse_pauli, realization
+from qpencil.pauli import PauliString, commutes, multiply, parse_pauli, realization
 from qpencil.pencil import (
     DegeneratePencilError,
+    Pencil,
     PencilError,
     SnapError,
+    VerificationError,
     build,
     default_coefficients,
     evaluate,
@@ -81,6 +86,13 @@ class TestBuildAndEvaluate:
     def test_coefficient_count_mismatch(self):
         with pytest.raises(PencilError):
             build(mats("ZI", "IZ"), (1,))
+
+    def test_direct_construction_is_validated(self):
+        # evaluate() trusts every Pencil to have commuting Hermitian terms
+        with pytest.raises(PencilError, match="commute"):
+            Pencil(tuple(mats("ZI", "XI")), (1, 2))
+        with pytest.raises(PencilError, match="Hermitian"):
+            Pencil((realization(parse_pauli("+i ZX")),), (1,))
 
 
 class TestHermitianEigensystem:
@@ -218,8 +230,59 @@ class TestJointContext:
         assert len(ctx.rays) == 8
         assert all(not is_product_state(r, (2, 2, 2)) for r in ctx.rays)
 
+    @pytest.mark.parametrize(
+        "name,check", [("row1", "recombine"), ("row3", "eigenvector")]
+    )
+    def test_wrong_float_eigenvectors_are_rejected(self, monkeypatch, name, check):
+        # row1 is diagonal, so identity columns are joint eigenvectors in the
+        # wrong eigenvalue order; row3's rays are not standard basis vectors
+        solve = pencil.hermitian_eigensystem
+
+        def identity_vectors(m):
+            w, _ = solve(m)
+            return w, np.eye(len(w), dtype=complex)
+
+        monkeypatch.setattr(pencil, "hermitian_eigensystem", identity_vectors)
+        with pytest.raises(VerificationError, match=check):
+            joint_context(mats(*SQUARE_TRIPLES[name]), (1, 2, 4))
+
     def test_context_json_schema(self):
         ctx = joint_context(mats("ZX", "YY"), (1, 2))
         data = ctx.to_json()
         assert set(data) == {"rays", "eigentable", "pencil_eigenvalues"}
         assert all(all(isinstance(x, int) for x in row) for row in data["rays"])
+
+
+def _random_commuting_family(rng: random.Random, n: int, k: int) -> list[PauliString]:
+    """k pairwise-commuting, independent Hermitian Pauli words on n qubits."""
+    words: list[PauliString] = []
+    group = {("I",) * n}  # letters of every product of the chosen words
+    while len(words) < k:
+        w = PauliString(tuple(rng.choice("IXYZ") for _ in range(n)), rng.choice((0, 2)))
+        if w.letters in group or not all(commutes(w, u) for u in words):
+            continue
+        words.append(w)
+        group |= {multiply(PauliString(g), w).letters for g in group}
+    return words
+
+
+class TestRandomCommutingFamilies:
+    """Differential check of the pencil pipeline against exact intersection."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_full_family_matches_intersection_oracle(self, n, seed):
+        words = _random_commuting_family(random.Random(seed), n, n)
+        terms = [realization(w) for w in words]
+        ctx = joint_context(terms)
+        assert len(ctx.rays) == 2**n
+        assert set(ctx.rays) == joint_eigenrays_by_intersection(terms)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2)])
+    def test_partial_family_is_degenerate(self, n, k, seed):
+        words = _random_commuting_family(random.Random(seed), n, k)
+        with pytest.raises(DegeneratePencilError) as err:
+            joint_context([realization(w) for w in words])
+        assert len(err.value.multiplicities) == 2**k
+        assert set(err.value.multiplicities.values()) == {2 ** (n - k)}
