@@ -21,6 +21,7 @@ import json
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from itertools import combinations
 from typing import Sequence
 
 from .logic import (
@@ -32,7 +33,7 @@ from .logic import (
     two_valued_states,
 )
 from .parity import ParityError, ParityScenario, analyze as parity_analyze, eigenstate_table
-from .pauli import PHASE_TEXT, PauliString, parse_pauli, realization, serial_product
+from .pauli import PHASE_TEXT, PauliString, commutes, parse_pauli, realization, serial_product
 from .pencil import (
     Context,
     DegeneratePencilError,
@@ -51,7 +52,11 @@ BUILTINS = {
 Observable = tuple[PauliString, ...]
 
 
-class ScenarioParseError(ValueError):
+class ScenarioError(ValueError):
+    """A scenario that cannot be analyzed as written."""
+
+
+class ScenarioParseError(ScenarioError):
     """Malformed scenario text, with a 1-based line number."""
 
     def __init__(self, line_number: int, message: str):
@@ -86,9 +91,10 @@ def parse_scenario(text: bytes | str) -> ScenarioFile:
             if site_count is not None:
                 raise ScenarioParseError(ln, "duplicate sites declaration")
             parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+            count = parts[1] if len(parts) == 2 and parts[1].isascii() else ""
+            if not count.isdigit() or int(count) < 1:
                 raise ScenarioParseError(ln, "expected 'sites N' with N >= 1")
-            site_count = int(parts[1])
+            site_count = int(count)
         elif head == "mode":
             if mode is not None:
                 raise ScenarioParseError(ln, "duplicate mode declaration")
@@ -173,6 +179,10 @@ def _group_context(
 ) -> tuple[Context | None, dict]:
     """Run the pencil pipeline on a group; degeneracy is a reported outcome."""
     words = [_compose(obs) for obs in group]
+    for (a, u), (b, v) in combinations(zip(group, words), 2):
+        if not commutes(u, v):
+            text = f"{observable_text(a)} and {observable_text(b)} do not commute"
+            raise ScenarioError(text)
     matrices = [realization(w) for w in words]
     if coeffs is not None and len(coeffs) != len(words):
         raise _UsageError(
@@ -235,7 +245,7 @@ def scenario_hypergraph(
     for gi, group in enumerate(s.groups):
         ctx, _ = _group_context(group, coeffs, max_snap_norm)
         if ctx is None:
-            raise PencilError(
+            raise ScenarioError(
                 f"group {gi + 1} has a degenerate pencil and defines no context"
             )
         contexts.append(ctx)
@@ -539,7 +549,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as e:
         print(f"qpencil: error: {e}", file=sys.stderr)
         return 1
-    except ScenarioParseError as e:
+    except ScenarioError as e:
         print(f"qpencil: scenario error: {e}", file=sys.stderr)
         return 1
     except FileNotFoundError as e:

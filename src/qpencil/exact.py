@@ -4,6 +4,7 @@ Everything here is immutable and computes exactly: scalars are pairs of
 ``fractions.Fraction``, matrices are dense row-major tuples of such scalars,
 and rays are projective integer vectors reduced to a unique canonical
 representative so they can be hashed, deduplicated and compared.
+Matrix arithmetic skips zeros: Pauli realizations have one nonzero per row.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Sequence, Union
 
 ScalarLike = Union["GaussianRational", int, Fraction]
@@ -93,9 +95,6 @@ class GaussianRational:
     def is_real(self) -> bool:
         return self.im == 0
 
-    def is_gaussian_integer(self) -> bool:
-        return self.re.denominator == 1 and self.im.denominator == 1
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -127,7 +126,6 @@ class GaussianRational:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I_UNIT = GaussianRational(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +194,8 @@ class Ray:
             (int(v.re * denom_lcm), int(v.im * denom_lcm)) for v in vals
         ]
 
-        content = (0, 0)
-        for c in ints:
-            if c != (0, 0):
-                content = gaussian_gcd(content, c) if content != (0, 0) else c
-        ints = [_gauss_exact_div(c, content) if c != (0, 0) else c for c in ints]
+        content = reduce(gaussian_gcd, ints, (0, 0))
+        ints = [_gauss_exact_div(c, content) for c in ints]
 
         lead = next(c for c in ints if c != (0, 0))
         for k in range(4):
@@ -253,14 +248,10 @@ def inner_product(u: Ray, v: Ray) -> GaussianRational:
     """Hermitian inner product sum(conj(u_i) * v_i), exactly."""
     if u.dim != v.dim:
         raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
-    acc = ZERO
-    for a, b in zip(u.components, v.components):
-        acc = acc + a.conjugate() * b
-    return acc
-
-
-def are_orthogonal(u: Ray, v: Ray) -> bool:
-    return inner_product(u, v).is_zero()
+    re = im = 0
+    for (ar, ai), (br, bi) in zip(u._parts, v._parts):
+        re, im = re + ar * br + ai * bi, im + ar * bi - ai * br
+    return GaussianRational(re, im)
 
 
 @dataclass(frozen=True)
@@ -302,7 +293,7 @@ class ExactMatrix:
         return ExactMatrix(
             self.rows,
             self.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
+            tuple(a + b if b else a for a, b in zip(self.entries, other.entries)),
         )
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -310,26 +301,30 @@ class ExactMatrix:
         return ExactMatrix(
             self.rows,
             self.cols,
-            tuple(a - b for a, b in zip(self.entries, other.entries)),
+            tuple(a - b if b else a for a, b in zip(self.entries, other.entries)),
         )
 
     def scale(self, s: ScalarLike) -> "ExactMatrix":
         s = GaussianRational.coerce(s)
-        return ExactMatrix(self.rows, self.cols, tuple(s * e for e in self.entries))
+        entries = tuple(s * e if e else e for e in self.entries)
+        return ExactMatrix(self.rows, self.cols, entries)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        sparse_rows = [
+            [(j, b) for j, b in enumerate(other.row(k)) if b] for k in range(other.rows)
+        ]
         out = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    acc = acc + ri[k] * other.at(k, j)
-                out.append(acc)
+            acc = [ZERO] * other.cols
+            for a, row_k in zip(self.row(i), sparse_rows):
+                if a:
+                    for j, b in row_k:
+                        acc[j] = acc[j] + a * b
+            out.extend(acc)
         return ExactMatrix(self.rows, other.cols, tuple(out))
 
     def conjugate_transpose(self) -> "ExactMatrix":
@@ -352,9 +347,10 @@ class ExactMatrix:
     def apply(self, vec: Sequence[GaussianRational]) -> tuple[GaussianRational, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match matrix columns")
+        support = [(k, x) for k, x in enumerate(vec) if x]
         return tuple(
-            sum((a * b for a, b in zip(self.row(i), vec)), ZERO)
-            for i in range(self.rows)
+            sum((row[k] * x for k, x in support if row[k]), ZERO)
+            for row in map(self.row, range(self.rows))
         )
 
     def to_complex_array(self):
@@ -395,14 +391,14 @@ class ExactMatrix:
 
 def tensor(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product; satisfies (A tensor B)(C tensor D) = AC tensor BD."""
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    entries = []
-    for i in range(rows):
-        ai, bi = divmod(i, b.rows)
-        for j in range(cols):
-            aj, bj = divmod(j, b.cols)
-            entries.append(a.at(ai, aj) * b.at(bi, bj))
-    return ExactMatrix(rows, cols, tuple(entries))
+    entries = tuple(
+        x * y if x and y else ZERO
+        for i in range(a.rows)
+        for k in range(b.rows)
+        for x in a.row(i)
+        for y in b.row(k)
+    )
+    return ExactMatrix(a.rows * b.rows, a.cols * b.cols, entries)
 
 
 def commutator_is_zero(a: ExactMatrix, b: ExactMatrix) -> bool:
@@ -429,7 +425,7 @@ def _rref(m: ExactMatrix) -> tuple[list[list[GaussianRational]], list[int]]:
         for i in range(m.rows):
             if i != r and not work[i][col].is_zero():
                 f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+                work[i] = [x - f * y if y else x for x, y in zip(work[i], work[r])]
         pivots.append(col)
         if len(pivots) == m.rows:
             break

@@ -193,34 +193,19 @@ def snap_to_ray(
     raise SnapError(v)
 
 
-def _exact_integer_spectrum(p_exact: ExactMatrix, approx: np.ndarray) -> dict[int, int]:
-    """Round the float spectrum to integers and certify it exactly.
+def _exact_integer_spectrum(p_exact: ExactMatrix, spectrum: set[int]) -> dict[int, int]:
+    """Certify integer candidate eigenvalues and their multiplicities exactly.
 
-    Each candidate eigenvalue is confirmed (and its multiplicity counted) via
-    the exact rank of P - lambda*I, so floats only ever suggest candidates.
+    The multiplicity of lambda is d - rank(P - lambda*I); every candidate must
+    have a positive one, and together they must sum to d.
     """
     d = p_exact.rows
-    candidates = sorted(set(int(round(x)) for x in approx))
-    for x in approx:
-        if abs(x - round(x)) > _EIGENVALUE_INT_TOLERANCE:
-            raise VerificationError(
-                f"pencil eigenvalue {x!r} is not near an integer; integer "
-                "coefficients over dichotomic terms should give an integer spectrum"
-            )
-    multiplicities = {}
-    total = 0
     ident = ExactMatrix.identity(d)
-    for lam in candidates:
-        mult = d - rank(p_exact - ident.scale(lam))
-        if mult == 0:
-            raise VerificationError(
-                f"rounded value {lam} is not an exact eigenvalue of the pencil"
-            )
-        multiplicities[lam] = mult
-        total += mult
-    if total != d:
+    multiplicities = {lam: d - rank(p_exact - ident.scale(lam)) for lam in spectrum}
+    if 0 in multiplicities.values() or sum(multiplicities.values()) != d:
         raise VerificationError(
-            f"certified multiplicities sum to {total}, expected {d}"
+            f"certified multiplicities {multiplicities} of the rounded eigenvalues "
+            f"are not all positive with sum {d}"
         )
     return multiplicities
 
@@ -233,9 +218,10 @@ def eigen_sign(operator: ExactMatrix, ray: Ray, name: str) -> int:
     """
     comps = ray.components
     image = operator.apply(comps)
-    for sign in (1, -1):
-        if all((img - GaussianRational(sign) * c).is_zero() for img, c in zip(image, comps)):
-            return sign
+    if image == comps:
+        return 1
+    if image == tuple(-c for c in comps):
+        return -1
     raise VerificationError(f"{ray!r} is not a +/-1 eigenvector of {name}")
 
 
@@ -252,20 +238,28 @@ def joint_context(
     is not an integer ray, and VerificationError when any exact re-check
     fails.
 
-    Each snapped ray v is certified by one exact check: every term A_i has
-    sign s_i = +/-1 on v, and sum(a_i * s_i) equals the certified eigenvalue
-    lambda. Together these give P v = lambda v. The d eigenvalues are
-    distinct and P is exactly Hermitian, so the rays are also pairwise
-    orthogonal.
+    Rounded float eigenvalues that repeat raise DegeneratePencilError with
+    multiplicities certified by exact rank. Otherwise each snapped ray v_k is
+    certified exactly: every term A_i has sign s_i = +/-1 on v_k and
+    sum(a_i * s_i) = lambda_k, so P v_k = lambda_k v_k. Rays of d distinct
+    eigenvalues are independent and diagonalize P, so the lambda_k are its
+    whole spectrum, each simple, and (P being Hermitian) the rays are
+    pairwise orthogonal.
     """
     p = build(terms, coefficients)
     p_exact = evaluate(p)
     eigenvalues, eigenvectors = hermitian_eigensystem(p_exact.to_complex_array())
-    multiplicities = _exact_integer_spectrum(p_exact, eigenvalues)
-    if any(m > 1 for m in multiplicities.values()):
-        raise DegeneratePencilError(multiplicities)
+    spectrum = [int(x) for x in np.round(eigenvalues)]
+    for x, lam in zip(eigenvalues, spectrum):
+        if abs(x - lam) > _EIGENVALUE_INT_TOLERANCE:
+            raise VerificationError(
+                f"pencil eigenvalue {x!r} is not near an integer; integer "
+                "coefficients over dichotomic terms should give an integer spectrum"
+            )
+    if len(set(spectrum)) < len(spectrum):
+        # fewer than d candidates, certified to sum to d: some multiplicity exceeds 1
+        raise DegeneratePencilError(_exact_integer_spectrum(p_exact, set(spectrum)))
 
-    spectrum = sorted(multiplicities)
     rays = []
     eigentable = []
     for k, lam in enumerate(spectrum):

@@ -66,6 +66,14 @@ class TestScenarioParser:
         with pytest.raises(ScenarioParseError, match="duplicate"):
             parse_scenario(b"sites 2\nmode parity\nmode parity\n")
 
+    @pytest.mark.parametrize(
+        "count", ["\u00b2", "\u0663", "1\u00b2"], ids=["sup2", "arabic3", "1sup2"]
+    )
+    def test_site_count_takes_ascii_digits_only(self, count):
+        # str.isdigit accepts these, but int() fails on superscripts
+        with pytest.raises(ScenarioParseError, match="line 1: expected 'sites N'"):
+            parse_scenario(f"sites {count}\ngroup\nZX\n")
+
     def test_bad_mode(self):
         with pytest.raises(ScenarioParseError, match="mode"):
             parse_scenario(b"sites 2\nmode banana\n")
@@ -259,13 +267,30 @@ class TestExitCodes:
         assert code == 1
         assert "sweep cap" in err
 
-    def test_degenerate_group_in_hypergraph_mode_is_2(self, capsys, tmp_path):
+    def test_degenerate_group_in_hypergraph_mode_is_1(self, capsys, tmp_path):
         path = _write(tmp_path, "sites 2\nmode hypergraph\ngroup\nZI\n")
         code, _, err = run_cli(capsys, "analyze", "--file", str(path))
-        assert code == 2
-        assert "verification failure" in err
+        assert code == 1
+        assert "scenario error: group 1 has a degenerate pencil" in err
 
-    def test_noncommuting_group_is_2(self, capsys, tmp_path):
-        path = _write(tmp_path, "sites 2\nmode pencil\ngroup\nZI\nXI\n")
+    @pytest.mark.parametrize("command", ["analyze", "subsets", "export"])
+    def test_noncommuting_group_is_1(self, capsys, tmp_path, command):
+        path = _write(tmp_path, "sites 2\nmode pencil\ngroup\nXI\nIZ\nZI\n")
+        code, _, err = run_cli(capsys, command, "--file", str(path))
+        assert code == 1
+        assert "scenario error: XI and ZI do not commute" in err
+
+    def test_noncommuting_products_are_named(self, capsys, tmp_path):
+        path = _write(tmp_path, "sites 2\nmode parity\ngroup\nZX*XZ\n-1 ZI\n")
         code, _, err = run_cli(capsys, "analyze", "--file", str(path))
-        assert code == 2
+        assert code == 1
+        assert "scenario error: ZX*XZ and -1 ZI do not commute" in err
+
+    @pytest.mark.parametrize(
+        "count", ["\u00b2", "\u0663", "0", "-1", "2 2"], ids=["sup2", "arabic3", "0", "-1", "2-2"]
+    )
+    def test_non_ascii_or_nonpositive_site_count_is_1(self, capsys, tmp_path, count):
+        path = _write(tmp_path, f"sites {count}\ngroup\nZX\n")
+        code, _, err = run_cli(capsys, "analyze", "--file", str(path))
+        assert code == 1
+        assert "scenario error: line 1: expected 'sites N'" in err

@@ -255,3 +255,112 @@ class TestProductStates:
                 continue
             expected = two_qubit_determinant(v).is_zero()
             assert is_product_state(Ray(v), (2, 2)) == expected
+
+
+# ---------------------------------------------------------------------------
+# The kernel skips zero entries; these references do not, and work on plain
+# (re, im) Fraction pairs rather than GaussianRational arithmetic.
+
+
+def _pair(z):
+    return (z.re, z.im)
+
+
+def _pmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _padd(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _psub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _pdiv(a, b):
+    n = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
+
+
+def _naive_matmul(a, b):
+    """Triple loop over every (i, j, k), zeros included."""
+    out = [[(Fraction(0), Fraction(0))] * len(b[0]) for _ in a]
+    for i in range(len(a)):
+        for j in range(len(b[0])):
+            for k in range(len(b)):
+                out[i][j] = _padd(out[i][j], _pmul(a[i][k], b[k][j]))
+    return out
+
+
+def _naive_rank(a):
+    """Forward elimination over every entry below each pivot."""
+    work = [list(row) for row in a]
+    r = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(r, len(work)) if work[i][col] != (0, 0)), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(r + 1, len(work)):
+            f = _pdiv(work[i][col], work[r][col])
+            for j in range(len(work[0])):
+                work[i][j] = _psub(work[i][j], _pmul(f, work[r][j]))
+        r += 1
+    return r
+
+
+def _pairs(m: ExactMatrix):
+    return [[_pair(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+
+
+# about three zeros in four entries, like the monomial Pauli realizations
+_SPARSE_ENTRY = st.tuples(
+    st.integers(0, 3), st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3)
+).map(lambda t: gr(Fraction(t[1], t[3]), t[2]) if t[0] == 0 else gr(0))
+
+
+def _sparse_matrix(rows, cols):
+    return st.lists(
+        st.lists(_SPARSE_ENTRY, min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    ).map(ExactMatrix.from_rows)
+
+
+class TestSparseKernelAgainstNaiveReference:
+    @given(st.data(), st.integers(1, 5), st.integers(1, 5), st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_matmul(self, data, n, k, m):
+        a = data.draw(_sparse_matrix(n, k))
+        b = data.draw(_sparse_matrix(k, m))
+        assert _pairs(a @ b) == _naive_matmul(_pairs(a), _pairs(b))
+
+    @given(st.data(), st.integers(1, 5), st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_apply(self, data, n, m):
+        a = data.draw(_sparse_matrix(n, m))
+        vec = data.draw(st.lists(_SPARSE_ENTRY, min_size=m, max_size=m))
+        column = [[_pair(x)] for x in vec]
+        expected = [row[0] for row in _naive_matmul(_pairs(a), column)]
+        assert [_pair(y) for y in a.apply(vec)] == expected
+
+    @given(st.data(), st.integers(1, 6), st.integers(1, 3), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_rank(self, data, n, k, m):
+        # a product through an inner dimension k has rank <= k, so deficient
+        # ranks come up often
+        a = data.draw(_sparse_matrix(n, k)) @ data.draw(_sparse_matrix(k, m))
+        b = data.draw(_sparse_matrix(n, m))
+        for x in (a, b, a + b):
+            assert rank(x) == _naive_rank(_pairs(x))
+            assert len(nullspace(x)) == x.cols - rank(x)
+
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_inner_product(self, n, data):
+        vec = st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=n, max_size=n
+        ).filter(lambda v: any(c != (0, 0) for c in v))
+        u, v = (Ray([gr(*c) for c in data.draw(vec)]) for _ in range(2))
+        assert inner_product(u, v) == raw_inner(u.components, v.components)

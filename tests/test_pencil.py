@@ -246,6 +246,19 @@ class TestJointContext:
         with pytest.raises(VerificationError, match=check):
             joint_context(mats(*SQUARE_TRIPLES[name]), (1, 2, 4))
 
+    def test_shifted_float_eigenvalues_are_rejected(self, monkeypatch):
+        # true eigenvectors, but every eigenvalue moved by +2: still d distinct
+        # integers, so only the per-ray certificate can catch it
+        solve = pencil.hermitian_eigensystem
+
+        def shifted(m):
+            w, v = solve(m)
+            return w + 2, v
+
+        monkeypatch.setattr(pencil, "hermitian_eigensystem", shifted)
+        with pytest.raises(VerificationError, match="recombine"):
+            joint_context(mats(*SQUARE_TRIPLES["row1"]), (1, 2, 4))
+
     def test_context_json_schema(self):
         ctx = joint_context(mats("ZX", "YY"), (1, 2))
         data = ctx.to_json()
@@ -266,11 +279,76 @@ def _random_commuting_family(rng: random.Random, n: int, k: int) -> list[PauliSt
     return words
 
 
+def ghz_words(n: int) -> list[str]:
+    return ["X" * n] + ["I" * i + "ZZ" + "I" * (n - 2 - i) for i in range(n - 1)]
+
+
+_NONDEGENERATE = [
+    *(SQUARE_TRIPLES[name] for name in sorted(SQUARE_TRIPLES)),
+    ("XXX", "XYY", "YXY", "YYX"),
+    *(ghz_words(n) for n in (2, 3, 4)),
+]
+
+
+class TestRayCertificate:
+    """Nondegenerate spectra are certified by the rays, not by exact rank."""
+
+    @pytest.mark.parametrize("words", _NONDEGENERATE, ids="-".join)
+    def test_nondegenerate_pencils_need_no_rank(self, monkeypatch, words):
+        terms = mats(*words)
+        expected = joint_context(terms)
+        oracle_rays = joint_eigenrays_by_intersection(terms)
+
+        def no_rank(m):
+            raise AssertionError("rank called on a nondegenerate pencil")
+
+        monkeypatch.setattr(pencil, "rank", no_rank)
+        ctx = joint_context(terms)
+        assert ctx == expected
+        assert set(ctx.rays) == oracle_rays
+
+    def test_degenerate_pencil_reports_rank_certified_multiplicities(self, monkeypatch):
+        calls = []
+        exact_rank = pencil.rank
+
+        def counted_rank(m):
+            calls.append(m)
+            return exact_rank(m)
+
+        monkeypatch.setattr(pencil, "rank", counted_rank)
+        with pytest.raises(DegeneratePencilError) as err:
+            joint_context(mats("ZII", "IZI"))
+        assert err.value.multiplicities == {-3: 2, -1: 2, 1: 2, 3: 2}
+        assert len(calls) == 4  # one exact rank per distinct eigenvalue
+
+    def test_ghz_six_qubits_closed_form(self):
+        # the 64 rays are |b> +/- |not b>, and each Z_i Z_(i+1) has sign
+        # (-1)^(b_i xor b_(i+1)) on both; qubit 0 is the most significant bit
+        n = 6
+        words = ghz_words(n)
+        ctx = joint_context(mats(*words))
+        full = 2**n - 1
+        expected = {}
+        for b in range(2 ** (n - 1)):
+            for s in (1, -1):
+                vec = [0] * 2**n
+                vec[b], vec[b ^ full] = 1, s
+                bits = [(b >> (n - 1 - q)) & 1 for q in range(n)]
+                zz = tuple((-1) ** (bits[q] ^ bits[q + 1]) for q in range(n - 1))
+                expected[Ray(vec)] = (s, *zz)
+        assert len(ctx.rays) == 64
+        assert dict(zip(ctx.rays, ctx.eigentable)) == expected
+        weights = default_coefficients(len(words))
+        for lam, signs in zip(ctx.pencil_eigenvalues, ctx.eigentable):
+            assert lam == sum(a * s for a, s in zip(weights, signs))
+        assert list(ctx.pencil_eigenvalues) == sorted(set(ctx.pencil_eigenvalues))
+
+
 class TestRandomCommutingFamilies:
     """Differential check of the pencil pipeline against exact intersection."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_full_family_matches_intersection_oracle(self, n, seed):
         words = _random_commuting_family(random.Random(seed), n, n)
         terms = [realization(w) for w in words]
@@ -279,7 +357,7 @@ class TestRandomCommutingFamilies:
         assert set(ctx.rays) == joint_eigenrays_by_intersection(terms)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
     def test_partial_family_is_degenerate(self, n, k, seed):
         words = _random_commuting_family(random.Random(seed), n, k)
         with pytest.raises(DegeneratePencilError) as err:
