@@ -7,11 +7,9 @@
 # finds all no-state subsets; the minimal ("critical") ones are those that
 # regain a state as soon as any single context is dropped.
 #
-# The full 2^24-1 sweep takes a few minutes (run it via
-# ``qpencil subsets --critical --jobs 4`` or pass --full here); this demo
-# sweeps a 12-context sub-hypergraph by default.
-
-import sys
+# The sweep covers all 2^24 - 1 sub-collections in one pass over the subset
+# lattice and takes about a second (``qpencil subsets --critical`` runs the
+# same sweep from the command line).
 
 from qpencil import ContextHypergraph, joint_context, noncolorable_subsets
 from qpencil import parse_pauli, realization
@@ -26,26 +24,18 @@ for words in lines:
     rays.extend(ctx.rays)
 h = ContextHypergraph.completion_of(rays)
 
-if "--full" in sys.argv:
-    target, jobs = h, 2
-else:
-    # eleven contexts that happen to contain one minimal no-state collection
-    picks = [1, 2, 6, 7, 8, 13, 17, 19, 20, 0, 5]
-    target, jobs = h.sub_hypergraph(sorted(picks)), 1
-    print("sweeping 11 of the 24 contexts (pass --full for all 24)\n")
-
-result = noncolorable_subsets(target, jobs=jobs)
-print(f"contexts: {len(target.edges)}")
+result = noncolorable_subsets(h)
+print(f"contexts: {len(h.edges)}")
 print(f"no-state sub-collections: {result.total}")
 print(f"critical sub-collections: {len(result.critical)}")
 
 # %%
 # Shape of each critical collection: how many contexts it keeps and how
-# many rays those contexts cover. In the full sweep the smallest ones keep
-# 9 contexts covering 18 rays.
+# many rays those contexts cover. The smallest ones keep 9 contexts covering
+# 18 rays.
 
 tally = {}
-for shape in result.critical_shapes(target):
+for shape in result.critical_shapes(h):
     tally[shape] = tally.get(shape, 0) + 1
 for (edges, vertices), count in sorted(tally.items()):
     print(f"  {edges} contexts / {vertices} rays: {count}")

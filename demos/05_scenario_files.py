@@ -32,7 +32,7 @@ print("parity:", group["parity"])
 #
 #   qpencil analyze --file my_scenario.scn --format json
 #   qpencil pm-square --format dot --out square.dot
-#   qpencil subsets --critical --jobs 4
+#   qpencil subsets --critical
 #
 # Graphviz export renders each context as a colored chain of rays.
 

@@ -76,7 +76,10 @@ class ScenarioFile:
 def parse_scenario(text: bytes | str) -> ScenarioFile:
     """Parse the line-oriented scenario grammar; all errors carry line numbers."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ScenarioError(f"not UTF-8 text: {e}") from None
     site_count: int | None = None
     mode: str | None = None
     groups: list[list[Observable]] = []
@@ -496,7 +499,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             h, _ = scenario_hypergraph(scenario, coeffs, args.max_snap_norm)
             try:
                 result = noncolorable_subsets(h, jobs=args.jobs)
-            except ValueError as e:  # the scenario is over the sweep's edge cap
+            except ValueError as e:  # over the sweep's edge or vertex cap
                 raise _UsageError(str(e)) from None
             shapes: dict[tuple[int, int], int] = {}
             for ec, vc in result.critical_shapes(h):
@@ -552,7 +555,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ScenarioError as e:
         print(f"qpencil: scenario error: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"qpencil: error: {e}", file=sys.stderr)
         return 1
     except (PencilError, ParityError, ValueError, ArithmeticError) as e:

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .exact import Ray, inner_product, is_product_state
 
 SUBSET_SWEEP_EDGE_CAP = 30
+SUBSET_SWEEP_VERTEX_CAP = 32  # vertex masks are uint32; time grows as 2^|V|
 
 
 @dataclass(frozen=True)
@@ -161,17 +163,16 @@ def _edge_bitmasks(edges: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(sum(1 << v for v in e) for e in edges)
 
 
-def _search(edge_masks: Sequence[int], found: Callable[[int], bool | None]) -> bool:
+def _search(edge_masks: Sequence[int], found: Callable[[int], None]) -> None:
     """Backtracking search for two-valued states, reporting each to ``found``.
 
     Picks the first edge with no 1 yet, tries each still-available vertex
     (lowest index first) as its designated 1, and propagates 0 to every
     co-edge vertex. Each complete state's ones-bitmask goes to ``found``, in
-    deterministic search order; a truthy return stops the search, which
-    then returns True.
+    deterministic search order.
     """
 
-    def rec(ones: int, zeros: int) -> bool | None:
+    def rec(ones: int, zeros: int) -> None:
         for e in edge_masks:
             if e & ones:
                 continue
@@ -183,17 +184,11 @@ def _search(edge_masks: Sequence[int], found: Callable[[int], bool | None]) -> b
                 for e2 in edge_masks:
                     if e2 & v:
                         nz |= e2 & ~v
-                if rec(ones | v, nz):
-                    return True
-            return False
-        return found(ones)
+                rec(ones | v, nz)
+            return
+        found(ones)
 
-    return bool(rec(0, 0))
-
-
-def _has_state(edge_masks: Sequence[int]) -> bool:
-    """Existence-only solve: stops at the first state."""
-    return _search(edge_masks, lambda ones: True)
+    rec(0, 0)
 
 
 def two_valued_states(h: ContextHypergraph) -> list[TwoValuedState]:
@@ -244,16 +239,20 @@ class SubsetSweepResult:
         return shapes
 
 
-def _sweep_chunk(args: tuple[tuple[int, ...], int, int]) -> list[int]:
-    edge_masks, lo, hi = args
-    m = len(edge_masks)
-    out = []
-    solve = _has_state
-    for mask in range(lo, hi):
-        sub = tuple(edge_masks[i] for i in range(m) if (mask >> i) & 1)
-        if not solve(sub):
-            out.append(mask)
-    return out
+def _half_tables(
+    edges: Sequence[Sequence[int]], vertices: range
+) -> tuple[np.ndarray, np.ndarray]:
+    """For every subset T of ``vertices`` (bit k of the index stands for
+    ``vertices[k]``): the m-bit masks of the edges T misses and of the edges
+    T meets exactly once."""
+    subsets = np.arange(1 << len(vertices), dtype=np.uint32)
+    zero = np.zeros_like(subsets)
+    once = np.zeros_like(subsets)
+    for j, e in enumerate(edges):
+        hit = subsets & sum(1 << k for k, v in enumerate(vertices) if v in e)
+        zero |= (hit == 0).astype(np.uint32) << j
+        once |= ((hit != 0) & (hit & (hit - 1) == 0)).astype(np.uint32) << j
+    return zero, once
 
 
 def noncolorable_subsets(
@@ -261,47 +260,42 @@ def noncolorable_subsets(
 ) -> SubsetSweepResult:
     """Sweep all nonempty edge sub-collections for no-state configurations.
 
-    Sub-collections are enumerated as ascending bitmasks over the canonical
-    edge order; the sweep is partitioned over disjoint mask ranges when
-    ``jobs`` > 1 and reduced deterministically.
+    A sub-collection S admits a state iff S is contained in E_T for some
+    vertex set T, where E_T is the set of edges T meets exactly once. Every
+    E_T is marked in a table over the 2^m edge bitmasks, built from two
+    half-vertex tables; m passes close the table downward (a subset-lattice
+    zeta transform), and m more keep the no-state S whose every S - {i} is
+    colorable: the critical ones. ``jobs`` is accepted for compatibility
+    and has no effect.
     """
-    m = len(h.edges)
+    m, n = len(h.edges), len(h.vertices)
     if m > SUBSET_SWEEP_EDGE_CAP:
         raise ValueError(
             f"{m} edges exceeds the sweep cap of {SUBSET_SWEEP_EDGE_CAP}"
         )
-    edge_masks = _edge_bitmasks(h.edges)
-    top = 1 << m
-    jobs = max(1, int(jobs))
-    if jobs == 1:
-        no_state = _sweep_chunk((edge_masks, 1, top))
-    else:
-        chunks = []
-        step = max(1, top // (jobs * 16))
-        lo = 1
-        while lo < top:
-            hi = min(top, lo + step)
-            chunks.append((edge_masks, lo, hi))
-            lo = hi
-        no_state = []
-        with Pool(jobs) as pool:
-            for part in pool.imap(_sweep_chunk, chunks):
-                no_state.extend(part)
-    no_state_set = set(no_state)
-    critical = []
-    for mask in no_state:
-        rest = mask
-        minimal = True
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if (mask ^ bit) in no_state_set:
-                minimal = False
-                break
-        if minimal:
-            critical.append(tuple(i for i in range(m) if (mask >> i) & 1))
-    critical.sort()
-    return SubsetSweepResult(len(no_state), tuple(critical))
+    if n > SUBSET_SWEEP_VERTEX_CAP:
+        raise ValueError(
+            f"{n} vertices exceeds the sweep cap of {SUBSET_SWEEP_VERTEX_CAP}"
+        )
+    zero1, once1 = _half_tables(h.edges, range(n // 2))
+    zero2, once2 = _half_tables(h.edges, range(n // 2, n))
+    colorable = np.zeros(1 << m, dtype=bool)
+    rows = max(1, (1 << 16) // len(zero2))  # about 2^16 vertex sets per block
+    for lo in range(0, len(zero1), rows):
+        z, o = zero1[lo : lo + rows, None], once1[lo : lo + rows, None]
+        colorable[(o & zero2) | (z & once2)] = True
+    for i in range(m):  # close downward: subsets of colorable sets are colorable
+        pairs = colorable.reshape(-1, 2, 1 << i)
+        pairs[:, 0] |= pairs[:, 1]
+    critical = ~colorable
+    total = int(np.count_nonzero(critical))
+    for i in range(m):  # keep S only if S - {i} is colorable
+        critical.reshape(-1, 2, 1 << i)[:, 1] &= colorable.reshape(-1, 2, 1 << i)[:, 0]
+    sets = sorted(
+        tuple(i for i in range(m) if (mask >> i) & 1)
+        for mask in np.flatnonzero(critical).tolist()
+    )
+    return SubsetSweepResult(total, tuple(sets))
 
 
 # ---------------------------------------------------------------------------

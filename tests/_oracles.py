@@ -26,18 +26,10 @@ def brute_state_count(edges: list[tuple[int, ...]], n_vertices: int) -> int:
     """Count {0,1} assignments with exactly one 1 per edge, over all 2^n."""
     if n_vertices > 22:
         raise ValueError("brute force capped at 22 vertices")
-    masks = np.array([sum(1 << v for v in e) for e in edges], dtype=np.uint32)
     assignments = np.arange(1 << n_vertices, dtype=np.uint32)
     ok = np.ones(len(assignments), dtype=bool)
-    for m in masks:
-        hits = assignments & m
-        # popcount via unpacking bytes
-        counts = np.zeros(len(assignments), dtype=np.uint8)
-        h = hits.copy()
-        while h.any():
-            counts += (h & 1).astype(np.uint8)
-            h >>= 1
-        ok &= counts == 1
+    for e in edges:
+        ok &= np.bitwise_count(assignments & sum(1 << v for v in e)) == 1
     return int(ok.sum())
 
 

@@ -239,6 +239,21 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "analyze", "--file", "/nonexistent.scn")
         assert code == 1
 
+    def test_non_utf8_file_is_1(self, capsys, tmp_path):
+        path = tmp_path / "bad.scn"
+        path.write_bytes(b"\xff\xfe")
+        code, _, err = run_cli(capsys, "analyze", "--file", str(path))
+        assert code == 1
+        assert "scenario error: not UTF-8 text" in err
+
+    @pytest.mark.parametrize(
+        "command, flag", [("analyze", "--file"), ("intro-pair", "--out")], ids=["file", "out"]
+    )
+    def test_directory_path_is_1(self, capsys, tmp_path, command, flag):
+        code, _, err = run_cli(capsys, command, flag, str(tmp_path))
+        assert code == 1
+        assert err.startswith("qpencil: error: [Errno 21] Is a directory")
+
     def test_bad_coeffs_is_1(self, capsys):
         code, _, err = run_cli(capsys, "intro-pair", "--coeffs", "a,b")
         assert code == 1
@@ -260,8 +275,11 @@ class TestExitCodes:
         assert code == 1
         assert "--jobs" in err
 
-    def test_sweep_over_edge_cap_is_1(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr("qpencil.logic.SUBSET_SWEEP_EDGE_CAP", 0)
+    @pytest.mark.parametrize(
+        "cap", ["SUBSET_SWEEP_EDGE_CAP", "SUBSET_SWEEP_VERTEX_CAP"], ids=["edge", "vertex"]
+    )
+    def test_sweep_over_edge_cap_is_1(self, capsys, tmp_path, monkeypatch, cap):
+        monkeypatch.setattr(f"qpencil.logic.{cap}", 0)
         path = _write(tmp_path, "sites 2\nmode pencil\ngroup\nZX\nYY\n")
         code, _, err = run_cli(capsys, "subsets", "--file", str(path))
         assert code == 1

@@ -15,7 +15,6 @@ from qpencil.logic import (
     to_dot,
     two_valued_states,
     _edge_bitmasks,
-    _has_state,
 )
 
 from _fixtures import ALL_24_RAY_LITERALS, EXPECTED_BASES
@@ -217,16 +216,17 @@ class TestMonotonicityAndClosure:
 
     def test_no_state_is_upward_closed(self, pm_hypergraph):
         # supersets of a no-state collection admit no state either
-        masks = _edge_bitmasks(pm_hypergraph.edges)
-        assert not _has_state(masks)
+        def has_state(keep):
+            return bool(two_valued_states(pm_hypergraph.sub_hypergraph(keep)))
+
+        assert not has_state(range(24))
         rng = random.Random(5)
         for _ in range(40):
             keep = rng.sample(range(24), rng.randint(18, 23))
-            sub = [masks[i] for i in keep]
-            if not _has_state(sub):
+            if not has_state(keep):
                 for extra in range(24):
                     if extra not in keep:
-                        assert not _has_state(sub + [masks[extra]])
+                        assert not has_state(keep + [extra])
                 break
 
 
@@ -243,6 +243,22 @@ class TestIsSeparating:
         assert is_separating(two_valued_states(h), h)
 
 
+def _seeded_picks(seed: int) -> list[int]:
+    rng = random.Random(seed)
+    return sorted(rng.sample(range(24), rng.randint(6, 12)))
+
+
+# the first 6 pm-square contexts, seeded random picks (7/16, 7/19, 9/21 and
+# 10/21 contexts/rays; an odd ray count splits the vertices into halves of
+# different sizes), and 11 contexts on 20 rays that hold one critical set
+ORACLE_PICKS = [
+    [0, 1, 2, 3, 4, 5],
+    *(_seeded_picks(seed) for seed in (1, 3, 9, 17)),
+    [0, 1, 2, 5, 6, 7, 8, 13, 17, 19, 20],
+]
+ORACLE_PICK_IDS = ["first6", "seed1", "seed3", "seed9", "seed17", "critical11"]
+
+
 class TestNoncolorableSubsets:
     def test_single_edge_hypergraph_total_zero(self):
         h = ContextHypergraph.from_ray_groups([[Ray(v) for v in EXPECTED_BASES["row1"]]])
@@ -250,32 +266,41 @@ class TestNoncolorableSubsets:
         assert result.total == 0
         assert result.critical == ()
 
-    def test_matches_oracle_on_small_subhypergraph(self, pm_hypergraph):
-        # 6 intertwining contexts: sweep the 63 sub-collections both ways
-        picks = [0, 1, 2, 3, 4, 5]
+    @pytest.mark.parametrize("picks", ORACLE_PICKS, ids=ORACLE_PICK_IDS)
+    def test_matches_oracle_on_small_subhypergraph(self, pm_hypergraph, picks):
+        # every sub-collection is solved on its own by brute force; the
+        # critical ones are the no-state sets with no no-state S - {i}
         sub = pm_hypergraph.sub_hypergraph(picks)
-        result = noncolorable_subsets(sub)
-        expected_total = 0
-        for mask in range(1, 1 << len(sub.edges)):
-            chosen = [sub.edges[i] for i in range(len(sub.edges)) if (mask >> i) & 1]
+        m = len(sub.edges)
+        no_state = set()
+        for mask in range(1, 1 << m):
+            chosen = [sub.edges[i] for i in range(m) if (mask >> i) & 1]
             induced = sorted(set(itertools.chain.from_iterable(chosen)))
             relabel = {v: i for i, v in enumerate(induced)}
             edges = [tuple(relabel[v] for v in e) for e in chosen]
             if brute_state_count(edges, len(induced)) == 0:
-                expected_total += 1
-        assert result.total == expected_total
+                no_state.add(mask)
+        critical = sorted(
+            tuple(i for i in range(m) if (mask >> i) & 1)
+            for mask in no_state
+            if not any((mask >> i) & 1 and mask ^ (1 << i) in no_state for i in range(m))
+        )
+        result = noncolorable_subsets(sub)
+        assert result.total == len(no_state)
+        assert result.critical == tuple(critical)
 
     def test_criticality_postcondition(self, pm_hypergraph):
         # on a mid-size sub-hypergraph: critical sets have no state, and
         # dropping any single context re-admits one
         sub = pm_hypergraph.sub_hypergraph(list(range(12)))
         result = noncolorable_subsets(sub)
-        masks = _edge_bitmasks(sub.edges)
         for critical in result.critical[:10]:
-            chosen = [masks[i] for i in critical]
-            assert not _has_state(chosen)
+            chosen = list(critical)
+            assert not two_valued_states(sub.sub_hypergraph(chosen))
             for drop in range(len(chosen)):
-                assert _has_state(chosen[:drop] + chosen[drop + 1 :])
+                assert two_valued_states(
+                    sub.sub_hypergraph(chosen[:drop] + chosen[drop + 1 :])
+                )
 
     def test_jobs_parallel_matches_serial(self, pm_hypergraph):
         sub = pm_hypergraph.sub_hypergraph(list(range(10)))
@@ -283,11 +308,16 @@ class TestNoncolorableSubsets:
         parallel = noncolorable_subsets(sub, jobs=2)
         assert serial == parallel
 
-    def test_edge_cap(self, pm_hypergraph, monkeypatch):
+    @pytest.mark.parametrize(
+        "cap, limit",
+        [("SUBSET_SWEEP_EDGE_CAP", 10), ("SUBSET_SWEEP_VERTEX_CAP", 20)],
+        ids=["edge", "vertex"],
+    )
+    def test_edge_cap(self, pm_hypergraph, monkeypatch, cap, limit):
         import qpencil.logic as logic_mod
 
-        monkeypatch.setattr(logic_mod, "SUBSET_SWEEP_EDGE_CAP", 10)
-        with pytest.raises(ValueError, match="exceeds"):
+        monkeypatch.setattr(logic_mod, cap, limit)
+        with pytest.raises(ValueError, match="exceeds the sweep cap"):
             noncolorable_subsets(pm_hypergraph)
 
 
