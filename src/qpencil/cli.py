@@ -182,6 +182,9 @@ def _group_context(
 ) -> tuple[Context | None, dict]:
     """Run the pencil pipeline on a group; degeneracy is a reported outcome."""
     words = [_compose(obs) for obs in group]
+    for obs, w in zip(group, words):
+        if not w.is_hermitian():
+            raise ScenarioError(f"{observable_text(obs)} is not Hermitian")
     for (a, u), (b, v) in combinations(zip(group, words), 2):
         if not commutes(u, v):
             text = f"{observable_text(a)} and {observable_text(b)} do not commute"

@@ -1,10 +1,12 @@
 """Exact arithmetic over the Gaussian rationals, with canonical projective rays.
 
-Everything here is immutable and computes exactly: scalars are pairs of
-``fractions.Fraction``, matrices are dense row-major tuples of such scalars,
-and rays are projective integer vectors reduced to a unique canonical
+Everything here is immutable and computes exactly. Scalars are pairs of
+``fractions.Fraction``. A matrix keeps, per row, only its nonzero entries as
+Gaussian-integer numerators over one common denominator, so its arithmetic
+runs on Python ints and a Pauli realization has one entry per row. Rank and
+nullspace come from fraction-free (Bareiss) elimination over Z[i]. Rays are
+projective Gaussian-integer vectors reduced to a unique canonical
 representative so they can be hashed, deduplicated and compared.
-Matrix arithmetic skips zeros: Pauli realizations have one nonzero per row.
 """
 
 from __future__ import annotations
@@ -59,9 +61,6 @@ class GaussianRational:
         o = GaussianRational.coerce(other)
         return GaussianRational(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other: ScalarLike) -> "GaussianRational":
-        return GaussianRational.coerce(other) - self
-
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
         o = GaussianRational.coerce(other)
         return GaussianRational(
@@ -92,14 +91,8 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __bool__(self) -> bool:
         return not self.is_zero()
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -111,12 +104,8 @@ class GaussianRational:
 
     def to_json(self) -> list[int]:
         """Encode as ``[re_num, re_den, im_num, im_den]``."""
-        return [
-            self.re.numerator,
-            self.re.denominator,
-            self.im.numerator,
-            self.im.denominator,
-        ]
+        re, im = self.re, self.im
+        return [re.numerator, re.denominator, im.numerator, im.denominator]
 
     @staticmethod
     def from_json(quad: Sequence[int]) -> "GaussianRational":
@@ -126,6 +115,22 @@ class GaussianRational:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
+
+
+def _scalar(re: int, im: int, den: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+def _over_common_den(
+    values: Iterable[ScalarLike],
+) -> tuple[list[tuple[int, int]], int]:
+    """Gaussian-integer numerators of the values over the lcm of their denominators."""
+    vals = [GaussianRational.coerce(v) for v in values]
+    den = math.lcm(*(x.denominator for v in vals for x in (v.re, v.im)))
+    return [
+        (v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
+        for v in vals
+    ], den
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +166,12 @@ def _gauss_exact_div(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return pr // n, pi // n
 
 
-def _mul_by_i_power(c: tuple[int, int], k: int) -> tuple[int, int]:
-    re, im = c
-    for _ in range(k % 4):
-        re, im = -im, re
-    return re, im
+# i**k as (re, im), for k = 0..3
+I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _gmul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
 class Ray:
@@ -178,70 +184,54 @@ class Ray:
     canonicalize to the identical object, so rays hash and compare reliably.
     """
 
-    __slots__ = ("_parts",)
+    __slots__ = ("parts",)  # canonical components as Gaussian-integer (re, im) pairs
 
     def __init__(self, components: Iterable[ScalarLike]):
-        vals = [GaussianRational.coerce(c) for c in components]
-        if not vals:
+        ints, _ = _over_common_den(components)
+        if not ints:
             raise ValueError("a ray needs at least one component")
-        if all(v.is_zero() for v in vals):
+        if all(c == (0, 0) for c in ints):
             raise ValueError("the zero vector is not a ray")
-
-        denom_lcm = 1
-        for v in vals:
-            denom_lcm = math.lcm(denom_lcm, v.re.denominator, v.im.denominator)
-        ints = [
-            (int(v.re * denom_lcm), int(v.im * denom_lcm)) for v in vals
-        ]
 
         content = reduce(gaussian_gcd, ints, (0, 0))
         ints = [_gauss_exact_div(c, content) for c in ints]
 
         lead = next(c for c in ints if c != (0, 0))
-        for k in range(4):
-            re, im = _mul_by_i_power(lead, k)
-            if re > 0 and im >= 0:
-                break
-        object.__setattr__(
-            self, "_parts", tuple(_mul_by_i_power(c, k) for c in ints)
-        )
+        unit = next(u for u in I_POWERS if (z := _gmul(lead, u))[0] > 0 and z[1] >= 0)
+        object.__setattr__(self, "parts", tuple(_gmul(c, unit) for c in ints))
 
     @property
     def dim(self) -> int:
-        return len(self._parts)
+        return len(self.parts)
 
     @property
     def components(self) -> tuple[GaussianRational, ...]:
-        return tuple(GaussianRational(re, im) for re, im in self._parts)
+        return tuple(GaussianRational(re, im) for re, im in self.parts)
 
     def is_real(self) -> bool:
-        return all(im == 0 for _, im in self._parts)
+        return all(im == 0 for _, im in self.parts)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Ray) and self._parts == other._parts
+        return isinstance(other, Ray) and self.parts == other.parts
 
     def __hash__(self) -> int:
-        return hash(self._parts)
+        return hash(self.parts)
 
     def __lt__(self, other: "Ray") -> bool:
-        return self._parts < other._parts
+        return self.parts < other.parts
 
     def __repr__(self) -> str:
-        return f"Ray(({', '.join(str(GaussianRational(r, i)) for r, i in self._parts)}))"
+        return f"Ray(({', '.join(str(GaussianRational(r, i)) for r, i in self.parts)}))"
 
     def to_json(self):
         """Integer component array; complex components become [re, im] pairs."""
         if self.is_real():
-            return [re for re, _ in self._parts]
-        return [[re, im] for re, im in self._parts]
+            return [re for re, _ in self.parts]
+        return [[re, im] for re, im in self.parts]
 
     @staticmethod
     def from_json(data: Sequence) -> "Ray":
-        comps = [
-            GaussianRational(c[0], c[1]) if isinstance(c, (list, tuple)) else GaussianRational(c)
-            for c in data
-        ]
-        return Ray(comps)
+        return Ray(GaussianRational(*c) if isinstance(c, (list, tuple)) else c for c in data)
 
 
 def inner_product(u: Ray, v: Ray) -> GaussianRational:
@@ -249,22 +239,53 @@ def inner_product(u: Ray, v: Ray) -> GaussianRational:
     if u.dim != v.dim:
         raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
     re = im = 0
-    for (ar, ai), (br, bi) in zip(u._parts, v._parts):
+    for (ar, ai), (br, bi) in zip(u.parts, v.parts):
         re, im = re + ar * br + ai * bi, im + ar * bi - ai * br
     return GaussianRational(re, im)
 
 
+SparseRow = tuple[tuple[int, int, int], ...]
+
+
+def _sparse(dense_rows: Iterable[Sequence[tuple[int, int]]]) -> tuple[SparseRow, ...]:
+    rows = (enumerate(row) for row in dense_rows)
+    return tuple(tuple((j, re, im) for j, (re, im) in row if re or im) for row in rows)
+
+
+def _sum_rows(terms: Iterable[tuple[tuple[int, int], SparseRow]]) -> SparseRow:
+    """The sparse row sum(c * row) over (c, row) pairs with Gaussian-integer c."""
+    acc: dict[int, tuple[int, int]] = {}
+    for (cr, ci), row in terms:
+        for j, re, im in row:
+            ar, ai = acc.get(j, (0, 0))
+            acc[j] = (ar + cr * re - ci * im, ai + cr * im + ci * re)
+    return tuple((j, re, im) for j, (re, im) in sorted(acc.items()) if re or im)
+
+
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Dense matrix of Gaussian rationals, row-major."""
+    """Sparse matrix of Gaussian rationals over one common denominator.
+
+    ``nonzeros[i]`` lists row i's nonzero entries as (col, re, im) in column
+    order, where (re + i*im) / den is the entry. ``den`` is positive and is
+    reduced against every numerator on construction, so equal matrices have
+    equal fields and hash alike.
+    """
 
     rows: int
     cols: int
-    entries: tuple[GaussianRational, ...]
+    nonzeros: tuple[SparseRow, ...]
+    den: int = 1
 
     def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match rows*cols")
+        if len(self.nonzeros) != self.rows or self.den < 1:
+            raise ValueError("need one sparse row per row and a positive denominator")
+        nums = (x for row in self.nonzeros for _, re, im in row for x in (re, im))
+        if self.den > 1 and (g := math.gcd(self.den, *nums)) > 1:
+            object.__setattr__(self, "den", self.den // g)
+            object.__setattr__(self, "nonzeros", tuple(
+                tuple((j, re // g, im // g) for j, re, im in row) for row in self.nonzeros
+            ))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[ScalarLike]]) -> "ExactMatrix":
@@ -272,160 +293,162 @@ class ExactMatrix:
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return ExactMatrix(
-            r, c, tuple(GaussianRational.coerce(x) for row in rows for x in row)
-        )
+        nums, den = _over_common_den(x for row in rows for x in row)
+        return ExactMatrix(r, c, _sparse(nums[i * c : (i + 1) * c] for i in range(r)), den)
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix(
-            n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n))
-        )
+        return ExactMatrix(n, n, tuple(((i, 1, 0),) for i in range(n)))
 
     def at(self, i: int, j: int) -> GaussianRational:
-        return self.entries[i * self.cols + j]
+        return self.row(i)[j]
 
     def row(self, i: int) -> tuple[GaussianRational, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        out = [ZERO] * self.cols
+        for j, re, im in self.nonzeros[i]:
+            out[j] = _scalar(re, im, self.den)
+        return tuple(out)
+
+    def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        den = math.lcm(self.den, other.den)
+        fa, fb = (den // self.den, 0), (sign * (den // other.den), 0)
+        rows = zip(self.nonzeros, other.nonzeros)
+        out = tuple(_sum_rows(((fa, ra), (fb, rb))) for ra, rb in rows)
+        return ExactMatrix(self.rows, self.cols, out, den)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix(
-            self.rows,
-            self.cols,
-            tuple(a + b if b else a for a, b in zip(self.entries, other.entries)),
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix(
-            self.rows,
-            self.cols,
-            tuple(a - b if b else a for a, b in zip(self.entries, other.entries)),
-        )
+        return self._combine(other, -1)
 
     def scale(self, s: ScalarLike) -> "ExactMatrix":
-        s = GaussianRational.coerce(s)
-        entries = tuple(s * e if e else e for e in self.entries)
-        return ExactMatrix(self.rows, self.cols, entries)
+        [c], sden = _over_common_den([s])
+        rows = tuple(_sum_rows([(c, row)]) for row in self.nonzeros)
+        return ExactMatrix(self.rows, self.cols, rows, self.den * sden)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        sparse_rows = [
-            [(j, b) for j, b in enumerate(other.row(k)) if b] for k in range(other.rows)
-        ]
-        out = []
-        for i in range(self.rows):
-            acc = [ZERO] * other.cols
-            for a, row_k in zip(self.row(i), sparse_rows):
-                if a:
-                    for j, b in row_k:
-                        acc[j] = acc[j] + a * b
-            out.extend(acc)
-        return ExactMatrix(self.rows, other.cols, tuple(out))
+        rows = _product_rows(self, other)
+        return ExactMatrix(self.rows, other.cols, rows, self.den * other.den)
 
     def conjugate_transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            tuple(
-                self.at(i, j).conjugate()
-                for j in range(self.cols)
-                for i in range(self.rows)
-            ),
-        )
+        cols: list[list[tuple[int, int, int]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzeros):
+            for j, re, im in row:
+                cols[j].append((i, re, -im))
+        return ExactMatrix(self.cols, self.rows, tuple(map(tuple, cols)), self.den)
 
     def is_hermitian(self) -> bool:
         return self.rows == self.cols and self == self.conjugate_transpose()
 
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
-
-    def apply(self, vec: Sequence[GaussianRational]) -> tuple[GaussianRational, ...]:
+    def apply_integer(self, vec: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+        """Numerators over ``den`` of the image of a Gaussian-integer vector."""
         if len(vec) != self.cols:
             raise ValueError("vector length does not match matrix columns")
-        support = [(k, x) for k, x in enumerate(vec) if x]
-        return tuple(
-            sum((row[k] * x for k, x in support if row[k]), ZERO)
-            for row in map(self.row, range(self.rows))
-        )
+        out = []
+        for row in self.nonzeros:
+            re = im = 0
+            for j, ar, ai in row:
+                br, bi = vec[j]
+                re, im = re + ar * br - ai * bi, im + ar * bi + ai * br
+            out.append((re, im))
+        return tuple(out)
+
+    def apply(self, vec: Sequence[ScalarLike]) -> tuple[GaussianRational, ...]:
+        nums, vden = _over_common_den(vec)
+        den = self.den * vden
+        return tuple(_scalar(re, im, den) for re, im in self.apply_integer(nums))
 
     def to_complex_array(self):
         import numpy as np
 
-        out = np.empty((self.rows, self.cols), dtype=complex)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[i, j] = complex(self.at(i, j))
+        out = np.zeros((self.rows, self.cols), dtype=complex)
+        for i, row in enumerate(self.nonzeros):
+            for j, re, im in row:
+                out[i, j] = complex(re / self.den, im / self.den)
         return out
 
     def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [e.to_json() for e in self.entries],
-        }
+        entries = [e.to_json() for i in range(self.rows) for e in self.row(i)]
+        return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
     @staticmethod
     def from_json(data: dict) -> "ExactMatrix":
-        return ExactMatrix(
-            data["rows"],
-            data["cols"],
-            tuple(GaussianRational.from_json(q) for q in data["entries"]),
-        )
-
-    def _check_same_shape(self, other: "ExactMatrix"):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
+        entries = [GaussianRational.from_json(q) for q in data["entries"]]
+        c = data["cols"]
+        return ExactMatrix.from_rows([entries[i : i + c] for i in range(0, len(entries), c)])
 
     def __str__(self) -> str:
-        cells = [[str(self.at(i, j)) for j in range(self.cols)] for i in range(self.rows)]
+        cells = [[str(x) for x in self.row(i)] for i in range(self.rows)]
         width = max((len(c) for row in cells for c in row), default=1)
         return "\n".join(
             "[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells
         )
 
 
+def _product_rows(a: ExactMatrix, b: ExactMatrix) -> tuple[SparseRow, ...]:
+    """Rows of A @ B as numerators over a.den * b.den."""
+    if a.cols != b.rows:
+        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    return tuple(
+        _sum_rows(((ar, ai), b.nonzeros[k]) for k, ar, ai in ra) for ra in a.nonzeros
+    )
+
+
 def tensor(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product; satisfies (A tensor B)(C tensor D) = AC tensor BD."""
-    entries = tuple(
-        x * y if x and y else ZERO
-        for i in range(a.rows)
-        for k in range(b.rows)
-        for x in a.row(i)
-        for y in b.row(k)
+    rows = tuple(
+        tuple((ja * b.cols + jb, *_gmul((ar, ai), (br, bi)))
+              for ja, ar, ai in ra for jb, br, bi in rb)
+        for ra in a.nonzeros
+        for rb in b.nonzeros
     )
-    return ExactMatrix(a.rows * b.rows, a.cols * b.cols, entries)
+    return ExactMatrix(a.rows * b.rows, a.cols * b.cols, rows, a.den * b.den)
 
 
 def commutator_is_zero(a: ExactMatrix, b: ExactMatrix) -> bool:
-    """True iff AB - BA vanishes exactly."""
+    """True iff AB - BA vanishes exactly; both products share the denominator."""
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
         raise ValueError("commutator needs square matrices of equal dimension")
-    return (a @ b - b @ a).is_zero()
+    return _product_rows(a, b) == _product_rows(b, a)
 
 
-def _rref(m: ExactMatrix) -> tuple[list[list[GaussianRational]], list[int]]:
-    """Reduced row echelon form by Gaussian elimination, and its pivot columns."""
-    work = [list(m.row(i)) for i in range(m.rows)]
+def _rref(m: ExactMatrix) -> tuple[list[dict[int, tuple[int, int]]], list[int]]:
+    """Fraction-free Gauss-Jordan (Bareiss) elimination of the numerators over Z[i].
+
+    Returns the rows as {col: (re, im)} and the pivot columns. With p the new
+    pivot and q the previous one (1 at first), each row i but the pivot row r
+    becomes (p*row_i - row_i[col]*row_r) / q, whose entries are minors up to
+    sign, so q divides exactly in Z[i] (Bareiss 1968); an inexact one raises.
+    Every pivot row ends with the last pivot D in its pivot column and zeros
+    in the other pivot columns, so the rows over D are the reduced row echelon
+    form. The common denominator changes neither.
+    """
+    work = [{j: (re, im) for j, re, im in row} for row in m.nonzeros]
     pivots: list[int] = []
+    q = (1, 0)
     for col in range(m.cols):
         r = len(pivots)
-        pivot = next(
-            (i for i in range(r, m.rows) if not work[i][col].is_zero()), None
-        )
+        pivot = next((i for i in range(r, m.rows) if col in work[i]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        inv = ONE / work[r][col]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(m.rows):
-            if i != r and not work[i][col].is_zero():
-                f = work[i][col]
-                work[i] = [x - f * y if y else x for x, y in zip(work[i], work[r])]
+        prow = work[r]
+        pr, pi = p = prow[col]
+        for i, row in enumerate(work):
+            fr, fi = row.get(col, (0, 0))
+            if i == r or (not (fr or fi) and p == q):
+                continue  # p*row_i / q is row_i
+            acc = {j: (pr * xr - pi * xi, pr * xi + pi * xr) for j, (xr, xi) in row.items()}
+            if fr or fi:
+                for j, (yr, yi) in prow.items():
+                    xr, xi = acc.get(j, (0, 0))
+                    acc[j] = (xr - fr * yr + fi * yi, xi - fr * yi - fi * yr)
+            nonzero = ((j, x) for j, x in acc.items() if x != (0, 0))
+            work[i] = {j: x if q == (1, 0) else _gauss_exact_div(x, q) for j, x in nonzero}
+        q = p
         pivots.append(col)
         if len(pivots) == m.rows:
             break
@@ -433,19 +456,22 @@ def _rref(m: ExactMatrix) -> tuple[list[list[GaussianRational]], list[int]]:
 
 
 def rank(m: ExactMatrix) -> int:
-    """Exact rank by Gaussian elimination over the Gaussian rationals."""
+    """Exact rank by fraction-free elimination over the Gaussian integers."""
     return len(_rref(m)[1])
 
 
 def nullspace(m: ExactMatrix) -> list[tuple[GaussianRational, ...]]:
     """Exact basis of the right nullspace (reduced row echelon back-substitution)."""
     work, pivots = _rref(m)
+    dr, di = work[0][pivots[0]] if pivots else (1, 0)
     basis = []
     for free in (c for c in range(m.cols) if c not in pivots):
         vec = [ZERO] * m.cols
         vec[free] = ONE
         for prow, pcol in enumerate(pivots):
-            vec[pcol] = -work[prow][free]
+            # -x / D with D the common pivot: -x * conj(D) / |D|^2
+            xr, xi = work[prow].get(free, (0, 0))
+            vec[pcol] = _scalar(-xr * dr - xi * di, xr * di - xi * dr, dr * dr + di * di)
         basis.append(tuple(vec))
     return basis
 
@@ -453,34 +479,16 @@ def nullspace(m: ExactMatrix) -> list[tuple[GaussianRational, ...]]:
 def is_product_state(r: Ray, site_dims: Sequence[int]) -> bool:
     """True iff the ray factorizes as a tensor product of one vector per site.
 
-    Checked exactly: every successive left/right reshape must have rank one,
-    i.e. all of its 2x2 minors vanish.
+    Checked exactly: every successive left/right reshape must have rank one.
     """
     total = math.prod(site_dims)
     if total != r.dim:
         raise ValueError(
             f"site dimensions {tuple(site_dims)} do not multiply to {r.dim}"
         )
-    comps = r.components
     for split in range(1, len(site_dims)):
-        left = math.prod(site_dims[:split])
-        right = total // left
-        if not _reshape_is_rank_one(comps, left, right):
+        cols = total // math.prod(site_dims[:split])
+        rows = _sparse(r.parts[i : i + cols] for i in range(0, total, cols))
+        if len(_rref(ExactMatrix(total // cols, cols, rows))[1]) > 1:
             return False
-    return True
-
-
-def _reshape_is_rank_one(
-    comps: Sequence[GaussianRational], rows: int, cols: int
-) -> bool:
-    for i in range(rows):
-        for k in range(i + 1, rows):
-            for j in range(cols):
-                for l in range(j + 1, cols):
-                    minor = (
-                        comps[i * cols + j] * comps[k * cols + l]
-                        - comps[i * cols + l] * comps[k * cols + j]
-                    )
-                    if not minor.is_zero():
-                        return False
     return True

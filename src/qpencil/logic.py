@@ -28,9 +28,6 @@ class TwoValuedState:
 
     values: tuple[int, ...]
 
-    def __getitem__(self, vertex: int) -> int:
-        return self.values[vertex]
-
     def ones(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.values) if v)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
 
 from .pauli import PauliString, commutes, realization, serial_product
 from .pencil import Context, eigen_sign
@@ -59,13 +58,6 @@ class ParityScenario:
                     raise ValueError(
                         f"observables {composed[i]} and {composed[j]} do not commute"
                     )
-
-    @staticmethod
-    def from_words(words: Sequence[PauliString]) -> "ParityScenario":
-        """Scenario of single-factor observables."""
-        return ParityScenario(
-            tuple((w,) for w in words), words[0].site_count
-        )
 
     def composed(self) -> tuple[PauliString, ...]:
         return tuple(serial_product(factors) for factors in self.observables)

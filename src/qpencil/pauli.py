@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exact import ExactMatrix, GaussianRational, tensor
+from .exact import I_POWERS, ExactMatrix
 
 LETTERS = "IXYZ"
 
@@ -27,22 +27,6 @@ _SINGLE_SITE_PRODUCTS = {
 # phase exponent k -> text of i**k, as written before a word
 PHASE_TEXT = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}
 _TEXT_PHASE = {text: k for k, text in PHASE_TEXT.items()}
-
-_SINGLE_SITE_MATRICES = {
-    "I": ExactMatrix.from_rows([[1, 0], [0, 1]]),
-    "X": ExactMatrix.from_rows([[0, 1], [1, 0]]),
-    "Y": ExactMatrix.from_rows(
-        [[0, GaussianRational(0, -1)], [GaussianRational(0, 1), 0]]
-    ),
-    "Z": ExactMatrix.from_rows([[1, 0], [0, -1]]),
-}
-
-_PHASE_SCALARS = {
-    0: GaussianRational(1),
-    1: GaussianRational(0, 1),
-    2: GaussianRational(-1),
-    3: GaussianRational(0, -1),
-}
 
 
 @dataclass(frozen=True)
@@ -119,13 +103,27 @@ def commutes(a: PauliString, b: PauliString) -> bool:
 
 
 def realization(w: PauliString) -> ExactMatrix:
-    """The 2^n x 2^n matrix of the word in the standard single-qubit encoding."""
-    m = _SINGLE_SITE_MATRICES[w.letters[0]]
-    for l in w.letters[1:]:
-        m = tensor(m, _SINGLE_SITE_MATRICES[l])
-    if w.phase_power:
-        m = m.scale(_PHASE_SCALARS[w.phase_power])
-    return m
+    """The 2^n x 2^n matrix of the word in the standard single-qubit encoding.
+
+    A signed permutation: site s is bit n-1-s of an index (Kronecker order),
+    and row r has its one nonzero in column r XOR f, f marking the X and Y
+    sites. The value is a product of site factors: 1 for I and X, (-1)**b for
+    Z and -i*(-1)**b = i**(3 + 2b) for Y, with b the row's bit at the site.
+    """
+    n = w.site_count
+    flip = sign = 0
+    for site, letter in enumerate(w.letters):
+        bit = 1 << (n - 1 - site)
+        if letter in "XY":
+            flip |= bit
+        if letter in "YZ":
+            sign |= bit
+    k = w.phase_power + 3 * w.letters.count("Y")
+    rows = tuple(
+        ((r ^ flip, *I_POWERS[(k + 2 * (r & sign).bit_count()) % 4]),)
+        for r in range(1 << n)
+    )
+    return ExactMatrix(1 << n, 1 << n, rows)
 
 
 def serial_product(ws: Sequence[PauliString]) -> PauliString:

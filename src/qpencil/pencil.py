@@ -214,13 +214,15 @@ def eigen_sign(operator: ExactMatrix, ray: Ray, name: str) -> int:
     """The eigenvalue (+1 or -1) of a dichotomic operator on an exact ray.
 
     Raises VerificationError, naming ``name``, unless the ray is exactly an
-    eigenvector of ``operator`` with eigenvalue +1 or -1.
+    eigenvector of ``operator`` with eigenvalue +1 or -1. With M = M_num/den,
+    M v = +/-v exactly when M_num v = +/-den*v, compared on integers.
     """
-    comps = ray.components
-    image = operator.apply(comps)
-    if image == comps:
+    v = ray.parts
+    image = operator.apply_integer(v)
+    den = operator.den
+    if image == tuple((den * re, den * im) for re, im in v):
         return 1
-    if image == tuple(-c for c in comps):
+    if image == tuple((-den * re, -den * im) for re, im in v):
         return -1
     raise VerificationError(f"{ray!r} is not a +/-1 eigenvector of {name}")
 

@@ -298,6 +298,22 @@ class TestExitCodes:
         assert code == 1
         assert "scenario error: XI and ZI do not commute" in err
 
+    @pytest.mark.parametrize(
+        "command,text,name",
+        [
+            ("analyze", "sites 1\ngroup\n+i Z\n", "+i Z"),
+            ("analyze", "sites 2\nmode parity\ngroup\n+i ZX\n", "+i ZX"),
+            ("analyze", "sites 1\nmode parity\ngroup\nX*Z\n", "X*Z"),
+            ("subsets", "sites 1\ngroup\n+i Z\n", "+i Z"),
+        ],
+        ids=["pencil", "parity", "anticommuting-factors", "subsets"],
+    )
+    def test_non_hermitian_observable_is_1(self, capsys, tmp_path, command, text, name):
+        path = _write(tmp_path, text)
+        code, _, err = run_cli(capsys, command, "--file", str(path))
+        assert code == 1
+        assert f"scenario error: {name} is not Hermitian" in err
+
     def test_noncommuting_products_are_named(self, capsys, tmp_path):
         path = _write(tmp_path, "sites 2\nmode parity\ngroup\nZX*XZ\n-1 ZI\n")
         code, _, err = run_cli(capsys, "analyze", "--file", str(path))

@@ -221,6 +221,42 @@ class TestMatrixBasics:
         m = tensor(SIGMA_Y, SIGMA_Z).scale(gr(Fraction(1, 3), Fraction(-2, 5)))
         assert ExactMatrix.from_json(m.to_json()) == m
 
+    def test_json_quads_are_unchanged(self):
+        # quads as written before matrices kept integer numerators
+        m = ExactMatrix.from_rows(
+            [
+                [Fraction(1, 2), gr(Fraction(-2, 3), Fraction(5, 6))],
+                [0, gr(0, Fraction(-7, 4))],
+            ]
+        )
+        assert m.to_json() == {
+            "rows": 2,
+            "cols": 2,
+            "entries": [[1, 2, 0, 1], [-2, 3, 5, 6], [0, 1, 0, 1], [0, 1, -7, 4]],
+        }
+        assert str(m) == "[      1/2  -2/3+5/6i]\n[        0      -7/4i]"
+
+    def test_equal_matrices_built_by_different_routes(self):
+        m = tensor(SIGMA_Y, SIGMA_Z)
+        b = ExactMatrix.from_rows(  # common denominator 6
+            [
+                [Fraction(1, 6), 0, 0, 0],
+                [0, gr(0, Fraction(-5, 6)), 0, 0],
+                [0, 0, 1, 0],
+                [Fraction(1, 2), 0, 0, gr(Fraction(1, 3), 1)],
+            ]
+        )
+        half = ExactMatrix.from_rows([[Fraction(1, 2)]])
+        pairs = [
+            (m.scale(Fraction(1, 3)).scale(3), m),
+            ((m + b) - b, m),
+            (ExactMatrix.from_rows([[Fraction(2, 4)]]), half),
+            (b.scale(0), ExactMatrix.from_rows([[0] * 4] * 4)),
+        ]
+        for x, y in pairs:
+            assert x == y
+            assert hash(x) == hash(y)
+
     def test_rank_and_nullspace(self):
         m = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
         assert rank(m) == 2
@@ -310,6 +346,36 @@ def _naive_rank(a):
     return r
 
 
+def _naive_nullspace(a):
+    """Gauss-Jordan to reduced row echelon form over every entry, then one
+    basis vector per free column."""
+    work = [list(row) for row in a]
+    cols = len(work[0]) if work else 0
+    pivots = []
+    for col in range(cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(work)) if work[i][col] != (0, 0)), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        lead = work[r][col]
+        work[r] = [_pdiv(x, lead) for x in work[r]]
+        for i in range(len(work)):
+            if i != r:
+                f = work[i][col]
+                work[i] = [_psub(x, _pmul(f, y)) for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        vec = [zero] * cols
+        vec[free] = one
+        for prow, pcol in enumerate(pivots):
+            vec[pcol] = _psub(zero, work[prow][free])
+        basis.append(vec)
+    return basis
+
+
 def _pairs(m: ExactMatrix):
     return [[_pair(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)]
 
@@ -345,16 +411,17 @@ class TestSparseKernelAgainstNaiveReference:
         expected = [row[0] for row in _naive_matmul(_pairs(a), column)]
         assert [_pair(y) for y in a.apply(vec)] == expected
 
-    @given(st.data(), st.integers(1, 6), st.integers(1, 3), st.integers(1, 6))
+    @given(st.data(), st.integers(1, 8), st.integers(1, 4), st.integers(1, 8))
     @settings(max_examples=100, deadline=None)
     def test_rank(self, data, n, k, m):
         # a product through an inner dimension k has rank <= k, so deficient
-        # ranks come up often
+        # ranks come up often; entries are complex with denominators up to 3
         a = data.draw(_sparse_matrix(n, k)) @ data.draw(_sparse_matrix(k, m))
         b = data.draw(_sparse_matrix(n, m))
         for x in (a, b, a + b):
             assert rank(x) == _naive_rank(_pairs(x))
-            assert len(nullspace(x)) == x.cols - rank(x)
+            basis = [[_pair(c) for c in v] for v in nullspace(x)]
+            assert basis == _naive_nullspace(_pairs(x))
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=100, deadline=None)

@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qpencil import pencil
-from qpencil.exact import GaussianRational, Ray, commutator_is_zero
+from qpencil.exact import ExactMatrix, GaussianRational, Ray, commutator_is_zero
 from qpencil.pauli import PauliString, commutes, multiply, parse_pauli, realization
 from qpencil.pencil import (
     DegeneratePencilError,
@@ -14,6 +15,7 @@ from qpencil.pencil import (
     VerificationError,
     build,
     default_coefficients,
+    eigen_sign,
     evaluate,
     hermitian_eigensystem,
     joint_context,
@@ -322,9 +324,15 @@ class TestRayCertificate:
         assert len(calls) == 4  # one exact rank per distinct eigenvalue
 
     def test_ghz_six_qubits_closed_form(self):
-        # the 64 rays are |b> +/- |not b>, and each Z_i Z_(i+1) has sign
+        self._check_ghz_closed_form(6)
+
+    def test_ghz_seven_qubits_closed_form(self):
+        self._check_ghz_closed_form(7)
+
+    @staticmethod
+    def _check_ghz_closed_form(n):
+        # the 2^n rays are |b> +/- |not b>, and each Z_i Z_(i+1) has sign
         # (-1)^(b_i xor b_(i+1)) on both; qubit 0 is the most significant bit
-        n = 6
         words = ghz_words(n)
         ctx = joint_context(mats(*words))
         full = 2**n - 1
@@ -336,7 +344,7 @@ class TestRayCertificate:
                 bits = [(b >> (n - 1 - q)) & 1 for q in range(n)]
                 zz = tuple((-1) ** (bits[q] ^ bits[q + 1]) for q in range(n - 1))
                 expected[Ray(vec)] = (s, *zz)
-        assert len(ctx.rays) == 64
+        assert len(ctx.rays) == 2**n
         assert dict(zip(ctx.rays, ctx.eigentable)) == expected
         weights = default_coefficients(len(words))
         for lam, signs in zip(ctx.pencil_eigenvalues, ctx.eigentable):
@@ -347,8 +355,9 @@ class TestRayCertificate:
 class TestRandomCommutingFamilies:
     """Differential check of the pencil pipeline against exact intersection."""
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "n,seed", [(n, seed) for n in (1, 2, 3, 4) for seed in (1, 2, 3)] + [(5, 1)]
+    )
     def test_full_family_matches_intersection_oracle(self, n, seed):
         words = _random_commuting_family(random.Random(seed), n, n)
         terms = [realization(w) for w in words]
@@ -357,10 +366,25 @@ class TestRandomCommutingFamilies:
         assert set(ctx.rays) == joint_eigenrays_by_intersection(terms)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
+    @pytest.mark.parametrize(
+        "n,k", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)]
+    )
     def test_partial_family_is_degenerate(self, n, k, seed):
         words = _random_commuting_family(random.Random(seed), n, k)
         with pytest.raises(DegeneratePencilError) as err:
             joint_context([realization(w) for w in words])
         assert len(err.value.multiplicities) == 2**k
         assert set(err.value.multiplicities.values()) == {2 ** (n - k)}
+
+
+class TestEigenSign:
+    def test_reflection_with_a_common_denominator(self):
+        # entries over 5: a kernel that ignored the denominator would see
+        # [[3, 4], [4, -3]], which has no +/-1 eigenvector
+        m = ExactMatrix.from_rows(
+            [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]
+        )
+        assert eigen_sign(m, Ray([2, 1]), "M") == 1
+        assert eigen_sign(m, Ray([1, -2]), "M") == -1
+        with pytest.raises(VerificationError, match="not a \\+/-1 eigenvector of M"):
+            eigen_sign(m, Ray([1, 0]), "M")
