@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations
@@ -32,7 +33,7 @@ from .logic import (
     to_dot,
     two_valued_states,
 )
-from .parity import ParityError, ParityScenario, analyze as parity_analyze, eigenstate_table
+from .parity import ParityError, ParityScenario, analyze as parity_analyze
 from .pauli import PHASE_TEXT, PauliString, commutes, parse_pauli, realization, serial_product
 from .pencil import (
     Context,
@@ -236,9 +237,7 @@ def run_parity(s: ScenarioFile, coeffs, max_snap_norm) -> dict:
                 "count": len(states),
                 "separating": is_separating(states, h),
             }
-            entry["eigenstate_table"] = [
-                list(row) for row in eigenstate_table(ctx, scenario)
-            ]
+            entry["eigenstate_table"] = [list(row) for row in ctx.eigentable]
         out_groups.append(entry)
     return {"mode": "parity", "sites": s.site_count, "groups": out_groups}
 
@@ -256,7 +255,10 @@ def scenario_hypergraph(
             )
         contexts.append(ctx)
     rays = [r for ctx in contexts for r in ctx.rays]
-    return ContextHypergraph.completion_of(rays), contexts
+    try:
+        return ContextHypergraph.completion_of(rays), contexts
+    except ValueError as e:  # the rays do not complete to full contexts
+        raise ScenarioError(str(e)) from None
 
 
 def run_hypergraph(s: ScenarioFile, coeffs, max_snap_norm) -> dict:
@@ -496,17 +498,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         coeffs = _parse_coeffs(args.coeffs)
+        scenario = _load_scenario(args)
 
         if args.command == "subsets":
-            scenario = _load_scenario(args)
             h, _ = scenario_hypergraph(scenario, coeffs, args.max_snap_norm)
             try:
                 result = noncolorable_subsets(h, jobs=args.jobs)
             except ValueError as e:  # over the sweep's edge or vertex cap
                 raise _UsageError(str(e)) from None
-            shapes: dict[tuple[int, int], int] = {}
-            for ec, vc in result.critical_shapes(h):
-                shapes[(ec, vc)] = shapes.get((ec, vc), 0) + 1
+            shapes = Counter(result.critical_shapes(h))
             report = {
                 "command": "subsets",
                 "edges": len(h.edges),
@@ -520,35 +520,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             }
             if args.critical:
                 report["critical"] = [list(e) for e in result.critical]
-            text = (
-                json.dumps(report, indent=2) + "\n"
-                if args.format == "json"
-                else render_subsets_text(report)
-            )
-            _emit(text, args.out)
-            return 0
-
-        if args.command == "export":
-            scenario = _load_scenario(args)
+            render = render_subsets_text
+        elif args.command == "export" or args.format == "dot":
             h, _ = scenario_hypergraph(scenario, coeffs, args.max_snap_norm)
-            if args.format == "dot":
-                text = to_dot(h)
-            else:
-                text = json.dumps(h.to_json(), indent=2) + "\n"
-            _emit(text, args.out)
-            return 0
-
-        scenario = _load_scenario(args)
-        if args.format == "dot":
-            h, _ = scenario_hypergraph(scenario, coeffs, args.max_snap_norm)
-            _emit(to_dot(h), args.out)
-            return 0
-        report = run_scenario(scenario, coeffs, args.max_snap_norm)
-        text = (
-            json.dumps(report, indent=2) + "\n"
-            if args.format == "json"
-            else render_text(report)
-        )
+            report, render = h.to_json(), lambda _: to_dot(h)
+        else:
+            report = run_scenario(scenario, coeffs, args.max_snap_norm)
+            render = render_text
+        text = json.dumps(report, indent=2) + "\n" if args.format == "json" else render(report)
         _emit(text, args.out)
         return 0
 

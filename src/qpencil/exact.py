@@ -1,12 +1,13 @@
 """Exact arithmetic over the Gaussian rationals, with canonical projective rays.
 
-Everything here is immutable and computes exactly. Scalars are pairs of
-``fractions.Fraction``. A matrix keeps, per row, only its nonzero entries as
-Gaussian-integer numerators over one common denominator, so its arithmetic
-runs on Python ints and a Pauli realization has one entry per row. Rank and
-nullspace come from fraction-free (Bareiss) elimination over Z[i]. Rays are
-projective Gaussian-integer vectors reduced to a unique canonical
-representative so they can be hashed, deduplicated and compared.
+Everything here is immutable and computes exactly. A matrix keeps, per row,
+only its nonzero entries as Gaussian-integer numerators over one common
+denominator, so its arithmetic runs on Python ints and a Pauli realization
+has one entry per row. Rank and nullspace come from fraction-free (Bareiss)
+elimination over Z[i]. Rays are projective Gaussian-integer vectors reduced
+to a unique canonical representative so they can be hashed, deduplicated
+and compared. The scalar ``GaussianRational``, a pair of ``Fraction``s, only
+takes rational input and reads entries out.
 """
 
 from __future__ import annotations
@@ -35,13 +36,7 @@ class GaussianRational:
     re: Fraction
     im: Fraction
 
-    def __init__(self, re: ScalarLike = 0, im: ScalarLike = 0):
-        if isinstance(re, GaussianRational):
-            if im != 0:
-                raise TypeError("imaginary part given twice")
-            object.__setattr__(self, "re", re.re)
-            object.__setattr__(self, "im", re.im)
-            return
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         object.__setattr__(self, "re", _as_fraction(re))
         object.__setattr__(self, "im", _as_fraction(im))
 
@@ -138,9 +133,7 @@ def _over_common_den(
 
 
 def _gauss_round_div(p: int, q: int) -> int:
-    """Nearest integer to p/q; q > 0 assumed after normalization."""
-    if q < 0:
-        p, q = -p, -q
+    """Nearest integer to p/q for q > 0."""
     return (2 * p + q) // (2 * q)
 
 
@@ -174,6 +167,19 @@ def _gmul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
+def _canonical(ints: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Divide out the Gaussian-integer content; rotate the lead phase into [0, pi/2)."""
+    if not ints:
+        raise ValueError("a ray needs at least one component")
+    content = reduce(gaussian_gcd, ints, (0, 0))
+    if content == (0, 0):
+        raise ValueError("the zero vector is not a ray")
+    ints = [_gauss_exact_div(c, content) for c in ints]
+    lead = next(c for c in ints if c != (0, 0))
+    unit = next(u for u in I_POWERS if (z := _gmul(lead, u))[0] > 0 and z[1] >= 0)
+    return tuple(ints if unit == (1, 0) else (_gmul(c, unit) for c in ints))
+
+
 class Ray:
     """A projective vector with Gaussian-integer components in canonical form.
 
@@ -187,18 +193,15 @@ class Ray:
     __slots__ = ("parts",)  # canonical components as Gaussian-integer (re, im) pairs
 
     def __init__(self, components: Iterable[ScalarLike]):
-        ints, _ = _over_common_den(components)
-        if not ints:
-            raise ValueError("a ray needs at least one component")
-        if all(c == (0, 0) for c in ints):
-            raise ValueError("the zero vector is not a ray")
+        """The ray through exact scalars; their denominators are cleared first."""
+        self.parts = _canonical(_over_common_den(components)[0])
 
-        content = reduce(gaussian_gcd, ints, (0, 0))
-        ints = [_gauss_exact_div(c, content) for c in ints]
-
-        lead = next(c for c in ints if c != (0, 0))
-        unit = next(u for u in I_POWERS if (z := _gmul(lead, u))[0] > 0 and z[1] >= 0)
-        object.__setattr__(self, "parts", tuple(_gmul(c, unit) for c in ints))
+    @staticmethod
+    def from_parts(parts: Iterable[tuple[int, int]]) -> "Ray":
+        """The ray through a Gaussian-integer vector given as (re, im) int pairs."""
+        ray = object.__new__(Ray)
+        ray.parts = _canonical([(re, im) for re, im in parts])
+        return ray
 
     @property
     def dim(self) -> int:
@@ -231,17 +234,30 @@ class Ray:
 
     @staticmethod
     def from_json(data: Sequence) -> "Ray":
-        return Ray(GaussianRational(*c) if isinstance(c, (list, tuple)) else c for c in data)
+        parts = [tuple(c) if isinstance(c, (list, tuple)) else (c, 0) for c in data]
+        if not all(len(c) == 2 and all(isinstance(x, int) for x in c) for c in parts):
+            raise TypeError(f"ray components must be integers or [re, im] pairs: {data!r}")
+        return Ray.from_parts(parts)
 
 
-def inner_product(u: Ray, v: Ray) -> GaussianRational:
-    """Hermitian inner product sum(conj(u_i) * v_i), exactly."""
+def _inner(u: Ray, v: Ray) -> tuple[int, int]:
+    """Hermitian inner product sum(conj(u_i) * v_i) of the canonical parts."""
     if u.dim != v.dim:
         raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
     re = im = 0
     for (ar, ai), (br, bi) in zip(u.parts, v.parts):
         re, im = re + ar * br + ai * bi, im + ar * bi - ai * br
-    return GaussianRational(re, im)
+    return re, im
+
+
+def inner_product(u: Ray, v: Ray) -> GaussianRational:
+    """Hermitian inner product sum(conj(u_i) * v_i), exactly."""
+    return GaussianRational(*_inner(u, v))
+
+
+def is_orthogonal(u: Ray, v: Ray) -> bool:
+    """True iff the exact inner product of the rays is zero."""
+    return _inner(u, v) == (0, 0)
 
 
 SparseRow = tuple[tuple[int, int, int], ...]
@@ -309,20 +325,11 @@ class ExactMatrix:
             out[j] = _scalar(re, im, self.den)
         return tuple(out)
 
-    def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        den = math.lcm(self.den, other.den)
-        fa, fb = (den // self.den, 0), (sign * (den // other.den), 0)
-        rows = zip(self.nonzeros, other.nonzeros)
-        out = tuple(_sum_rows(((fa, ra), (fb, rb))) for ra, rb in rows)
-        return ExactMatrix(self.rows, self.cols, out, den)
-
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._combine(other, 1)
+        return linear_combination((1, 1), (self, other))
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._combine(other, -1)
+        return linear_combination((1, -1), (self, other))
 
     def scale(self, s: ScalarLike) -> "ExactMatrix":
         [c], sden = _over_common_den([s])
@@ -386,6 +393,21 @@ class ExactMatrix:
         return "\n".join(
             "[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells
         )
+
+
+def linear_combination(
+    coefficients: Sequence[int], matrices: Sequence[ExactMatrix]
+) -> ExactMatrix:
+    """sum(c_i * M_i) for integer c_i, one pass over the numerator rows."""
+    if not all(isinstance(c, int) for c in coefficients):
+        raise TypeError(f"coefficients must be integers: {coefficients!r}")
+    shape = (matrices[0].rows, matrices[0].cols)
+    if len(coefficients) != len(matrices) or any((m.rows, m.cols) != shape for m in matrices):
+        raise ValueError("need one coefficient per matrix, all matrices of one shape")
+    den = math.lcm(*(m.den for m in matrices))
+    factors = [(c * (den // m.den), 0) for c, m in zip(coefficients, matrices)]
+    rows = zip(*(m.nonzeros for m in matrices))
+    return ExactMatrix(*shape, tuple(_sum_rows(zip(factors, r)) for r in rows), den)
 
 
 def _product_rows(a: ExactMatrix, b: ExactMatrix) -> tuple[SparseRow, ...]:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .exact import Ray, inner_product, is_product_state
+from .exact import Ray, is_orthogonal, is_product_state
 
 SUBSET_SWEEP_EDGE_CAP = 30
 SUBSET_SWEEP_VERTEX_CAP = 32  # vertex masks are uint32; time grows as 2^|V|
@@ -53,7 +53,7 @@ class ContextHypergraph:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
             for i, j in itertools.combinations(e, 2):
-                if not inner_product(self.vertices[i], self.vertices[j]).is_zero():
+                if not is_orthogonal(self.vertices[i], self.vertices[j]):
                     raise ValueError(
                         f"edge {e}: vertices {i} and {j} are not orthogonal"
                     )
@@ -115,7 +115,7 @@ def orthogonality_graph(rays: Sequence[Ray]) -> list[set[int]]:
     adjacency: list[set[int]] = [set() for _ in rays]
     for i in range(len(rays)):
         for j in range(i + 1, len(rays)):
-            if inner_product(rays[i], rays[j]).is_zero():
+            if is_orthogonal(rays[i], rays[j]):
                 adjacency[i].add(j)
                 adjacency[j].add(i)
     return adjacency

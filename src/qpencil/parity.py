@@ -115,8 +115,6 @@ def analyze(s: ParityScenario) -> ContradictionReport:
         raise ParityError(
             f"odd occurrence counts for {odd}: the classical value is not forced"
         )
-    if product.phase_power % 2:
-        raise ParityError(f"serial product has non-real phase {product.phase_text}")
     quantum = 1 if product.phase_power == 0 else -1
     return ContradictionReport(
         quantum_value=quantum,

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import ExactMatrix, GaussianRational, Ray, commutator_is_zero, rank
+from .exact import ExactMatrix, Ray, commutator_is_zero, linear_combination, rank
 
 SNAP_TOLERANCE = 1e-6
 DEFAULT_MAX_SNAP_NORM = 4
@@ -142,10 +142,7 @@ def evaluate(p: Pencil) -> ExactMatrix:
     [P, A_j] = sum(a_i * [A_i, A_j]) = 0, because ``Pencil`` only exists
     with pairwise-commuting terms.
     """
-    acc = p.terms[0].scale(p.coefficients[0])
-    for a, t in zip(p.coefficients[1:], p.terms[1:]):
-        acc = acc + t.scale(a)
-    return acc
+    return linear_combination(p.coefficients, p.terms)
 
 
 def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
@@ -187,9 +184,7 @@ def snap_to_ray(
         re = np.round(scaled.real).astype(int)
         im = np.round(scaled.imag).astype(int)
         if float(np.max(np.abs(scaled - (re + 1j * im)))) <= tol:
-            return Ray(
-                [GaussianRational(int(a), int(b)) for a, b in zip(re, im)]
-            )
+            return Ray.from_parts(zip(re.tolist(), im.tolist()))
     raise SnapError(v)
 
 
@@ -201,7 +196,9 @@ def _exact_integer_spectrum(p_exact: ExactMatrix, spectrum: set[int]) -> dict[in
     """
     d = p_exact.rows
     ident = ExactMatrix.identity(d)
-    multiplicities = {lam: d - rank(p_exact - ident.scale(lam)) for lam in spectrum}
+    multiplicities = {
+        lam: d - rank(linear_combination((1, -lam), (p_exact, ident))) for lam in spectrum
+    }
     if 0 in multiplicities.values() or sum(multiplicities.values()) != d:
         raise VerificationError(
             f"certified multiplicities {multiplicities} of the rounded eigenvalues "
@@ -219,11 +216,10 @@ def eigen_sign(operator: ExactMatrix, ray: Ray, name: str) -> int:
     """
     v = ray.parts
     image = operator.apply_integer(v)
-    den = operator.den
-    if image == tuple((den * re, den * im) for re, im in v):
-        return 1
-    if image == tuple((-den * re, -den * im) for re, im in v):
-        return -1
+    for sign in (1, -1):
+        sd = sign * operator.den
+        if image == (v if sd == 1 else tuple((sd * re, sd * im) for re, im in v)):
+            return sign
     raise VerificationError(f"{ray!r} is not a +/-1 eigenvector of {name}")
 
 

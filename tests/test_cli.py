@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,17 @@ from qpencil.cli import (
     main,
     parse_scenario,
 )
-from qpencil.pauli import PauliString
+from qpencil.exact import GaussianRational
+from qpencil.pauli import PauliString, parse_pauli, realization
+from qpencil.pencil import VerificationError, joint_context
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+
+# three groups whose 24 rays have a maximal orthogonal clique of size 6 < d = 8
+NON_COMPLETABLE = (
+    "sites 3\nmode hypergraph\n"
+    "group\nIZX\nZYY\nZII\ngroup\nIZY\nYYX\nIXZ\ngroup\nYIY\nYZY\nXIZ\n"
+)
 
 
 class TestScenarioParser:
@@ -138,6 +149,29 @@ class TestCommands:
         code, out, err = run_cli(capsys, "intro-pair")
         assert code == 0
         assert "(1, 1, -1, 1)" in out
+
+    @pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt")])
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_builtin_output_matches_golden(self, capsys, name, fmt, suffix):
+        code, out, _ = run_cli(capsys, name, "--format", fmt)
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.{suffix}").read_text(encoding="utf-8")
+
+    def test_no_gaussian_rational_on_the_integer_path(self, capsys, monkeypatch):
+        # from Pauli words to CLI output every scalar is a Gaussian integer
+        def refuse(self, *args):
+            raise RuntimeError("GaussianRational built between words and output")
+
+        monkeypatch.setattr(GaussianRational, "__init__", refuse)
+        formats = ("text", "json")
+        runs = [(name, "--format", fmt) for name in sorted(BUILTINS) for fmt in formats]
+        runs += [("pm-square", "--format", "dot"), ("export",), ("subsets", "--critical")]
+        for argv in runs:
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, (argv, err)
+        ghz5 = ("XXXXX", "ZZIII", "IZZII", "IIZZI", "IIIZZ")
+        ctx = joint_context([realization(parse_pauli(w)) for w in ghz5])
+        assert len(ctx.rays) == 32
 
     def test_determinism(self, capsys):
         first = run_cli(capsys, "pm-square", "--format", "json")
@@ -284,6 +318,32 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "subsets", "--file", str(path))
         assert code == 1
         assert "sweep cap" in err
+
+    def test_parity_builtin_with_a_degenerate_group_has_no_dot_output(self, capsys):
+        # dot and export need a context from every group; bipartite's group 1
+        # is degenerate by design
+        code, out, err = run_cli(capsys, "bipartite", "--format", "dot")
+        assert (code, out) == (1, "")
+        assert "scenario error: group 1 has a degenerate pencil" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "export", "subsets"])
+    def test_non_completable_rays_are_1(self, capsys, tmp_path, command):
+        path = _write(tmp_path, NON_COMPLETABLE)
+        code, out, err = run_cli(capsys, command, "--file", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            "qpencil: scenario error: maximal clique (0, 7, 10, 14, 19, 20) has size 6, "
+            "expected 8: the ray set is not completable"
+        )
+
+    def test_failed_exact_recheck_is_2(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise VerificationError("injected re-check failure")
+
+        monkeypatch.setattr("qpencil.cli.joint_context", fail)
+        code, out, err = run_cli(capsys, "intro-pair")
+        assert (code, out) == (2, "")
+        assert err == "qpencil: verification failure: injected re-check failure\n"
 
     def test_degenerate_group_in_hypergraph_mode_is_1(self, capsys, tmp_path):
         path = _write(tmp_path, "sites 2\nmode hypergraph\ngroup\nZI\n")

@@ -11,7 +11,9 @@ from qpencil.exact import (
     Ray,
     commutator_is_zero,
     inner_product,
+    is_orthogonal,
     is_product_state,
+    linear_combination,
     nullspace,
     rank,
     tensor,
@@ -55,6 +57,20 @@ class TestGaussianRational:
     def test_json_roundtrip(self):
         a = gr(Fraction(-3, 7), Fraction(5, 2))
         assert GaussianRational.from_json(a.to_json()) == a
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GaussianRational(0.5),
+            lambda: GaussianRational(1, 0.5),
+            lambda: Ray([1.0, 0]),
+            lambda: ExactMatrix.from_rows([[1, 0], [0, 1.0]]),
+        ],
+        ids=["re", "im", "ray", "matrix"],
+    )
+    def test_float_input_is_rejected(self, build):
+        with pytest.raises(TypeError, match="exact rational"):
+            build()
 
     def test_str(self):
         assert str(gr(1, -2)) == "1-2i"
@@ -110,9 +126,32 @@ class TestRayCanonicalization:
         r = Ray([gr(*c) for c in comps])
         assert Ray(r.components) == r
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=6
+        ).filter(lambda v: any(c != (0, 0) for c in v))
+    )
+    @settings(max_examples=200)
+    def test_from_parts_matches_exact_components(self, comps):
+        assert Ray.from_parts(comps).parts == Ray([gr(*c) for c in comps]).parts
+
+    def test_from_parts_takes_pairs_as_lists(self):
+        assert Ray.from_parts([[0, 0], [2, 2]]) == Ray([0, gr(1, 1)])
+
+    def test_from_parts_rejects_the_zero_vector(self):
+        with pytest.raises(ValueError):
+            Ray.from_parts([(0, 0), (0, 0)])
+        with pytest.raises(ValueError):
+            Ray.from_parts([])
+
     def test_json_roundtrip_complex(self):
         r = Ray([gr(1), gr(0, 1), gr(2, -3)])
         assert Ray.from_json(r.to_json()) == r
+
+    @pytest.mark.parametrize("data", [[1.0, 0], [[1, 0.5], 0], [[1, 2, 3], 0]])
+    def test_json_needs_integer_components(self, data):
+        with pytest.raises(TypeError):
+            Ray.from_json(data)
 
 
 class TestInnerProduct:
@@ -122,6 +161,8 @@ class TestInnerProduct:
     def test_same_context_pair(self):
         # rows 4 of the square: (1,1,0,0) vs (-1,1,0,0)
         assert inner_product(Ray([1, 1, 0, 0]), Ray([-1, 1, 0, 0])).is_zero()
+        assert is_orthogonal(Ray([1, 1, 0, 0]), Ray([-1, 1, 0, 0]))
+        assert not is_orthogonal(Ray([1, 1, 1, 1]), Ray([-1, -1, -1, 1]))
 
     def test_nonorthogonal_pair(self):
         # on the literal vectors the product is -2; canonicalization flips
@@ -132,6 +173,8 @@ class TestInnerProduct:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             inner_product(Ray([1, 0]), Ray([1, 0, 0]))
+        with pytest.raises(ValueError):
+            is_orthogonal(Ray([1, 0]), Ray([1, 0, 0]))
 
     @given(
         st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=2, max_size=5),
@@ -256,6 +299,14 @@ class TestMatrixBasics:
         for x, y in pairs:
             assert x == y
             assert hash(x) == hash(y)
+
+    def test_linear_combination_checks_its_input(self):
+        with pytest.raises(TypeError):
+            linear_combination((Fraction(1, 2),), (SIGMA_X,))
+        with pytest.raises(ValueError):
+            linear_combination((1, 1), (SIGMA_X, tensor(SIGMA_X, ID2)))
+        with pytest.raises(ValueError):
+            linear_combination((1,), (SIGMA_X, SIGMA_Z))
 
     def test_rank_and_nullspace(self):
         m = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
@@ -431,3 +482,20 @@ class TestSparseKernelAgainstNaiveReference:
         ).filter(lambda v: any(c != (0, 0) for c in v))
         u, v = (Ray([gr(*c) for c in data.draw(vec)]) for _ in range(2))
         assert inner_product(u, v) == raw_inner(u.components, v.components)
+        assert is_orthogonal(u, v) == raw_inner(u.components, v.components).is_zero()
+
+    @given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_linear_combination(self, data, n, m, terms):
+        matrices = [data.draw(_sparse_matrix(n, m)) for _ in range(terms)]
+        coefficients = data.draw(st.lists(st.integers(-4, 4), min_size=terms, max_size=terms))
+        expected = [[(Fraction(0), Fraction(0))] * m for _ in range(n)]
+        for c, mat in zip(coefficients, matrices):
+            for i, row in enumerate(_pairs(mat)):
+                for j, x in enumerate(row):
+                    expected[i][j] = _padd(expected[i][j], (c * x[0], c * x[1]))
+        combined = linear_combination(coefficients, matrices)
+        assert _pairs(combined) == expected
+        assert combined == ExactMatrix.from_rows(
+            [[gr(*x) for x in row] for row in expected]
+        )
