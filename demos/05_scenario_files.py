@@ -22,7 +22,7 @@ XX*ZZ
 scenario = parse_scenario(text)
 print("round-trips:", parse_scenario(format_scenario(scenario)) == scenario)
 
-report = run_scenario(scenario, None, 4)
+report = run_scenario(scenario)
 group = report["groups"][0]
 print("pencil outcome:", group["result"]["kind"])
 print("parity:", group["parity"])

@@ -17,12 +17,12 @@ built-in command is backed by a scenario file shipped with the package, so
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations
 from typing import Sequence
 
 from .logic import (
@@ -33,9 +33,16 @@ from .logic import (
     to_dot,
     two_valued_states,
 )
-from .parity import ParityError, ParityScenario, analyze as parity_analyze
-from .pauli import PHASE_TEXT, PauliString, commutes, parse_pauli, realization, serial_product
+from .parity import (
+    ObservableFactors,
+    ParityError,
+    ParityScenario,
+    analyze as parity_analyze,
+    observable_text,
+)
+from .pauli import parse_pauli, realization
 from .pencil import (
+    DEFAULT_MAX_SNAP_NORM,
     Context,
     DegeneratePencilError,
     PencilError,
@@ -49,8 +56,6 @@ BUILTINS = {
     "bipartite": "bipartite.scn",
     "intro-pair": "intro_pair.scn",
 }
-
-Observable = tuple[PauliString, ...]
 
 
 class ScenarioError(ValueError):
@@ -71,7 +76,7 @@ class ScenarioFile:
 
     site_count: int
     mode: str
-    groups: tuple[tuple[Observable, ...], ...]
+    groups: tuple[tuple[ObservableFactors, ...], ...]
 
 
 def parse_scenario(text: bytes | str) -> ScenarioFile:
@@ -83,7 +88,7 @@ def parse_scenario(text: bytes | str) -> ScenarioFile:
             raise ScenarioError(f"not UTF-8 text: {e}") from None
     site_count: int | None = None
     mode: str | None = None
-    groups: list[list[Observable]] = []
+    groups: list[list[ObservableFactors]] = []
     open_group_line: int | None = None
 
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -133,7 +138,7 @@ def parse_scenario(text: bytes | str) -> ScenarioFile:
     )
 
 
-def _parse_observable(line: str, ln: int, site_count: int) -> Observable:
+def _parse_observable(line: str, ln: int, site_count: int) -> ObservableFactors:
     """An optional phase prefix, then ``*``-separated words, e.g. ``-1 ZX*XZ``."""
     prefix, _, product = line.rpartition(" ")
     first, *rest = product.split("*")
@@ -144,12 +149,6 @@ def _parse_observable(line: str, ln: int, site_count: int) -> Observable:
         )
     except ValueError as e:
         raise ScenarioParseError(ln, str(e)) from None
-
-
-def observable_text(factors: Observable) -> str:
-    total_phase = sum(f.phase_power for f in factors) % 4
-    body = "*".join("".join(f.letters) for f in factors)
-    return (f"{PHASE_TEXT[total_phase]} " if total_phase else "") + body
 
 
 def format_scenario(s: ScenarioFile) -> str:
@@ -169,122 +168,84 @@ def load_builtin(name: str) -> ScenarioFile:
 
 
 # ---------------------------------------------------------------------------
-# Pipelines. Each produces a JSON-able report dict; the text renderer walks it.
+# One pipeline for every mode: a JSON-able report dict the text renderer walks.
 
 
-def _compose(factors: Observable) -> PauliString:
-    return serial_product(list(factors))
-
-
-def _group_context(
-    group: Sequence[Observable],
+def _solve_groups(
+    s: ScenarioFile,
     coeffs: Sequence[int] | None,
-    max_snap_norm: int,
-) -> tuple[Context | None, dict]:
-    """Run the pencil pipeline on a group; degeneracy is a reported outcome."""
-    words = [_compose(obs) for obs in group]
-    for obs, w in zip(group, words):
-        if not w.is_hermitian():
-            raise ScenarioError(f"{observable_text(obs)} is not Hermitian")
-    for (a, u), (b, v) in combinations(zip(group, words), 2):
-        if not commutes(u, v):
-            text = f"{observable_text(a)} and {observable_text(b)} do not commute"
-            raise ScenarioError(text)
-    matrices = [realization(w) for w in words]
-    if coeffs is not None and len(coeffs) != len(words):
-        raise _UsageError(
-            f"--coeffs has {len(coeffs)} entries but the group has {len(words)} terms"
-        )
-    try:
-        ctx = joint_context(matrices, coeffs, max_snap_norm=max_snap_norm)
-    except DegeneratePencilError as e:
-        return None, {
-            "kind": "degenerate",
-            "multiplicities": {str(k): v for k, v in e.multiplicities.items()},
-        }
-    return ctx, {"kind": "context", **ctx.to_json()}
-
-
-def run_pencil(s: ScenarioFile, coeffs, max_snap_norm) -> dict:
-    out_groups = []
-    for group in s.groups:
-        _, result = _group_context(group, coeffs, max_snap_norm)
-        out_groups.append(
-            {
-                "observables": [observable_text(o) for o in group],
-                "result": result,
-            }
-        )
-    return {"mode": "pencil", "sites": s.site_count, "groups": out_groups}
-
-
-def run_parity(s: ScenarioFile, coeffs, max_snap_norm) -> dict:
-    out_groups = []
-    for group in s.groups:
-        entry: dict = {"observables": [observable_text(o) for o in group]}
-        ctx, result = _group_context(group, coeffs, max_snap_norm)
-        entry["result"] = result
-        scenario = ParityScenario(tuple(group), s.site_count)
-        try:
-            report = parity_analyze(scenario)
-            entry["parity"] = report.to_json()
-        except ParityError as e:
-            entry["parity"] = {"skipped": str(e)}
-        if ctx is not None:
-            h = ContextHypergraph.from_ray_groups([ctx.rays])
-            states = two_valued_states(h)
-            entry["states"] = {
-                "count": len(states),
-                "separating": is_separating(states, h),
-            }
-            entry["eigenstate_table"] = [list(row) for row in ctx.eigentable]
-        out_groups.append(entry)
-    return {"mode": "parity", "sites": s.site_count, "groups": out_groups}
-
-
-def scenario_hypergraph(
-    s: ScenarioFile, coeffs, max_snap_norm
-) -> tuple[ContextHypergraph, list[Context]]:
-    """Contexts of every group, then the completion of their ray union."""
-    contexts = []
+    need_contexts: bool,
+    max_snap_norm: int = DEFAULT_MAX_SNAP_NORM,
+) -> list[tuple[ParityScenario, Context | None, dict]]:
+    """Validate and solve each group in order; a degenerate group is reported
+    as such, or rejected when every group must define a context."""
+    solved = []
     for gi, group in enumerate(s.groups):
-        ctx, _ = _group_context(group, coeffs, max_snap_norm)
-        if ctx is None:
-            raise ScenarioError(
-                f"group {gi + 1} has a degenerate pencil and defines no context"
+        try:
+            scenario = ParityScenario(group, s.site_count)
+        except ValueError as e:  # a non-Hermitian or non-commuting observable
+            raise ScenarioError(str(e)) from None
+        if coeffs is not None and len(coeffs) != len(group):
+            raise _UsageError(
+                f"--coeffs has {len(coeffs)} entries but the group has {len(group)} terms"
             )
-        contexts.append(ctx)
-    rays = [r for ctx in contexts for r in ctx.rays]
+        matrices = [realization(w) for w in scenario.composed()]
+        try:
+            ctx = joint_context(matrices, coeffs, max_snap_norm=max_snap_norm)
+            result = {"kind": "context", **ctx.to_json()}
+        except DegeneratePencilError as e:
+            if need_contexts:
+                raise ScenarioError(
+                    f"group {gi + 1} has a degenerate pencil and defines no context"
+                ) from None
+            ctx, result = None, {
+                "kind": "degenerate",
+                "multiplicities": {str(k): v for k, v in e.multiplicities.items()},
+            }
+        solved.append((scenario, ctx, result))
+    return solved
+
+
+def _completion(contexts: list[Context]) -> ContextHypergraph:
     try:
-        return ContextHypergraph.completion_of(rays), contexts
+        return ContextHypergraph.completion_of([r for ctx in contexts for r in ctx.rays])
     except ValueError as e:  # the rays do not complete to full contexts
         raise ScenarioError(str(e)) from None
 
 
-def run_hypergraph(s: ScenarioFile, coeffs, max_snap_norm) -> dict:
-    h, contexts = scenario_hypergraph(s, coeffs, max_snap_norm)
+def scenario_hypergraph(
+    s: ScenarioFile, coeffs=None, max_snap_norm: int = DEFAULT_MAX_SNAP_NORM
+) -> tuple[ContextHypergraph, list[Context]]:
+    """Contexts of every group, then the completion of their ray union."""
+    solved = _solve_groups(s, coeffs, True, max_snap_norm=max_snap_norm)
+    contexts = [ctx for _, ctx, _ in solved]
+    return _completion(contexts), contexts
+
+
+def _parity_keys(scenario: ParityScenario, ctx: Context | None) -> dict:
+    try:
+        keys = {"parity": parity_analyze(scenario).to_json()}
+    except ParityError as e:
+        keys = {"parity": {"skipped": str(e)}}
+    if ctx is not None:
+        h = ContextHypergraph.from_ray_groups([ctx.rays])
+        states = two_valued_states(h)
+        keys["states"] = {"count": len(states), "separating": is_separating(states, h)}
+        keys["eigenstate_table"] = [list(row) for row in ctx.eigentable]
+    return keys
+
+
+def _hypergraph_keys(site_count: int, contexts: list[Context]) -> dict:
+    h = _completion(contexts)
     index = {ray: i for i, ray in enumerate(h.vertices)}
     primary = sorted(
-        h.edges.index(tuple(sorted(index[r] for r in ctx.rays)))
-        for ctx in contexts
+        h.edges.index(tuple(sorted(index[r] for r in ctx.rays))) for ctx in contexts
     )
-    states = two_valued_states(h)
-    classification = classify_contexts(h, (2,) * s.site_count)
-    out_groups = []
-    for group, ctx in zip(s.groups, contexts):
-        out_groups.append(
-            {
-                "observables": [observable_text(o) for o in group],
-                "result": {"kind": "context", **ctx.to_json()},
-            }
-        )
+    classification = classify_contexts(h, (2,) * site_count)
     return {
-        "mode": "hypergraph",
-        "sites": s.site_count,
-        "groups": out_groups,
         "hypergraph": h.to_json(),
         "primary_edges": primary,
-        "two_valued_states": len(states),
+        "two_valued_states": len(two_valued_states(h)),
         "classification": classification.counts(),
         "separable_edges": list(classification.separable_edges),
         "entangled_edges": list(classification.entangled_edges),
@@ -292,13 +253,23 @@ def run_hypergraph(s: ScenarioFile, coeffs, max_snap_norm) -> dict:
     }
 
 
-def run_scenario(s: ScenarioFile, coeffs, max_snap_norm) -> dict:
-    runner = {
-        "pencil": run_pencil,
-        "parity": run_parity,
-        "hypergraph": run_hypergraph,
-    }[s.mode]
-    return runner(s, coeffs, max_snap_norm)
+def run_scenario(s: ScenarioFile, coeffs: Sequence[int] | None = None) -> dict:
+    """Each group's context or degenerate spectrum, plus per-group parity keys
+    in parity mode and the hypergraph keys in hypergraph mode."""
+    solved = _solve_groups(s, coeffs, need_contexts=s.mode == "hypergraph")
+    groups = []
+    for scenario, ctx, result in solved:
+        entry = {
+            "observables": [observable_text(o) for o in scenario.observables],
+            "result": result,
+        }
+        if s.mode == "parity":
+            entry.update(_parity_keys(scenario, ctx))
+        groups.append(entry)
+    report = {"mode": s.mode, "sites": s.site_count, "groups": groups}
+    if s.mode == "hypergraph":
+        report.update(_hypergraph_keys(s.site_count, [ctx for _, ctx, _ in solved]))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +395,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
-
-
 def _add_common(p: argparse.ArgumentParser, formats=("text", "json", "dot")):
     p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--out", metavar="PATH", help="write output to a file")
@@ -438,15 +403,9 @@ def _add_common(p: argparse.ArgumentParser, formats=("text", "json", "dot")):
         metavar="a,b,c",
         help="pencil coefficients (default: binary weights 1,2,4,...)",
     )
-    p.add_argument(
-        "--max-snap-norm",
-        type=_positive_int,
-        default=4,
-        metavar="N",
-        help="largest integer multiplier tried when snapping eigenvectors",
-    )
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="qpencil", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -461,7 +420,6 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--file", metavar="F", help="scenario file (default: pm-square)")
     p.add_argument("--critical", action="store_true", help="list critical collections")
-    p.add_argument("--jobs", type=_positive_int, default=1, metavar="K")
     _add_common(p, formats=("text", "json"))
     p = sub.add_parser("export", help="export a scenario's context hypergraph")
     p.add_argument("--file", metavar="F", help="scenario file (default: pm-square)")
@@ -494,16 +452,15 @@ def _emit(text: str, out_path: str | None):
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         coeffs = _parse_coeffs(args.coeffs)
         scenario = _load_scenario(args)
 
         if args.command == "subsets":
-            h, _ = scenario_hypergraph(scenario, coeffs, args.max_snap_norm)
+            h, _ = scenario_hypergraph(scenario, coeffs)
             try:
-                result = noncolorable_subsets(h, jobs=args.jobs)
+                result = noncolorable_subsets(h)
             except ValueError as e:  # over the sweep's edge or vertex cap
                 raise _UsageError(str(e)) from None
             shapes = Counter(result.critical_shapes(h))
@@ -522,23 +479,20 @@ def main(argv: Sequence[str] | None = None) -> int:
                 report["critical"] = [list(e) for e in result.critical]
             render = render_subsets_text
         elif args.command == "export" or args.format == "dot":
-            h, _ = scenario_hypergraph(scenario, coeffs, args.max_snap_norm)
+            h, _ = scenario_hypergraph(scenario, coeffs)
             report, render = h.to_json(), lambda _: to_dot(h)
         else:
-            report = run_scenario(scenario, coeffs, args.max_snap_norm)
+            report = run_scenario(scenario, coeffs)
             render = render_text
         text = json.dumps(report, indent=2) + "\n" if args.format == "json" else render(report)
         _emit(text, args.out)
         return 0
 
-    except _UsageError as e:
+    except (_UsageError, OSError) as e:
         print(f"qpencil: error: {e}", file=sys.stderr)
         return 1
     except ScenarioError as e:
         print(f"qpencil: scenario error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"qpencil: error: {e}", file=sys.stderr)
         return 1
     except (PencilError, ParityError, ValueError, ArithmeticError) as e:
         print(f"qpencil: verification failure: {e}", file=sys.stderr)

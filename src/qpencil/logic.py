@@ -45,10 +45,17 @@ class ContextHypergraph:
     dim: int
 
     def __post_init__(self):
+        for i, v in enumerate(self.vertices):
+            if v.dim != self.dim:
+                raise ValueError(f"vertex {i} has dimension {v.dim}, not {self.dim}")
         seen = set()
         for e in self.edges:
             if len(set(e)) != self.dim:
                 raise ValueError(f"edge {e} does not have {self.dim} distinct vertices")
+            if list(e) != sorted(e):
+                raise ValueError(f"edge {e} is not in ascending order")
+            if not all(0 <= i < len(self.vertices) for i in e):
+                raise ValueError(f"edge {e} has an index outside the vertex list")
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)

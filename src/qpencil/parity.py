@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
-from .pauli import PauliString, commutes, realization, serial_product
+from .pauli import PHASE_TEXT, PauliString, commutes, realization, serial_product
 from .pencil import Context, eigen_sign
 
 BRUTEFORCE_PAIR_CAP = 20
@@ -24,6 +25,13 @@ class ParityError(Exception):
 
 
 ObservableFactors = tuple[PauliString, ...]
+
+
+def observable_text(factors: ObservableFactors) -> str:
+    """Factor text with the summed phase prefix, e.g. ``-1 ZX*XZ``."""
+    total_phase = sum(f.phase_power for f in factors) % 4
+    body = "*".join("".join(f.letters) for f in factors)
+    return (f"{PHASE_TEXT[total_phase]} " if total_phase else "") + body
 
 
 @dataclass(frozen=True)
@@ -48,16 +56,14 @@ class ParityScenario:
                     raise ValueError(
                         f"factor {f} has {f.site_count} sites, expected {self.site_count}"
                     )
-        composed = [serial_product(factors) for factors in self.observables]
-        for c in composed:
+        composed = self.composed()
+        for factors, c in zip(self.observables, composed):
             if not c.is_hermitian():
-                raise ValueError(f"observable {c} is not Hermitian (phase must be +/-1)")
-        for i in range(len(composed)):
-            for j in range(i + 1, len(composed)):
-                if not commutes(composed[i], composed[j]):
-                    raise ValueError(
-                        f"observables {composed[i]} and {composed[j]} do not commute"
-                    )
+                raise ValueError(f"{observable_text(factors)} is not Hermitian")
+        for (a, u), (b, v) in combinations(zip(self.observables, composed), 2):
+            if not commutes(u, v):
+                text = f"{observable_text(a)} and {observable_text(b)} do not commute"
+                raise ValueError(text)
 
     def composed(self) -> tuple[PauliString, ...]:
         return tuple(serial_product(factors) for factors in self.observables)

@@ -161,18 +161,13 @@ def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(a)
 
 
-def snap_to_ray(
-    vector,
-    *,
-    max_snap_norm: int = DEFAULT_MAX_SNAP_NORM,
-    tol: float = SNAP_TOLERANCE,
-) -> Ray:
+def snap_to_ray(vector, *, max_snap_norm: int = DEFAULT_MAX_SNAP_NORM) -> Ray:
     """Round a numerical eigenvector to the exact integer ray it approximates.
 
     Divides by the largest-magnitude entry (fixing scale and global phase),
     then looks for the smallest integer multiplier k <= max_snap_norm under
-    which every entry sits within ``tol`` of a Gaussian integer. The result
-    is only trusted after the caller's exact re-verification.
+    which every entry sits within ``SNAP_TOLERANCE`` of a Gaussian integer.
+    The result is only trusted after the caller's exact re-verification.
     """
     v = np.asarray(vector, dtype=complex)
     lead = int(np.argmax(np.abs(v)))
@@ -183,7 +178,7 @@ def snap_to_ray(
         scaled = w * k
         re = np.round(scaled.real).astype(int)
         im = np.round(scaled.imag).astype(int)
-        if float(np.max(np.abs(scaled - (re + 1j * im)))) <= tol:
+        if float(np.max(np.abs(scaled - (re + 1j * im)))) <= SNAP_TOLERANCE:
             return Ray.from_parts(zip(re.tolist(), im.tolist()))
     raise SnapError(v)
 

@@ -199,13 +199,6 @@ class TestCommands:
         data = json.loads(out)
         assert data["groups"][0]["result"]["pencil_eigenvalues"] == [-8, -2, 2, 8]
 
-    def test_max_snap_norm_flag(self, capsys):
-        # the shipped scenarios only need multiplier 1, so tightening the
-        # search must not change the output
-        tight = run_cli(capsys, "intro-pair", "--max-snap-norm", "1")
-        default = run_cli(capsys, "intro-pair")
-        assert tight == default
-
     def test_out_flag(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -308,6 +301,17 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "subsets", "--file", str(path), "--jobs", value)
         assert code == 1
         assert "--jobs" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("subsets", "--jobs", "2"), ("intro-pair", "--max-snap-norm", "1")],
+        ids=["jobs", "max-snap-norm"],
+    )
+    def test_removed_flag_is_unknown(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
 
     @pytest.mark.parametrize(
         "cap", ["SUBSET_SWEEP_EDGE_CAP", "SUBSET_SWEEP_VERTEX_CAP"], ids=["edge", "vertex"]

@@ -130,6 +130,22 @@ class TestHypergraphConstruction:
                 [[Ray([1, 0, 0, 0]), Ray([1, 1, 0, 0]), Ray([0, 0, 1, 0]), Ray([0, 0, 0, 1])]]
             )
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"dim": 2, "vertices": [[1, 0], [0, 1]], "edges": [[0, 5]]}, "outside"),
+            (
+                {"dim": 2, "vertices": [[1, 0, 0, 0], [0, 1, 0, 0]], "edges": [[0, 1]]},
+                "dimension",
+            ),
+            ({"dim": 2, "vertices": [[1, 0], [0, 1]], "edges": [[0, 1], [1, 0]]}, "ascending"),
+        ],
+        ids=["index-out-of-range", "vertex-dimension", "unsorted-edge"],
+    )
+    def test_malformed_json_rejected(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            ContextHypergraph.from_json(data)
+
     def test_json_roundtrip(self, pm_hypergraph):
         data = json.loads(json.dumps(pm_hypergraph.to_json()))
         again = ContextHypergraph.from_json(data)

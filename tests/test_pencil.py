@@ -361,7 +361,9 @@ class TestRandomCommutingFamilies:
     def test_full_family_matches_intersection_oracle(self, n, seed):
         words = _random_commuting_family(random.Random(seed), n, n)
         terms = [realization(w) for w in words]
-        ctx = joint_context(terms)
+        # stabilizer states have entries in {0, +-1, +-i} once divided by
+        # their largest entry, so every ray snaps at multiplier 1
+        ctx = joint_context(terms, max_snap_norm=1)
         assert len(ctx.rays) == 2**n
         assert set(ctx.rays) == joint_eigenrays_by_intersection(terms)
 
