@@ -8,8 +8,9 @@
 # regain a state as soon as any single context is dropped.
 #
 # The sweep covers all 2^24 - 1 sub-collections in one pass over the subset
-# lattice and takes about a second (``qpencil subsets --critical`` runs the
-# same sweep from the command line).
+# lattice. On a 2-vCPU machine it takes about 0.1 s, and this whole script
+# about 0.4 s (``qpencil subsets --critical`` runs the same sweep from the
+# command line).
 
 from qpencil import ContextHypergraph, joint_context, noncolorable_subsets
 from qpencil import parse_pauli, realization

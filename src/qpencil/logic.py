@@ -20,6 +20,8 @@ from .exact import Ray, is_orthogonal, is_product_state
 
 SUBSET_SWEEP_EDGE_CAP = 30
 SUBSET_SWEEP_VERTEX_CAP = 32  # vertex masks are uint32; time grows as 2^|V|
+# _LOW[i]: the bits of a packed sweep-table word whose edge mask lacks edge i
+_LOW = [sum(1 << p for p in range(64) if not (p >> i) & 1) for i in range(6)]
 
 
 @dataclass(frozen=True)
@@ -246,17 +248,20 @@ class SubsetSweepResult:
 def _half_tables(
     edges: Sequence[Sequence[int]], vertices: range
 ) -> tuple[np.ndarray, np.ndarray]:
-    """For every subset T of ``vertices`` (bit k of the index stands for
-    ``vertices[k]``): the m-bit masks of the edges T misses and of the edges
-    T meets exactly once."""
+    """For every undominated subset T of ``vertices`` (bit k of the index
+    stands for ``vertices[k]``): the m-bit masks of the edges T misses and of
+    the edges T meets once. T is dominated if some v in T has no private edge
+    (one T meets only at v); then E_U is in E_{U - v} for every U containing T."""
     subsets = np.arange(1 << len(vertices), dtype=np.uint32)
     zero = np.zeros_like(subsets)
     once = np.zeros_like(subsets)
+    private = np.zeros_like(subsets)  # the vertices of T with a private edge
     for j, e in enumerate(edges):
         hit = subsets & sum(1 << k for k, v in enumerate(vertices) if v in e)
         zero |= (hit == 0).astype(np.uint32) << j
         once |= ((hit != 0) & (hit & (hit - 1) == 0)).astype(np.uint32) << j
-    return zero, once
+        private |= hit * (hit & (hit - 1) == 0)  # hit if T meets e once
+    return zero[private == subsets], once[private == subsets]
 
 
 def noncolorable_subsets(
@@ -265,40 +270,45 @@ def noncolorable_subsets(
     """Sweep all nonempty edge sub-collections for no-state configurations.
 
     A sub-collection S admits a state iff S is contained in E_T for some
-    vertex set T, where E_T is the set of edges T meets exactly once. Every
-    E_T is marked in a table over the 2^m edge bitmasks, built from two
-    half-vertex tables; m passes close the table downward (a subset-lattice
-    zeta transform), and m more keep the no-state S whose every S - {i} is
+    vertex set T, where E_T is the set of edges T meets exactly once. E_T of
+    every undominated T is marked in a bit table over the 2^m edge bitmasks
+    (bit p of uint64 word w is mask 64w + p), built from two half-vertex
+    tables; m passes close the table downward (a subset-lattice zeta
+    transform), and m more keep the no-state S whose every S - {i} is
     colorable: the critical ones. ``jobs`` is accepted for compatibility
     and has no effect.
     """
     m, n = len(h.edges), len(h.vertices)
-    if m > SUBSET_SWEEP_EDGE_CAP:
-        raise ValueError(
-            f"{m} edges exceeds the sweep cap of {SUBSET_SWEEP_EDGE_CAP}"
-        )
-    if n > SUBSET_SWEEP_VERTEX_CAP:
-        raise ValueError(
-            f"{n} vertices exceeds the sweep cap of {SUBSET_SWEEP_VERTEX_CAP}"
-        )
+    caps = {"edges": (m, SUBSET_SWEEP_EDGE_CAP), "vertices": (n, SUBSET_SWEEP_VERTEX_CAP)}
+    for what, (count, cap) in caps.items():
+        if count > cap:
+            raise ValueError(f"{count} {what} exceeds the sweep cap of {cap}")
     zero1, once1 = _half_tables(h.edges, range(n // 2))
     zero2, once2 = _half_tables(h.edges, range(n // 2, n))
-    colorable = np.zeros(1 << m, dtype=bool)
+    marked = np.zeros(max(1 << m, 64), dtype=bool)
+    marked[1 << m :] = True  # pad to one word; padding is never no-state
     rows = max(1, (1 << 16) // len(zero2))  # about 2^16 vertex sets per block
     for lo in range(0, len(zero1), rows):
         z, o = zero1[lo : lo + rows, None], once1[lo : lo + rows, None]
-        colorable[(o & zero2) | (z & once2)] = True
+        marked[(o & zero2) | (z & once2)] = True
+    colorable = np.packbits(marked, bitorder="little").view("<u8")
     for i in range(m):  # close downward: subsets of colorable sets are colorable
-        pairs = colorable.reshape(-1, 2, 1 << i)
-        pairs[:, 0] |= pairs[:, 1]
+        if i < 6:
+            colorable |= (colorable >> (1 << i)) & _LOW[i]
+        else:
+            pairs = colorable.reshape(-1, 2, 1 << (i - 6))
+            pairs[:, 0] |= pairs[:, 1]
     critical = ~colorable
-    total = int(np.count_nonzero(critical))
+    total = int(np.bitwise_count(critical).sum())
     for i in range(m):  # keep S only if S - {i} is colorable
-        critical.reshape(-1, 2, 1 << i)[:, 1] &= colorable.reshape(-1, 2, 1 << i)[:, 0]
-    sets = sorted(
-        tuple(i for i in range(m) if (mask >> i) & 1)
-        for mask in np.flatnonzero(critical).tolist()
-    )
+        if i < 6:
+            critical &= (colorable << (1 << i)) | _LOW[i]
+        else:
+            half = colorable.reshape(-1, 2, 1 << (i - 6))[:, 0]
+            critical.reshape(-1, 2, 1 << (i - 6))[:, 1] &= half
+    words = np.flatnonzero(critical).tolist()  # unpack only words that hold an S
+    masks = [64 * w + p for w in words for p in range(64) if int(critical[w]) >> p & 1]
+    sets = sorted(tuple(i for i in range(m) if (mask >> i) & 1) for mask in masks)
     return SubsetSweepResult(total, tuple(sets))
 
 

@@ -289,19 +289,6 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "intro-pair", "--coeffs", "1,2,3")
         assert code == 1
 
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_nonpositive_max_snap_norm_is_1(self, capsys, value):
-        code, _, err = run_cli(capsys, "intro-pair", "--max-snap-norm", value)
-        assert code == 1
-        assert "--max-snap-norm" in err
-
-    @pytest.mark.parametrize("value", ["0", "-5"])
-    def test_nonpositive_jobs_is_1(self, capsys, tmp_path, value):
-        path = _write(tmp_path, "sites 2\nmode pencil\ngroup\nZX\nYY\n")
-        code, _, err = run_cli(capsys, "subsets", "--file", str(path), "--jobs", value)
-        assert code == 1
-        assert "--jobs" in err
-
     @pytest.mark.parametrize(
         "argv",
         [("subsets", "--jobs", "2"), ("intro-pair", "--max-snap-norm", "1")],

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -259,6 +260,31 @@ class TestIsSeparating:
         assert is_separating(two_valued_states(h), h)
 
 
+def _brute_sweep(edges) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The sweep's answer by brute force: every sub-collection is solved on its
+    own; the critical ones are the no-state sets with no no-state S - {i}."""
+    m = len(edges)
+    no_state = set()
+    for mask in range(1, 1 << m):
+        chosen = [edges[i] for i in range(m) if (mask >> i) & 1]
+        induced = sorted(set(itertools.chain.from_iterable(chosen)))
+        relabel = {v: i for i, v in enumerate(induced)}
+        relabeled = [tuple(relabel[v] for v in e) for e in chosen]
+        if brute_state_count(relabeled, len(induced)) == 0:
+            no_state.add(mask)
+    critical = sorted(
+        tuple(i for i in range(m) if (mask >> i) & 1)
+        for mask in no_state
+        if not any((mask >> i) & 1 and mask ^ (1 << i) in no_state for i in range(m))
+    )
+    return len(no_state), tuple(critical)
+
+
+def _random_edges(rng: random.Random, n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    sizes = rng.choices((2, 3, 4), weights=(3, 3, 1), k=m)  # mostly 2 and 3
+    return tuple(tuple(sorted(rng.sample(range(n), min(k, n)))) for k in sizes)
+
+
 def _seeded_picks(seed: int) -> list[int]:
     rng = random.Random(seed)
     return sorted(rng.sample(range(24), rng.randint(6, 12)))
@@ -284,26 +310,21 @@ class TestNoncolorableSubsets:
 
     @pytest.mark.parametrize("picks", ORACLE_PICKS, ids=ORACLE_PICK_IDS)
     def test_matches_oracle_on_small_subhypergraph(self, pm_hypergraph, picks):
-        # every sub-collection is solved on its own by brute force; the
-        # critical ones are the no-state sets with no no-state S - {i}
         sub = pm_hypergraph.sub_hypergraph(picks)
-        m = len(sub.edges)
-        no_state = set()
-        for mask in range(1, 1 << m):
-            chosen = [sub.edges[i] for i in range(m) if (mask >> i) & 1]
-            induced = sorted(set(itertools.chain.from_iterable(chosen)))
-            relabel = {v: i for i, v in enumerate(induced)}
-            edges = [tuple(relabel[v] for v in e) for e in chosen]
-            if brute_state_count(edges, len(induced)) == 0:
-                no_state.add(mask)
-        critical = sorted(
-            tuple(i for i in range(m) if (mask >> i) & 1)
-            for mask in no_state
-            if not any((mask >> i) & 1 and mask ^ (1 << i) in no_state for i in range(m))
-        )
         result = noncolorable_subsets(sub)
-        assert result.total == len(no_state)
-        assert result.critical == tuple(critical)
+        assert (result.total, result.critical) == _brute_sweep(sub.edges)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_oracle_on_random_hypergraphs(self, m):
+        # abstract hypergraphs on 2..12 vertices, passed as the two fields the
+        # sweep reads; m < 6 edges fit in one padded word of the bit table,
+        # m >= 6 reach the passes across words
+        rng = random.Random(m)
+        for _ in range(30):
+            n = rng.randint(2, 12)
+            h = SimpleNamespace(edges=_random_edges(rng, n, m), vertices=range(n))
+            result = noncolorable_subsets(h)
+            assert (result.total, result.critical) == _brute_sweep(h.edges), h
 
     def test_criticality_postcondition(self, pm_hypergraph):
         # on a mid-size sub-hypergraph: critical sets have no state, and
