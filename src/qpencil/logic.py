@@ -47,11 +47,15 @@ class ContextHypergraph:
     dim: int
 
     def __post_init__(self):
+        if type(self.dim) is not int:  # not isinstance, which lets JSON's true pass
+            raise ValueError(f"dimension {self.dim!r} is not an integer")
         for i, v in enumerate(self.vertices):
             if v.dim != self.dim:
                 raise ValueError(f"vertex {i} has dimension {v.dim}, not {self.dim}")
         seen = set()
         for e in self.edges:
+            if any(type(i) is not int for i in e):
+                raise ValueError(f"edge {e} has an index that is not an integer")
             if len(set(e)) != self.dim:
                 raise ValueError(f"edge {e} does not have {self.dim} distinct vertices")
             if list(e) != sorted(e):
@@ -325,8 +329,6 @@ class ContextClassification:
     separable_edges: tuple[int, ...]
     entangled_edges: tuple[int, ...]
     mixed_edges: tuple[int, ...]
-    separable_part: ContextHypergraph | None
-    entangled_part: ContextHypergraph | None
 
     def counts(self) -> dict[str, int]:
         return {
@@ -354,11 +356,7 @@ def classify_contexts(
             ent_e.append(k)
         else:
             mix_e.append(k)
-    sep_part = h.sub_hypergraph(sep_e) if sep_e else None
-    ent_part = h.sub_hypergraph(ent_e) if ent_e else None
-    return ContextClassification(
-        sep_v, ent_v, tuple(sep_e), tuple(ent_e), tuple(mix_e), sep_part, ent_part
-    )
+    return ContextClassification(sep_v, ent_v, tuple(sep_e), tuple(ent_e), tuple(mix_e))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Symbolic n-qubit Pauli words with exact phase tracking.
 
-A word is a letter per site from {I, X, Y, Z} together with a unit phase
-i**k. Products accumulate phases through the fixed structure constants
-X*Y = iZ, Y*Z = iX, Z*X = iY (reversals carry -i), so the symbolic algebra
-agrees entry-for-entry with the exact matrix realization.
+A word is a letter per site from {I, X, Y, Z} with a unit phase i**k. Its one
+working form is the bit-mask pair (x, z) of Aaronson & Gottesman (Phys. Rev. A
+70, 052328, 2004): site s is bit n-1-s, x marks X and Y, z marks Y and Z, and
+as Y = -i*Z*X the word is i**(k + 3|x&z|) * Z^z * X^x. Products, commutation
+and the matrix all read these masks through one phase rule: X^x Z^z =
+(-1)**|x&z| Z^z X^x.
 """
 
 from __future__ import annotations
@@ -14,15 +16,6 @@ from typing import Sequence
 from .exact import I_POWERS, ExactMatrix
 
 LETTERS = "IXYZ"
-
-# (a, b) -> (phase exponent k of i**k, resulting letter)
-_SINGLE_SITE_PRODUCTS = {
-    ("I", "I"): (0, "I"), ("I", "X"): (0, "X"), ("I", "Y"): (0, "Y"), ("I", "Z"): (0, "Z"),
-    ("X", "I"): (0, "X"), ("Y", "I"): (0, "Y"), ("Z", "I"): (0, "Z"),
-    ("X", "X"): (0, "I"), ("Y", "Y"): (0, "I"), ("Z", "Z"): (0, "I"),
-    ("X", "Y"): (1, "Z"), ("Y", "Z"): (1, "X"), ("Z", "X"): (1, "Y"),
-    ("Y", "X"): (3, "Z"), ("Z", "Y"): (3, "X"), ("X", "Z"): (3, "Y"),
-}
 
 # phase exponent k -> text of i**k, as written before a word
 PHASE_TEXT = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}
@@ -41,9 +34,8 @@ class PauliString:
             raise ValueError("a Pauli word needs at least one site")
         bad = [l for l in self.letters if l not in LETTERS]
         if bad:
-            raise ValueError(
-                f"unknown letter {bad[0]!r} in {''.join(map(str, self.letters))!r}"
-            )
+            word = "".join(map(str, self.letters))
+            raise ValueError(f"unknown letter {bad[0]!r} in {word!r}")
         object.__setattr__(self, "phase_power", self.phase_power % 4)
 
     @staticmethod
@@ -60,65 +52,50 @@ class PauliString:
     def is_identity_word(self) -> bool:
         return all(l == "I" for l in self.letters)
 
-    @property
-    def phase_text(self) -> str:
-        return PHASE_TEXT[self.phase_power]
+    def masks(self) -> tuple[int, int]:
+        """(x, z): site s is bit n-1-s; x marks X and Y, z marks Y and Z."""
+        x = z = 0
+        for letter in self.letters:
+            x, z = 2 * x + (letter in "XY"), 2 * z + (letter in "YZ")
+        return x, z
 
     def __str__(self) -> str:
         word = "".join(self.letters)
-        return word if self.phase_power == 0 else f"{self.phase_text} {word}"
+        return word if self.phase_power == 0 else f"{PHASE_TEXT[self.phase_power]} {word}"
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         return multiply(self, other)
 
 
 def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Sitewise product with exact phase accumulation."""
+    """Product with exact phase: Z^za X^xa Z^zb X^xb = (-1)**|xa&zb| Z^z X^x."""
     if a.site_count != b.site_count:
-        raise ValueError(
-            f"site-count mismatch: {a.site_count} vs {b.site_count}"
-        )
-    k = a.phase_power + b.phase_power
-    letters = []
-    for la, lb in zip(a.letters, b.letters):
-        dk, l = _SINGLE_SITE_PRODUCTS[(la, lb)]
-        k += dk
-        letters.append(l)
-    return PauliString(tuple(letters), k)
+        raise ValueError(f"site-count mismatch: {a.site_count} vs {b.site_count}")
+    (xa, za), (xb, zb) = a.masks(), b.masks()
+    x, z = xa ^ xb, za ^ zb
+    ys = (xa & za).bit_count() + (xb & zb).bit_count() - (x & z).bit_count()
+    k = a.phase_power + b.phase_power + 3 * ys + 2 * (xa & zb).bit_count()
+    bits = range(a.site_count - 1, -1, -1)
+    return PauliString(tuple("IXZY"[(x >> s & 1) + 2 * (z >> s & 1)] for s in bits), k)
 
 
 def commutes(a: PauliString, b: PauliString) -> bool:
-    """Symplectic criterion: commuting iff the letters differ, with neither
-    being I, at an even number of sites."""
+    """Symplectic criterion: commuting iff |xa&zb| + |za&xb| is even."""
     if a.site_count != b.site_count:
-        raise ValueError(
-            f"site-count mismatch: {a.site_count} vs {b.site_count}"
-        )
-    clashes = sum(
-        1
-        for la, lb in zip(a.letters, b.letters)
-        if la != lb and la != "I" and lb != "I"
-    )
-    return clashes % 2 == 0
+        raise ValueError(f"site-count mismatch: {a.site_count} vs {b.site_count}")
+    (xa, za), (xb, zb) = a.masks(), b.masks()
+    return ((xa & zb).bit_count() + (za & xb).bit_count()) % 2 == 0
 
 
 def realization(w: PauliString) -> ExactMatrix:
     """The 2^n x 2^n matrix of the word in the standard single-qubit encoding.
 
-    A signed permutation: site s is bit n-1-s of an index (Kronecker order),
-    and row r has its one nonzero in column r XOR f, f marking the X and Y
-    sites. The value is a product of site factors: 1 for I and X, (-1)**b for
-    Z and -i*(-1)**b = i**(3 + 2b) for Y, with b the row's bit at the site.
+    A signed permutation: X^x moves column r XOR x to row r and Z^z scales row
+    r by (-1)**|r&z|, so row r holds i**(k + 3|x&z| + 2|r&z|) in column r XOR x.
     """
     n = w.site_count
-    flip = sign = 0
-    for site, letter in enumerate(w.letters):
-        bit = 1 << (n - 1 - site)
-        if letter in "XY":
-            flip |= bit
-        if letter in "YZ":
-            sign |= bit
-    k = w.phase_power + 3 * w.letters.count("Y")
+    flip, sign = w.masks()
+    k = w.phase_power + 3 * (flip & sign).bit_count()
     rows = tuple(
         ((r ^ flip, *I_POWERS[(k + 2 * (r & sign).bit_count()) % 4]),)
         for r in range(1 << n)
@@ -134,10 +111,6 @@ def serial_product(ws: Sequence[PauliString]) -> PauliString:
     for w in ws[1:]:
         acc = multiply(acc, w)
     return acc
-
-
-def identity(site_count: int) -> PauliString:
-    return PauliString(("I",) * site_count)
 
 
 def parse_pauli(text: str, site_count: int | None = None) -> PauliString:

@@ -11,6 +11,7 @@ is certified in exact arithmetic before a context is returned.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,7 +68,13 @@ class Pencil:
 
     def __post_init__(self):
         terms = tuple(self.terms)
-        coefficients = tuple(int(c) for c in self.coefficients)
+        coefficients = []
+        for c in self.coefficients:
+            try:
+                coefficients.append(operator.index(c))
+            except TypeError:
+                raise PencilError(f"coefficient {c!r} is not an integer") from None
+        coefficients = tuple(coefficients)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "coefficients", coefficients)
         if not terms:

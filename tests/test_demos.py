@@ -1,6 +1,9 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion, and the README quickstart shows
+the values it computes."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +25,20 @@ def test_demo_exits_cleanly(script):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_quickstart_values():
+    # each `expr  # literal` line of the block documents the value of expr
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    checked = 0
+    for line in block.splitlines():
+        documented = re.fullmatch(r"([^#\s].*?)\s+#\s*(.+)", line)
+        if documented:
+            expr, literal = documented.groups()
+            assert eval(expr, namespace) == ast.literal_eval(literal), line
+            checked += 1
+    assert checked, "the quickstart documents no value"

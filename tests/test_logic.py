@@ -140,8 +140,14 @@ class TestHypergraphConstruction:
                 "dimension",
             ),
             ({"dim": 2, "vertices": [[1, 0], [0, 1]], "edges": [[0, 1], [1, 0]]}, "ascending"),
+            ({"dim": 2.0, "vertices": [[1, 0], [0, 1]], "edges": [[0, 1]]}, "2.0 is not an integer"),
+            ({"dim": 2, "vertices": [[1, 0], [0, 1]], "edges": [[0, True]]}, "not an integer"),
+            ({"dim": 2, "vertices": [[1, 0], [0, 1]], "edges": [[0.0, 1.0]]}, "not an integer"),
         ],
-        ids=["index-out-of-range", "vertex-dimension", "unsorted-edge"],
+        ids=[
+            "index-out-of-range", "vertex-dimension", "unsorted-edge",
+            "float-dimension", "bool-index", "float-index",
+        ],
     )
     def test_malformed_json_rejected(self, data, message):
         with pytest.raises(ValueError, match=message):
@@ -378,10 +384,12 @@ class TestClassification:
 
     def test_sub_hypergraph_sizes(self, pm_hypergraph):
         cls = classify_contexts(pm_hypergraph, (2, 2))
-        assert len(cls.separable_part.vertices) == 16
-        assert len(cls.separable_part.edges) == 12
-        assert len(cls.entangled_part.vertices) == 8
-        assert len(cls.entangled_part.edges) == 4
+        separable = pm_hypergraph.sub_hypergraph(cls.separable_edges)
+        entangled = pm_hypergraph.sub_hypergraph(cls.entangled_edges)
+        assert len(separable.vertices) == 16
+        assert len(separable.edges) == 12
+        assert len(entangled.vertices) == 8
+        assert len(entangled.edges) == 4
 
     def test_ghzm_all_entangled(self, ghzm_hypergraph):
         cls = classify_contexts(ghzm_hypergraph, (2, 2, 2))

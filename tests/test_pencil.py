@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +89,20 @@ class TestBuildAndEvaluate:
     def test_coefficient_count_mismatch(self):
         with pytest.raises(PencilError):
             build(mats("ZI", "IZ"), (1,))
+
+    @pytest.mark.parametrize(
+        "coefficients", [(0.4, 1), (1.9, 2.5), (Fraction(1, 2), 1), ("1", 2)], ids=repr
+    )
+    def test_non_integer_coefficient_rejected(self, coefficients):
+        # truncating 0.4 to 0 or 1.9 to 1 would solve a different pencil
+        bad = re.escape(repr(coefficients[0]))
+        with pytest.raises(PencilError, match=f"coefficient {bad} is not an integer"):
+            joint_context(mats("ZX", "YY"), coefficients)
+
+    def test_numpy_integer_coefficient_accepted(self):
+        p = build(mats("ZX", "YY"), (np.int64(1), np.int32(2)))
+        assert p.coefficients == (1, 2)
+        assert all(type(c) is int for c in p.coefficients)
 
     def test_direct_construction_is_validated(self):
         # evaluate() trusts every Pencil to have commuting Hermitian terms
