@@ -171,10 +171,11 @@ def _canonical(ints: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Divide out the Gaussian-integer content; rotate the lead phase into [0, pi/2)."""
     if not ints:
         raise ValueError("a ray needs at least one component")
-    content = reduce(gaussian_gcd, ints, (0, 0))
+    content = reduce(gaussian_gcd, (c for c in ints if c != (0, 0)), (0, 0))
     if content == (0, 0):
         raise ValueError("the zero vector is not a ray")
-    ints = [_gauss_exact_div(c, content) for c in ints]
+    if content not in I_POWERS:  # a unit content is undone by the lead rotation below
+        ints = [_gauss_exact_div(c, content) for c in ints]
     lead = next(c for c in ints if c != (0, 0))
     unit = next(u for u in I_POWERS if (z := _gmul(lead, u))[0] > 0 and z[1] >= 0)
     return tuple(ints if unit == (1, 0) else (_gmul(c, unit) for c in ints))
@@ -350,23 +351,11 @@ class ExactMatrix:
     def is_hermitian(self) -> bool:
         return self.rows == self.cols and self == self.conjugate_transpose()
 
-    def apply_integer(self, vec: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-        """Numerators over ``den`` of the image of a Gaussian-integer vector."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match matrix columns")
-        out = []
-        for row in self.nonzeros:
-            re = im = 0
-            for j, ar, ai in row:
-                br, bi = vec[j]
-                re, im = re + ar * br - ai * bi, im + ar * bi + ai * br
-            out.append((re, im))
-        return tuple(out)
-
     def apply(self, vec: Sequence[ScalarLike]) -> tuple[GaussianRational, ...]:
+        """The exact image M v, read off the product with v as a one-column matrix."""
         nums, vden = _over_common_den(vec)
-        den = self.den * vden
-        return tuple(_scalar(re, im, den) for re, im in self.apply_integer(nums))
+        image = self @ ExactMatrix(len(nums), 1, _sparse([x] for x in nums), vden)
+        return tuple(image.at(i, 0) for i in range(self.rows))
 
     def to_complex_array(self):
         import numpy as np
@@ -411,11 +400,15 @@ def linear_combination(
 
 
 def _product_rows(a: ExactMatrix, b: ExactMatrix) -> tuple[SparseRow, ...]:
-    """Rows of A @ B as numerators over a.den * b.den."""
+    """Rows of A @ B as numerators over a.den * b.den; a one-entry row of A, as in
+    every Pauli realization, scales one row of B, whose nonzeros stay nonzero."""
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     return tuple(
-        _sum_rows(((ar, ai), b.nonzeros[k]) for k, ar, ai in ra) for ra in a.nonzeros
+        _sum_rows(((ar, ai), b.nonzeros[k]) for k, ar, ai in ra) if len(ra) != 1
+        else tuple((j, ar * br - ai * bi, ar * bi + ai * br)
+                   for k, ar, ai in ra for j, br, bi in b.nonzeros[k])
+        for ra in a.nonzeros
     )
 
 

@@ -10,6 +10,7 @@ and the matrix all read these masks through one phase rule: X^x Z^z =
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,7 +37,11 @@ class PauliString:
         if bad:
             word = "".join(map(str, self.letters))
             raise ValueError(f"unknown letter {bad[0]!r} in {word!r}")
-        object.__setattr__(self, "phase_power", self.phase_power % 4)
+        try:
+            k = operator.index(self.phase_power)
+        except TypeError:
+            raise ValueError(f"phase power {self.phase_power!r} is not an integer") from None
+        object.__setattr__(self, "phase_power", k % 4)
 
     @staticmethod
     def from_word(word: str, phase_power: int = 0) -> "PauliString":

@@ -168,26 +168,29 @@ def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(a)
 
 
-def snap_to_ray(vector, *, max_snap_norm: int = DEFAULT_MAX_SNAP_NORM) -> Ray:
-    """Round a numerical eigenvector to the exact integer ray it approximates.
+def snap_rays(vectors, *, max_snap_norm: int = DEFAULT_MAX_SNAP_NORM) -> list[Ray]:
+    """Round every eigenvector column to its exact integer ray, in one vectorized pass.
 
-    Divides by the largest-magnitude entry (fixing scale and global phase),
-    then looks for the smallest integer multiplier k <= max_snap_norm under
-    which every entry sits within ``SNAP_TOLERANCE`` of a Gaussian integer.
-    The result is only trusted after the caller's exact re-verification.
+    Each column is divided by its largest-magnitude entry (fixing scale and global
+    phase), then takes its own smallest multiplier k <= max_snap_norm (a broadcast
+    axis) that puts every entry within ``SNAP_TOLERANCE`` of a Gaussian integer.
     """
-    v = np.asarray(vector, dtype=complex)
-    lead = int(np.argmax(np.abs(v)))
-    if abs(v[lead]) == 0.0:
-        raise SnapError(v)
-    w = v / v[lead]
-    for k in range(1, max_snap_norm + 1):
-        scaled = w * k
-        re = np.round(scaled.real).astype(int)
-        im = np.round(scaled.imag).astype(int)
-        if float(np.max(np.abs(scaled - (re + 1j * im)))) <= SNAP_TOLERANCE:
-            return Ray.from_parts(zip(re.tolist(), im.tolist()))
-    raise SnapError(v)
+    v = np.asarray(vectors, dtype=complex)
+    lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    w = v / np.where(lead == 0, 1, lead)
+    scaled = np.arange(1, max_snap_norm + 1)[:, None, None] * w  # (k, entry, column)
+    rounded = np.round(scaled)
+    fits = (np.max(np.abs(scaled - rounded), axis=1) <= SNAP_TOLERANCE) & (lead != 0)
+    if not (snapped := fits.any(axis=0)).all():
+        raise SnapError(v[:, np.argmin(snapped)])
+    chosen = rounded[np.argmax(fits, axis=0), :, np.arange(v.shape[1])]  # (column, entry)
+    re, im = chosen.real.astype(int).tolist(), chosen.imag.astype(int).tolist()
+    return [Ray.from_parts(zip(r, i)) for r, i in zip(re, im)]
+
+
+def snap_to_ray(vector, *, max_snap_norm: int = DEFAULT_MAX_SNAP_NORM) -> Ray:
+    """``snap_rays`` on one vector."""
+    return snap_rays(np.asarray(vector).reshape(-1, 1), max_snap_norm=max_snap_norm)[0]
 
 
 def _exact_integer_spectrum(p_exact: ExactMatrix, spectrum: set[int]) -> dict[int, int]:
@@ -210,18 +213,29 @@ def _exact_integer_spectrum(p_exact: ExactMatrix, spectrum: set[int]) -> dict[in
 
 
 def eigen_sign(operator: ExactMatrix, ray: Ray, name: str) -> int:
-    """The eigenvalue (+1 or -1) of a dichotomic operator on an exact ray.
+    """The eigenvalue (+1 or -1) of a dichotomic Hermitian operator on an exact ray.
 
     Raises VerificationError, naming ``name``, unless the ray is exactly an
     eigenvector of ``operator`` with eigenvalue +1 or -1. With M = M_num/den,
-    M v = +/-v exactly when M_num v = +/-den*v, compared on integers.
+    M v = +/-v exactly when M_num v = +/-den*v, compared on integers over all d
+    entries: on the ray's support entry by entry, and off it by counting the
+    image's zeros. ``operator`` must be Hermitian, so that column j of M_num is
+    the conjugate of row j and M_num v is built from the ray's support alone.
     """
     v = ray.parts
-    image = operator.apply_integer(v)
-    for sign in (1, -1):
-        sd = sign * operator.den
-        if image == (v if sd == 1 else tuple((sd * re, sd * im) for re, im in v)):
-            return sign
+    if operator.cols != len(v):
+        raise ValueError("ray length does not match the operator")
+    support = [(j, c) for j, c in enumerate(v) if c != (0, 0)]
+    image = [(0, 0)] * len(v)
+    for j, (br, bi) in support:
+        for i, ar, ai in operator.nonzeros[j]:  # conj(ar + i*ai) * (br + i*bi)
+            re, im = image[i]
+            image[i] = (re + ar * br + ai * bi, im + ar * bi - ai * br)
+    if image.count((0, 0)) == len(v) - len(support):
+        for sign in (1, -1):
+            sd = sign * operator.den
+            if all(image[j] == (sd * re, sd * im) for j, (re, im) in support):
+                return sign
     raise VerificationError(f"{ray!r} is not a +/-1 eigenvector of {name}")
 
 
@@ -260,17 +274,15 @@ def joint_context(
         # fewer than d candidates, certified to sum to d: some multiplicity exceeds 1
         raise DegeneratePencilError(_exact_integer_spectrum(p_exact, set(spectrum)))
 
-    rays = []
+    rays = snap_rays(eigenvectors, max_snap_norm=max_snap_norm)
     eigentable = []
-    for k, lam in enumerate(spectrum):
-        ray = snap_to_ray(eigenvectors[:, k], max_snap_norm=max_snap_norm)
+    for ray, lam in zip(rays, spectrum):
         signs = tuple(eigen_sign(t, ray, f"term {i}") for i, t in enumerate(p.terms))
         if sum(a * s for a, s in zip(p.coefficients, signs)) != lam:
             raise VerificationError(
                 f"per-term signs of {ray!r} do not recombine to the pencil "
                 f"eigenvalue {lam}"
             )
-        rays.append(ray)
         eigentable.append(signs)
 
     return Context(tuple(rays), tuple(eigentable), tuple(spectrum))

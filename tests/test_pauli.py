@@ -1,5 +1,8 @@
 import itertools
+import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qpencil.exact import ExactMatrix, commutator_is_zero
@@ -167,3 +170,17 @@ class TestTextForm:
             parse_pauli("ZQ")
         with pytest.raises(ValueError):
             parse_pauli("ZX", site_count=3)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("k", [0.5, 2.0, Fraction(1, 2), "1"], ids=repr)
+    def test_non_integer_phase_power_rejected(self, k):
+        # 0.5 % 4 used to survive: str raised KeyError and p * p came out as +i II
+        with pytest.raises(ValueError, match=f"phase power {re.escape(repr(k))} is not"):
+            PauliString(("X", "Y"), k)
+
+    def test_numpy_integer_phase_power_accepted(self):
+        p = PauliString(("X", "Y"), np.int64(6))
+        assert p == PauliString(("X", "Y"), 2)
+        assert type(p.phase_power) is int
+        assert str(p) == "-1 XY"

@@ -1,3 +1,4 @@
+import ast
 import random
 import re
 from fractions import Fraction
@@ -5,10 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpencil import pencil
+from qpencil import cli, pencil
 from qpencil.exact import ExactMatrix, GaussianRational, Ray, commutator_is_zero
+from qpencil.parity import ParityScenario
 from qpencil.pauli import PauliString, commutes, multiply, parse_pauli, realization
 from qpencil.pencil import (
+    DEFAULT_MAX_SNAP_NORM,
     DegeneratePencilError,
     Pencil,
     PencilError,
@@ -20,6 +23,7 @@ from qpencil.pencil import (
     evaluate,
     hermitian_eigensystem,
     joint_context,
+    snap_rays,
     snap_to_ray,
 )
 
@@ -276,6 +280,21 @@ class TestJointContext:
         with pytest.raises(VerificationError, match="recombine"):
             joint_context(mats(*SQUARE_TRIPLES["row1"]), (1, 2, 4))
 
+    def test_shifted_degenerate_eigenvalues_are_rejected(self, monkeypatch):
+        # the degenerate branch trusts no rounded eigenvalue: shifted by +2, the
+        # candidates -1, 1, 3, 5 get rank-certified multiplicities 2, 2, 2, 0
+        solve = pencil.hermitian_eigensystem
+
+        def shifted(m):
+            w, v = solve(m)
+            return w + 2, v
+
+        monkeypatch.setattr(pencil, "hermitian_eigensystem", shifted)
+        with pytest.raises(VerificationError, match="certified multiplicities") as err:
+            joint_context(mats("ZII", "IZI"))
+        found = re.search(r"multiplicities (\{.*?\})", str(err.value)).group(1)
+        assert ast.literal_eval(found) == {-1: 2, 1: 2, 3: 2, 5: 0}
+
     def test_context_json_schema(self):
         ctx = joint_context(mats("ZX", "YY"), (1, 2))
         data = ctx.to_json()
@@ -305,6 +324,68 @@ _NONDEGENERATE = [
     ("XXX", "XYY", "YXY", "YYX"),
     *(ghz_words(n) for n in (2, 3, 4)),
 ]
+
+
+def _snap_column_reference(v, max_snap_norm):
+    """Per-column snap, written independently of ``snap_rays``: None if no k fits."""
+    v = np.asarray(v, dtype=complex)
+    lead = v[int(np.argmax(np.abs(v)))]
+    if lead == 0:
+        return None
+    for k in range(1, max_snap_norm + 1):
+        scaled = v / lead * k
+        near = np.round(scaled.real) + 1j * np.round(scaled.imag)
+        if np.max(np.abs(scaled - near)) <= pencil.SNAP_TOLERANCE:
+            re, im = near.real.astype(int).tolist(), near.imag.astype(int).tolist()
+            return Ray.from_parts(zip(re, im))
+    return None
+
+
+def _builtin_and_ghz_term_lists():
+    """Term matrices of every built-in scenario group and of GHZ n = 2..5."""
+    cases = []
+    for name in sorted(cli.BUILTINS):
+        s = cli.load_builtin(name)
+        for gi, group in enumerate(s.groups):
+            words = ParityScenario(group, s.site_count).composed()
+            cases.append(pytest.param([realization(w) for w in words], id=f"{name}-{gi + 1}"))
+    for n in (2, 3, 4, 5):
+        cases.append(pytest.param(mats(*ghz_words(n)), id=f"ghz{n}"))
+    return cases
+
+
+class TestSnapRays:
+    def test_each_column_takes_its_own_smallest_multiplier(self):
+        # columns need k = 1, 2 and 3; no single k <= 3 fits all three
+        cols = [np.array(c, dtype=complex) for c in ([1, 1, 0], [2, 1, 0], [3, 0, 1])]
+        phases = np.exp(1j * np.array([0.3, -1.1, 2.0]))
+        v = np.column_stack([p * c / np.linalg.norm(c) for p, c in zip(phases, cols)])
+        assert snap_rays(v, max_snap_norm=3) == [Ray([1, 1, 0]), Ray([2, 1, 0]), Ray([3, 0, 1])]
+        assert snap_rays(v[:, :2], max_snap_norm=2) == [Ray([1, 1, 0]), Ray([2, 1, 0])]
+        with pytest.raises(SnapError) as err:
+            snap_rays(v, max_snap_norm=2)
+        assert np.array_equal(err.value.vector, v[:, 2])
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [0.3, 0.7, 0.0]])
+    def test_error_carries_the_failing_column(self, bad):
+        v = np.column_stack([[1.0, 0.0, 0.0], bad, [0.0, 1.0, 1.0]])
+        with pytest.raises(SnapError) as err:
+            snap_rays(v)
+        assert np.array_equal(err.value.vector, np.asarray(bad, dtype=complex))
+
+    @pytest.mark.parametrize("terms", _builtin_and_ghz_term_lists())
+    def test_batch_matches_per_column_snap(self, terms):
+        _, v = hermitian_eigensystem(evaluate(build(terms)).to_complex_array())
+        reference = [_snap_column_reference(v[:, k], DEFAULT_MAX_SNAP_NORM) for k in range(len(v))]
+        if None in reference:  # a degenerate pencil: eigh may mix an eigenspace
+            first_bad = reference.index(None)
+            with pytest.raises(SnapError) as err:
+                snap_rays(v)
+            assert np.array_equal(err.value.vector, v[:, first_bad])
+            with pytest.raises(SnapError):
+                snap_to_ray(v[:, first_bad])
+        else:
+            assert snap_rays(v) == [snap_to_ray(v[:, k]) for k in range(len(v))] == reference
 
 
 class TestRayCertificate:
@@ -405,3 +486,55 @@ class TestEigenSign:
         assert eigen_sign(m, Ray([1, -2]), "M") == -1
         with pytest.raises(VerificationError, match="not a \\+/-1 eigenvector of M"):
             eigen_sign(m, Ray([1, 0]), "M")
+
+    def test_image_leaking_off_the_support_is_rejected(self):
+        # M (1, 0) = (1, 1): equal to v on v's support, nonzero off it
+        m = ExactMatrix.from_rows([[1, 1], [1, 0]])
+        with pytest.raises(VerificationError, match="not a \\+/-1 eigenvector"):
+            eigen_sign(m, Ray([1, 0]), "M")
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="length"):
+            eigen_sign(mats("ZZ")[0], Ray([1, 0]), "ZZ")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_image(self, seed):
+        # the support-only image must decide exactly as the dense M v = s v does
+        rng = random.Random(seed)
+        cases = []
+        for n in (1, 2, 3, 4):
+            family = _random_commuting_family(rng, n, n)
+            probes = family + [
+                PauliString(tuple(rng.choice("IXYZ") for _ in range(n)), rng.choice((0, 2)))
+                for _ in range(4)
+            ]
+            probes.append(PauliString(("Y",) * n, 2))
+            rays = list(joint_context([realization(w) for w in family]).rays)
+            for _ in range(6):
+                parts = [
+                    (rng.randint(-2, 2), rng.randint(-2, 2)) if rng.random() < 0.5 else (0, 0)
+                    for _ in range(2**n)
+                ]
+                if parts.count((0, 0)) < len(parts):
+                    rays.append(Ray.from_parts(parts))
+            cases += [(realization(w), str(w), r) for w in probes for r in rays]
+        reflection = ExactMatrix.from_rows(
+            [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]
+        )
+        for parts in [(2, 1), (1, -2), (1, 0), (0, 1), (1, 1), (2, -1)]:
+            cases.append((reflection, "R", Ray.from_parts([(x, 0) for x in parts])))
+        outcomes = set()
+        for m, name, ray in cases:
+            comps = ray.components
+            image = m.apply(comps)
+            expected = next(
+                (s for s in (1, -1) if image == tuple(GaussianRational(s) * c for c in comps)),
+                None,
+            )
+            outcomes.add(expected)
+            if expected is None:
+                with pytest.raises(VerificationError):
+                    eigen_sign(m, ray, name)
+            else:
+                assert eigen_sign(m, ray, name) == expected
+        assert outcomes == {1, -1, None}
