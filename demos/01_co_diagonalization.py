@@ -40,20 +40,22 @@ for lam in (1, -1):
 # %%
 # None of those vectors is an eigenvector of the second matrix (apply it and
 # compare): the individual eigensystems are useless for joint measurement.
+# The second matrix squares to the identity, so an eigenvector's image is
+# +v or -v.
 
 
-def is_eigenvector(matrix, comps):
-    image = matrix.apply(comps)
-    pivot = next(i for i, c in enumerate(comps) if not c.is_zero())
-    lam = image[pivot] / comps[pivot]
-    return all((img - lam * c).is_zero() for img, c in zip(image, comps))
+def is_eigenvector(matrix, vec):
+    image = matrix.apply(vec)
+    return any(
+        image == tuple(GaussianRational(s * c.re, s * c.im) for c in vec)
+        for s in (1, -1)
+    )
 
 
 for lam in (1, -1):
     shifted = first - ExactMatrix.identity(4).scale(lam)
     for vec in nullspace(shifted):
-        comps = tuple(GaussianRational.coerce(c) for c in vec)
-        print("eigenvector of second matrix?", is_eigenvector(second, comps))
+        print("eigenvector of second matrix?", is_eigenvector(second, vec))
 
 # %%
 # The pencil 1*first + 2*second has four distinct eigenvalues; its snapped

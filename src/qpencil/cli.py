@@ -56,6 +56,7 @@ BUILTINS = {
     "bipartite": "bipartite.scn",
     "intro-pair": "intro_pair.scn",
 }
+SITE_CAP = 10  # a pencil over N sites has dimension 2^N; its cost grows as 4^N
 
 
 class ScenarioError(ValueError):
@@ -101,8 +102,8 @@ def parse_scenario(text: bytes | str) -> ScenarioFile:
                 raise ScenarioParseError(ln, "duplicate sites declaration")
             parts = line.split()
             count = parts[1] if len(parts) == 2 and parts[1].isascii() else ""
-            if not count.isdigit() or int(count) < 1:
-                raise ScenarioParseError(ln, "expected 'sites N' with N >= 1")
+            if not count.isdigit() or not 1 <= int(count) <= SITE_CAP:
+                raise ScenarioParseError(ln, f"expected 'sites N' with 1 <= N <= {SITE_CAP}")
             site_count = int(count)
         elif head == "mode":
             if mode is not None:

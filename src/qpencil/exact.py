@@ -6,8 +6,9 @@ denominator, so its arithmetic runs on Python ints and a Pauli realization
 has one entry per row. Rank and nullspace come from fraction-free (Bareiss)
 elimination over Z[i]. Rays are projective Gaussian-integer vectors reduced
 to a unique canonical representative so they can be hashed, deduplicated
-and compared. The scalar ``GaussianRational``, a pair of ``Fraction``s, only
-takes rational input and reads entries out.
+and compared. The scalar ``GaussianRational``, a pair of ``Fraction``s, has
+no arithmetic: it only carries rational input in and reads entries, nullspace
+vectors and inner products out.
 """
 
 from __future__ import annotations
@@ -46,48 +47,8 @@ class GaussianRational:
             return x
         return GaussianRational(_as_fraction(x))
 
-    def __add__(self, other: ScalarLike) -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: ScalarLike) -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __mul__(self, other: ScalarLike) -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: ScalarLike) -> "GaussianRational":
-        o = GaussianRational.coerce(other)
-        n = o.norm_squared()
-        if n == 0:
-            raise ZeroDivisionError("division by exact zero")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -96,16 +57,6 @@ class GaussianRational:
             return f"{self.im}i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
-
-    def to_json(self) -> list[int]:
-        """Encode as ``[re_num, re_den, im_num, im_den]``."""
-        re, im = self.re, self.im
-        return [re.numerator, re.denominator, im.numerator, im.denominator]
-
-    @staticmethod
-    def from_json(quad: Sequence[int]) -> "GaussianRational":
-        rn, rd, im, id_ = quad
-        return GaussianRational(Fraction(rn, rd), Fraction(im, id_))
 
 
 ZERO = GaussianRational(0)
@@ -366,23 +317,6 @@ class ExactMatrix:
                 out[i, j] = complex(re / self.den, im / self.den)
         return out
 
-    def to_json(self) -> dict:
-        entries = [e.to_json() for i in range(self.rows) for e in self.row(i)]
-        return {"rows": self.rows, "cols": self.cols, "entries": entries}
-
-    @staticmethod
-    def from_json(data: dict) -> "ExactMatrix":
-        entries = [GaussianRational.from_json(q) for q in data["entries"]]
-        c = data["cols"]
-        return ExactMatrix.from_rows([entries[i : i + c] for i in range(0, len(entries), c)])
-
-    def __str__(self) -> str:
-        cells = [[str(x) for x in self.row(i)] for i in range(self.rows)]
-        width = max((len(c) for row in cells for c in row), default=1)
-        return "\n".join(
-            "[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells
-        )
-
 
 def linear_combination(
     coefficients: Sequence[int], matrices: Sequence[ExactMatrix]
@@ -410,17 +344,6 @@ def _product_rows(a: ExactMatrix, b: ExactMatrix) -> tuple[SparseRow, ...]:
                    for k, ar, ai in ra for j, br, bi in b.nonzeros[k])
         for ra in a.nonzeros
     )
-
-
-def tensor(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Kronecker product; satisfies (A tensor B)(C tensor D) = AC tensor BD."""
-    rows = tuple(
-        tuple((ja * b.cols + jb, *_gmul((ar, ai), (br, bi)))
-              for ja, ar, ai in ra for jb, br, bi in rb)
-        for ra in a.nonzeros
-        for rb in b.nonzeros
-    )
-    return ExactMatrix(a.rows * b.rows, a.cols * b.cols, rows, a.den * b.den)
 
 
 def commutator_is_zero(a: ExactMatrix, b: ExactMatrix) -> bool:

@@ -95,13 +95,10 @@ class ContextHypergraph:
         edges = enumerate_contexts(adjacency, dim)
         return ContextHypergraph(tuple(vertices), tuple(edges), dim)
 
-    def edge_rays(self, edge_index: int) -> tuple[Ray, ...]:
-        return tuple(self.vertices[i] for i in self.edges[edge_index])
-
     def sub_hypergraph(self, edge_indices: Sequence[int]) -> "ContextHypergraph":
         """Induced sub-collection; vertices outside the chosen edges are dropped."""
         return ContextHypergraph.from_ray_groups(
-            [self.edge_rays(i) for i in edge_indices]
+            [[self.vertices[v] for v in self.edges[i]] for i in edge_indices]
         )
 
     def to_json(self) -> dict:

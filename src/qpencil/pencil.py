@@ -96,10 +96,6 @@ class Pencil:
                 if not commutator_is_zero(terms[i], terms[j]):
                     raise PencilError(f"terms {i} and {j} do not commute")
 
-    @property
-    def dim(self) -> int:
-        return self.terms[0].rows
-
 
 @dataclass(frozen=True)
 class Context:
@@ -113,10 +109,6 @@ class Context:
     rays: tuple[Ray, ...]
     eigentable: tuple[tuple[int, ...], ...]
     pencil_eigenvalues: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.rays[0].dim
 
     def to_json(self) -> dict:
         return {

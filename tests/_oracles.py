@@ -8,18 +8,51 @@ eigenspace intersection instead of the numerical pencil pipeline.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
 from qpencil.exact import ExactMatrix, GaussianRational, Ray, nullspace
 
+# Complex numbers as (re, im) Fraction pairs, with arithmetic of their own.
 
-def raw_inner(u, v):
-    """Inner product of plain integer component lists (no canonicalization)."""
-    acc = GaussianRational(0)
+
+def pair(z) -> tuple[Fraction, Fraction]:
+    """An int, Fraction or GaussianRational as an (re, im) Fraction pair."""
+    if isinstance(z, GaussianRational):
+        return z.re, z.im
+    return Fraction(z), Fraction(0)
+
+
+def padd(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def psub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def pmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def pdiv(a, b):
+    n = b[0] * b[0] + b[1] * b[1]
+    return (a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n
+
+
+def raw_inner(u, v) -> tuple[Fraction, Fraction]:
+    """Inner product of plain component lists (no canonicalization), as a pair."""
+    acc = pair(0)
     for a, b in zip(u, v):
-        acc = acc + GaussianRational.coerce(a).conjugate() * GaussianRational.coerce(b)
+        re, im = pair(a)
+        acc = padd(acc, pmul((re, -im), pair(b)))
     return acc
+
+
+def signed_components(ray: Ray, s: int) -> tuple[GaussianRational, ...]:
+    """The components of s * v for the ray's integer vector v, written out."""
+    return tuple(GaussianRational(s * re, s * im) for re, im in ray.parts)
 
 
 def brute_state_count(edges: list[tuple[int, ...]], n_vertices: int) -> int:
@@ -60,7 +93,7 @@ def joint_eigenrays_by_intersection(matrices: list[ExactMatrix]) -> set[Ray]:
     return rays
 
 
-def two_qubit_determinant(v) -> GaussianRational:
-    """v0*v3 - v1*v2 for a 4-component vector."""
-    c = [GaussianRational.coerce(x) for x in v]
-    return c[0] * c[3] - c[1] * c[2]
+def two_qubit_determinant(v) -> tuple[Fraction, Fraction]:
+    """v0*v3 - v1*v2 for a 4-component vector, as a pair."""
+    c = [pair(x) for x in v]
+    return psub(pmul(c[0], c[3]), pmul(c[1], c[2]))

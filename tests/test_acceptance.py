@@ -13,7 +13,6 @@ import pytest
 
 from qpencil.exact import (
     ExactMatrix,
-    GaussianRational,
     Ray,
     commutator_is_zero,
     is_product_state,
@@ -41,7 +40,7 @@ from _fixtures import (
     HEADERS_PLAIN,
     SQUARE_TRIPLES,
 )
-from _oracles import brute_state_count
+from _oracles import brute_state_count, signed_components
 
 
 def mats(*words):
@@ -222,13 +221,8 @@ def test_criterion_7_intro_fixture():
 
     ctx = joint_context([first, second], (1, 2))
     for ray, signs in zip(ctx.rays, ctx.eigentable):
-        comps = ray.components
         for matrix, s in zip((first, second), signs):
-            image = matrix.apply(comps)
-            assert all(
-                (img - GaussianRational(s) * c).is_zero()
-                for img, c in zip(image, comps)
-            )
+            assert matrix.apply(ray.components) == signed_components(ray, s)
 
     def own_eigenbasis(matrix):
         basis = []
@@ -238,11 +232,9 @@ def test_criterion_7_intro_fixture():
         return basis
 
     def is_eigenvector(matrix, ray):
-        comps = ray.components
-        image = matrix.apply(comps)
-        pivot = next(i for i, c in enumerate(comps) if not c.is_zero())
-        lam = image[pivot] / comps[pivot]
-        return all((img - lam * c).is_zero() for img, c in zip(image, comps))
+        # both matrices square to the identity, so any eigenvalue is +1 or -1
+        image = matrix.apply(ray.components)
+        return any(image == signed_components(ray, s) for s in (1, -1))
 
     basis_first = own_eigenbasis(first)
     basis_second = own_eigenbasis(second)
@@ -305,13 +297,8 @@ def test_criterion_9_property_suites(pm_contexts):
     for name, ctx in pm_contexts.items():
         terms = mats(*SQUARE_TRIPLES[name])
         for ray, signs in zip(ctx.rays, ctx.eigentable):
-            comps = ray.components
             for term, s in zip(terms, signs):
-                image = term.apply(comps)
-                assert all(
-                    (img - GaussianRational(s) * c).is_zero()
-                    for img, c in zip(image, comps)
-                )
+                assert term.apply(ray.components) == signed_components(ray, s)
 
     # solver vs 2^|V| brute force on sub-hypergraphs drawn from the 24-24 set
     rays = [Ray(v) for v in ALL_24_RAY_LITERALS]

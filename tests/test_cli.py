@@ -372,7 +372,9 @@ class TestExitCodes:
         assert "scenario error: ZX*XZ and -1 ZI do not commute" in err
 
     @pytest.mark.parametrize(
-        "count", ["\u00b2", "\u0663", "0", "-1", "2 2"], ids=["sup2", "arabic3", "0", "-1", "2-2"]
+        "count",
+        ["\u00b2", "\u0663", "0", "-1", "2 2", "11"],
+        ids=["sup2", "arabic3", "0", "-1", "2-2", "11"],
     )
     def test_non_ascii_or_nonpositive_site_count_is_1(self, capsys, tmp_path, count):
         path = _write(tmp_path, f"sites {count}\ngroup\nZX\n")

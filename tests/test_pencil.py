@@ -33,7 +33,7 @@ from _fixtures import (
     HEADERS_PLAIN,
     SQUARE_TRIPLES,
 )
-from _oracles import joint_eigenrays_by_intersection
+from _oracles import joint_eigenrays_by_intersection, signed_components
 
 
 def mats(*words):
@@ -238,11 +238,8 @@ class TestJointContext:
                 for j in range(i + 1, 4):
                     assert inner_product(rays[i], rays[j]).is_zero()
             for ray, signs in zip(rays, ctx.eigentable):
-                comps = ray.components
                 for term, s in zip(terms, signs):
-                    image = term.apply(comps)
-                    scaled = [GaussianRational(s) * c for c in comps]
-                    assert all((a - b).is_zero() for a, b in zip(image, scaled))
+                    assert term.apply(ray.components) == signed_components(ray, s)
 
     def test_ghzm_context_entangled_rays(self):
         from qpencil.exact import is_product_state
@@ -525,12 +522,8 @@ class TestEigenSign:
             cases.append((reflection, "R", Ray.from_parts([(x, 0) for x in parts])))
         outcomes = set()
         for m, name, ray in cases:
-            comps = ray.components
-            image = m.apply(comps)
-            expected = next(
-                (s for s in (1, -1) if image == tuple(GaussianRational(s) * c for c in comps)),
-                None,
-            )
+            image = m.apply(ray.components)
+            expected = next((s for s in (1, -1) if image == signed_components(ray, s)), None)
             outcomes.add(expected)
             if expected is None:
                 with pytest.raises(VerificationError):
