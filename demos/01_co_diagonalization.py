@@ -11,12 +11,7 @@
 # Hermitian, commutes with both terms, and for generic weights has a simple
 # spectrum whose eigenbasis diagonalizes A and B simultaneously.
 
-from qpencil import (
-    ExactMatrix,
-    GaussianRational,
-    commutator_is_zero,
-    joint_context,
-)
+from qpencil import ExactMatrix, commutator_is_zero, joint_context
 from qpencil.exact import nullspace
 
 first = ExactMatrix.from_rows(
@@ -30,12 +25,21 @@ print("commute:", commutator_is_zero(first, second))
 
 # %%
 # Each matrix on its own: both have eigenvalues +1 and -1 with multiplicity
-# two. A canonical exact eigenbasis of the first matrix:
+# two. A canonical exact eigenbasis of the first matrix, whose exact
+# entries read out as (re, im) pairs of Fractions:
+
+
+def scalar_text(z):
+    re, im = z
+    if im == 0:
+        return str(re)
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}i" if re else f"{im}i"
+
 
 for lam in (1, -1):
     shifted = first - ExactMatrix.identity(4).scale(lam)
     for vec in nullspace(shifted):
-        print(f"eigenvalue {lam:+d}: ", [str(c) for c in vec])
+        print(f"eigenvalue {lam:+d}: ", [scalar_text(c) for c in vec])
 
 # %%
 # None of those vectors is an eigenvector of the second matrix (apply it and
@@ -46,10 +50,7 @@ for lam in (1, -1):
 
 def is_eigenvector(matrix, vec):
     image = matrix.apply(vec)
-    return any(
-        image == tuple(GaussianRational(s * c.re, s * c.im) for c in vec)
-        for s in (1, -1)
-    )
+    return any(image == tuple((s * re, s * im) for re, im in vec) for s in (1, -1))
 
 
 for lam in (1, -1):

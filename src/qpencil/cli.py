@@ -28,7 +28,6 @@ from typing import Sequence
 from .logic import (
     ContextHypergraph,
     classify_contexts,
-    is_separating,
     noncolorable_subsets,
     to_dot,
     two_valued_states,
@@ -229,9 +228,9 @@ def _parity_keys(scenario: ParityScenario, ctx: Context | None) -> dict:
     except ParityError as e:
         keys = {"parity": {"skipped": str(e)}}
     if ctx is not None:
-        h = ContextHypergraph.from_ray_groups([ctx.rays])
-        states = two_valued_states(h)
-        keys["states"] = {"count": len(states), "separating": is_separating(states, h)}
+        # the rays are one certified basis: its states each pick one ray, so
+        # there are d of them and they separate every pair of rays
+        keys["states"] = {"count": len(ctx.rays), "separating": True}
         keys["eigenstate_table"] = [list(row) for row in ctx.eigentable]
     return keys
 

@@ -6,9 +6,9 @@ denominator, so its arithmetic runs on Python ints and a Pauli realization
 has one entry per row. Rank and nullspace come from fraction-free (Bareiss)
 elimination over Z[i]. Rays are projective Gaussian-integer vectors reduced
 to a unique canonical representative so they can be hashed, deduplicated
-and compared. The scalar ``GaussianRational``, a pair of ``Fraction``s, has
-no arithmetic: it only carries rational input in and reads entries, nullspace
-vectors and inner products out.
+and compared. There is one scalar form, the (re, im) pair: an exact input
+scalar is an int, a ``Fraction`` or an (re, im) pair of them, and entries,
+images and nullspace vectors read out as ``(Fraction, Fraction)`` pairs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,11 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Sequence, Union
 
-ScalarLike = Union["GaussianRational", int, Fraction]
+ScalarLike = Union[int, Fraction, Sequence]  # a rational, or an (re, im) pair of them
+Pair = tuple[Fraction, Fraction]
+
+ZERO: Pair = (Fraction(0), Fraction(0))
+ONE: Pair = (Fraction(1), Fraction(0))
 
 
 def _as_fraction(x) -> Fraction:
@@ -30,52 +34,25 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
-
-    re: Fraction
-    im: Fraction
-
-    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
-
-    @staticmethod
-    def coerce(x: ScalarLike) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        return GaussianRational(_as_fraction(x))
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
-
-
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-
-
-def _scalar(re: int, im: int, den: int) -> GaussianRational:
-    return GaussianRational(Fraction(re, den), Fraction(im, den))
+def _scalar(re: int, im: int, den: int) -> Pair:
+    return Fraction(re, den), Fraction(im, den)
 
 
 def _over_common_den(
     values: Iterable[ScalarLike],
 ) -> tuple[list[tuple[int, int]], int]:
-    """Gaussian-integer numerators of the values over the lcm of their denominators."""
-    vals = [GaussianRational.coerce(v) for v in values]
-    den = math.lcm(*(x.denominator for v in vals for x in (v.re, v.im)))
+    """Gaussian-integer numerators of the values over the lcm of their denominators;
+    an (re, im) pair may be a tuple or a list."""
+    vals = [
+        (_as_fraction(v[0]), _as_fraction(v[1]))
+        if isinstance(v, (tuple, list)) and len(v) == 2
+        else (_as_fraction(v), Fraction(0))
+        for v in values
+    ]
+    den = math.lcm(*(x.denominator for v in vals for x in v))
     return [
-        (v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
-        for v in vals
+        (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
+        for re, im in vals
     ], den
 
 
@@ -145,7 +122,8 @@ class Ray:
     __slots__ = ("parts",)  # canonical components as Gaussian-integer (re, im) pairs
 
     def __init__(self, components: Iterable[ScalarLike]):
-        """The ray through exact scalars; their denominators are cleared first."""
+        """The ray through exact scalars, such as ``to_json()``'s output; their
+        denominators are cleared first."""
         self.parts = _canonical(_over_common_den(components)[0])
 
     @staticmethod
@@ -158,10 +136,6 @@ class Ray:
     @property
     def dim(self) -> int:
         return len(self.parts)
-
-    @property
-    def components(self) -> tuple[GaussianRational, ...]:
-        return tuple(GaussianRational(re, im) for re, im in self.parts)
 
     def is_real(self) -> bool:
         return all(im == 0 for _, im in self.parts)
@@ -176,20 +150,13 @@ class Ray:
         return self.parts < other.parts
 
     def __repr__(self) -> str:
-        return f"Ray(({', '.join(str(GaussianRational(r, i)) for r, i in self.parts)}))"
+        return f"Ray({self.to_json()})"
 
     def to_json(self):
         """Integer component array; complex components become [re, im] pairs."""
         if self.is_real():
             return [re for re, _ in self.parts]
         return [[re, im] for re, im in self.parts]
-
-    @staticmethod
-    def from_json(data: Sequence) -> "Ray":
-        parts = [tuple(c) if isinstance(c, (list, tuple)) else (c, 0) for c in data]
-        if not all(len(c) == 2 and all(isinstance(x, int) for x in c) for c in parts):
-            raise TypeError(f"ray components must be integers or [re, im] pairs: {data!r}")
-        return Ray.from_parts(parts)
 
 
 def _inner(u: Ray, v: Ray) -> tuple[int, int]:
@@ -202,9 +169,9 @@ def _inner(u: Ray, v: Ray) -> tuple[int, int]:
     return re, im
 
 
-def inner_product(u: Ray, v: Ray) -> GaussianRational:
-    """Hermitian inner product sum(conj(u_i) * v_i), exactly."""
-    return GaussianRational(*_inner(u, v))
+def inner_product(u: Ray, v: Ray) -> tuple[int, int]:
+    """Hermitian inner product sum(conj(u_i) * v_i) as a Gaussian-integer pair."""
+    return _inner(u, v)
 
 
 def is_orthogonal(u: Ray, v: Ray) -> bool:
@@ -268,10 +235,10 @@ class ExactMatrix:
     def identity(n: int) -> "ExactMatrix":
         return ExactMatrix(n, n, tuple(((i, 1, 0),) for i in range(n)))
 
-    def at(self, i: int, j: int) -> GaussianRational:
+    def at(self, i: int, j: int) -> Pair:
         return self.row(i)[j]
 
-    def row(self, i: int) -> tuple[GaussianRational, ...]:
+    def row(self, i: int) -> tuple[Pair, ...]:
         out = [ZERO] * self.cols
         for j, re, im in self.nonzeros[i]:
             out[j] = _scalar(re, im, self.den)
@@ -302,7 +269,7 @@ class ExactMatrix:
     def is_hermitian(self) -> bool:
         return self.rows == self.cols and self == self.conjugate_transpose()
 
-    def apply(self, vec: Sequence[ScalarLike]) -> tuple[GaussianRational, ...]:
+    def apply(self, vec: Sequence[ScalarLike]) -> tuple[Pair, ...]:
         """The exact image M v, read off the product with v as a one-column matrix."""
         nums, vden = _over_common_den(vec)
         image = self @ ExactMatrix(len(nums), 1, _sparse([x] for x in nums), vden)
@@ -398,7 +365,7 @@ def rank(m: ExactMatrix) -> int:
     return len(_rref(m)[1])
 
 
-def nullspace(m: ExactMatrix) -> list[tuple[GaussianRational, ...]]:
+def nullspace(m: ExactMatrix) -> list[tuple[Pair, ...]]:
     """Exact basis of the right nullspace (reduced row echelon back-substitution)."""
     work, pivots = _rref(m)
     dr, di = work[0][pivots[0]] if pivots else (1, 0)

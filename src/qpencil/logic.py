@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -111,7 +111,7 @@ class ContextHypergraph:
     @staticmethod
     def from_json(data: dict) -> "ContextHypergraph":
         return ContextHypergraph(
-            tuple(Ray.from_json(v) for v in data["vertices"]),
+            tuple(Ray(v) for v in data["vertices"]),
             tuple(tuple(e) for e in data["edges"]),
             data["dim"],
         )
@@ -170,14 +170,20 @@ def _edge_bitmasks(edges: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(sum(1 << v for v in e) for e in edges)
 
 
-def _search(edge_masks: Sequence[int], found: Callable[[int], None]) -> None:
-    """Backtracking search for two-valued states, reporting each to ``found``.
+def two_valued_states(h: ContextHypergraph) -> list[TwoValuedState]:
+    """Complete, deterministic enumeration by backtracking over edges.
 
     Picks the first edge with no 1 yet, tries each still-available vertex
-    (lowest index first) as its designated 1, and propagates 0 to every
-    co-edge vertex. Each complete state's ones-bitmask goes to ``found``, in
-    deterministic search order.
+    (lowest index first) as its designated 1, and propagates 0 to its co-edge
+    vertices, all others on its edges, whose mask is computed once per vertex.
     """
+    edge_masks = _edge_bitmasks(h.edges)
+    n = len(h.vertices)
+    co_edge = [0] * n
+    for e, mask in zip(h.edges, edge_masks):
+        for v in e:
+            co_edge[v] |= mask & ~(1 << v)
+    found: list[int] = []
 
     def rec(ones: int, zeros: int) -> None:
         for e in edge_masks:
@@ -187,37 +193,22 @@ def _search(edge_masks: Sequence[int], found: Callable[[int], None]) -> None:
             while cand:
                 v = cand & -cand
                 cand ^= v
-                nz = zeros
-                for e2 in edge_masks:
-                    if e2 & v:
-                        nz |= e2 & ~v
-                rec(ones | v, nz)
+                rec(ones | v, zeros | co_edge[v.bit_length() - 1])
             return
-        found(ones)
+        found.append(ones)
 
     rec(0, 0)
-
-
-def two_valued_states(h: ContextHypergraph) -> list[TwoValuedState]:
-    """Complete, deterministic enumeration by backtracking over edges."""
-    found: list[int] = []
-    _search(_edge_bitmasks(h.edges), found.append)
-    n = len(h.vertices)
-    states = [
-        TwoValuedState(tuple((ones >> i) & 1 for i in range(n))) for ones in found
-    ]
+    states = [TwoValuedState(tuple((ones >> i) & 1 for i in range(n))) for ones in found]
     states.sort(key=lambda s: s.values)
     return states
 
 
 def is_separating(states: Sequence[TwoValuedState], h: ContextHypergraph) -> bool:
-    """True iff every vertex pair is told apart by some state."""
+    """True iff every vertex pair is told apart by some state, that is iff the
+    vertices' value columns across the states are pairwise distinct."""
     n = len(h.vertices)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not any(s.values[u] != s.values[v] for s in states):
-                return False
-    return True
+    columns = {tuple(s.values[v] for s in states) for v in range(n)}
+    return len(columns) == n
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from qpencil.exact import ExactMatrix, GaussianRational, Ray, nullspace
+from qpencil.exact import ExactMatrix, Ray, nullspace
 
 # Complex numbers as (re, im) Fraction pairs, with arithmetic of their own.
 
 
 def pair(z) -> tuple[Fraction, Fraction]:
-    """An int, Fraction or GaussianRational as an (re, im) Fraction pair."""
-    if isinstance(z, GaussianRational):
-        return z.re, z.im
+    """An int or Fraction, or an (re, im) tuple of them, as an (re, im) Fraction pair."""
+    if isinstance(z, tuple):
+        return Fraction(z[0]), Fraction(z[1])
     return Fraction(z), Fraction(0)
 
 
@@ -50,9 +50,9 @@ def raw_inner(u, v) -> tuple[Fraction, Fraction]:
     return acc
 
 
-def signed_components(ray: Ray, s: int) -> tuple[GaussianRational, ...]:
+def signed_components(ray: Ray, s: int) -> tuple[tuple[int, int], ...]:
     """The components of s * v for the ray's integer vector v, written out."""
-    return tuple(GaussianRational(s * re, s * im) for re, im in ray.parts)
+    return tuple((s * re, s * im) for re, im in ray.parts)
 
 
 def brute_state_count(edges: list[tuple[int, ...]], n_vertices: int) -> int:

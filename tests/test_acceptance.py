@@ -3,7 +3,7 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines. Everything numeric is checked exactly; the only tolerances are the
 stated runtime budgets. Criterion 8 sweeps all 16,777,215 context
-sub-collections and takes a few minutes; the rest complete in seconds.
+sub-collections in well under a second; the rest complete in seconds.
 """
 
 import itertools
@@ -222,7 +222,7 @@ def test_criterion_7_intro_fixture():
     ctx = joint_context([first, second], (1, 2))
     for ray, signs in zip(ctx.rays, ctx.eigentable):
         for matrix, s in zip((first, second), signs):
-            assert matrix.apply(ray.components) == signed_components(ray, s)
+            assert matrix.apply(ray.parts) == signed_components(ray, s)
 
     def own_eigenbasis(matrix):
         basis = []
@@ -233,7 +233,7 @@ def test_criterion_7_intro_fixture():
 
     def is_eigenvector(matrix, ray):
         # both matrices square to the identity, so any eigenvalue is +1 or -1
-        image = matrix.apply(ray.components)
+        image = matrix.apply(ray.parts)
         return any(image == signed_components(ray, s) for s in (1, -1))
 
     basis_first = own_eigenbasis(first)
@@ -298,7 +298,7 @@ def test_criterion_9_property_suites(pm_contexts):
         terms = mats(*SQUARE_TRIPLES[name])
         for ray, signs in zip(ctx.rays, ctx.eigentable):
             for term, s in zip(terms, signs):
-                assert term.apply(ray.components) == signed_components(ray, s)
+                assert term.apply(ray.parts) == signed_components(ray, s)
 
     # solver vs 2^|V| brute force on sub-hypergraphs drawn from the 24-24 set
     rays = [Ray(v) for v in ALL_24_RAY_LITERALS]

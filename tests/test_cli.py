@@ -6,12 +6,15 @@ import pytest
 from qpencil.cli import (
     BUILTINS,
     ScenarioParseError,
+    _solve_groups,
     format_scenario,
     load_builtin,
     main,
     parse_scenario,
+    run_scenario,
 )
-from qpencil.exact import GaussianRational
+from qpencil import exact
+from qpencil.logic import ContextHypergraph, is_separating, two_valued_states
 from qpencil.pauli import PauliString, parse_pauli, realization
 from qpencil.pencil import VerificationError, joint_context
 
@@ -158,11 +161,13 @@ class TestCommands:
         assert out == (GOLDEN / f"{name}.{suffix}").read_text(encoding="utf-8")
 
     def test_no_gaussian_rational_on_the_integer_path(self, capsys, monkeypatch):
-        # from Pauli words to CLI output every scalar is a Gaussian integer
-        def refuse(self, *args):
-            raise RuntimeError("GaussianRational built between words and output")
+        # from Pauli words to CLI output every scalar is a Gaussian integer:
+        # the exact layer builds Fractions only in these two functions
+        def refuse(*args):
+            raise RuntimeError("Fraction scalar built between words and output")
 
-        monkeypatch.setattr(GaussianRational, "__init__", refuse)
+        for name in ("_over_common_den", "_scalar"):
+            monkeypatch.setattr(exact, name, refuse)
         formats = ("text", "json")
         runs = [(name, "--format", fmt) for name in sorted(BUILTINS) for fmt in formats]
         runs += [("pm-square", "--format", "dot"), ("export",), ("subsets", "--critical")]
@@ -172,6 +177,28 @@ class TestCommands:
         ghz5 = ("XXXXX", "ZZIII", "IZZII", "IIZZI", "IIIZZ")
         ctx = joint_context([realization(parse_pauli(w)) for w in ghz5])
         assert len(ctx.rays) == 32
+
+    def test_parity_states_match_the_search(self):
+        # parity mode reads d separating states off a context's certified
+        # basis; the search over that one-context hypergraph must agree
+        scenarios = [load_builtin("ghzm"), load_builtin("bipartite")]
+        for n in range(1, 7):
+            words = ["X" * n] + ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)]
+            text = f"sites {n}\nmode parity\ngroup\n" + "\n".join(words)
+            scenarios.append(parse_scenario(text.encode()))
+        contexts = 0
+        for s in scenarios:
+            groups = run_scenario(s)["groups"]
+            for (_, ctx, _), group in zip(_solve_groups(s, None, False), groups):
+                if ctx is None:
+                    assert "states" not in group
+                    continue
+                h = ContextHypergraph.from_ray_groups([ctx.rays])
+                states = two_valued_states(h)
+                expected = {"count": len(states), "separating": is_separating(states, h)}
+                assert group["states"] == expected == {"count": len(ctx.rays), "separating": True}
+                contexts += 1
+        assert contexts == 9  # ghzm 1, bipartite 2 of 3, GHZ n = 1..6
 
     def test_determinism(self, capsys):
         first = run_cli(capsys, "pm-square", "--format", "json")

@@ -8,6 +8,7 @@ import pytest
 from qpencil.exact import Ray, inner_product
 from qpencil.logic import (
     ContextHypergraph,
+    TwoValuedState,
     classify_contexts,
     enumerate_contexts,
     is_separating,
@@ -95,7 +96,7 @@ class TestEnumerateContexts:
             for i, j in itertools.combinations(e, 2):
                 assert inner_product(
                     pm_hypergraph.vertices[i], pm_hypergraph.vertices[j]
-                ).is_zero()
+                ) == (0, 0)
 
 
 class TestHypergraphConstruction:
@@ -264,6 +265,40 @@ class TestIsSeparating:
     def test_single_context_indicator_states_separate(self):
         h = ContextHypergraph.from_ray_groups([[Ray(v) for v in EXPECTED_BASES["row2"]]])
         assert is_separating(two_valued_states(h), h)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_pair_loop_on_random_hypergraphs(self, seed):
+        # abstract hypergraphs on 1..7 vertices, passed as the two fields the
+        # state search reads, with their own states, random state lists and none
+        rng = random.Random(seed)
+        outcomes = set()
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            h = SimpleNamespace(edges=_random_edges(rng, n, rng.randint(1, 4)), vertices=range(n))
+            random_states = [
+                TwoValuedState(tuple(rng.randint(0, 1) for _ in range(n)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            for states in (two_valued_states(h), random_states, []):
+                expected = _separating_by_pairs(states, h)
+                assert is_separating(states, h) == expected
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("states", [[], [TwoValuedState((1,))]], ids=["none", "one"])
+    def test_one_vertex_is_separated(self, states):
+        h = SimpleNamespace(edges=((0,),), vertices=range(1))
+        assert is_separating(states, h) == _separating_by_pairs(states, h) is True
+
+
+def _separating_by_pairs(states, h) -> bool:
+    """Reference: the pair loop, some state telling each vertex pair apart."""
+    n = len(h.vertices)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not any(s.values[u] != s.values[v] for s in states):
+                return False
+    return True
 
 
 def _brute_sweep(edges) -> tuple[int, tuple[tuple[int, ...], ...]]:
