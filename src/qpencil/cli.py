@@ -45,6 +45,7 @@ from .pencil import (
     Context,
     DegeneratePencilError,
     PencilError,
+    UnresolvedSpectrumError,
     joint_context,
 )
 
@@ -193,6 +194,8 @@ def _solve_groups(
         try:
             ctx = joint_context(matrices, coeffs, max_snap_norm=max_snap_norm)
             result = {"kind": "context", **ctx.to_json()}
+        except UnresolvedSpectrumError as e:  # Pauli words have an integer spectrum
+            raise _UsageError(f"coefficients beyond the float stage's resolution: {e}")
         except DegeneratePencilError as e:
             if need_contexts:
                 raise ScenarioError(

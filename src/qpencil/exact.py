@@ -320,6 +320,32 @@ def commutator_is_zero(a: ExactMatrix, b: ExactMatrix) -> bool:
     return _product_rows(a, b) == _product_rows(b, a)
 
 
+def diagonal_blocks(m: ExactMatrix) -> list[ExactMatrix]:
+    """The principal submatrices of a square matrix on the connected components of
+    its nonzero pattern (i ~ j for every nonzero (i, j)), by ascending indices."""
+    if m.rows != m.cols:
+        raise ValueError(f"diagonal blocks need a square matrix, not {m.rows}x{m.cols}")
+    parent = list(range(m.rows))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, row in enumerate(m.nonzeros):
+        for j, _, _ in row:
+            parent[find(j)] = find(i)
+    components: dict[int, list[int]] = {}
+    for i in range(m.rows):
+        components.setdefault(find(i), []).append(i)
+    blocks = []
+    for idx in components.values():
+        local = {g: k for k, g in enumerate(idx)}
+        rows = tuple(tuple((local[j], re, im) for j, re, im in m.nonzeros[i]) for i in idx)
+        blocks.append(ExactMatrix(len(idx), len(idx), rows, m.den))
+    return blocks
+
+
 def _rref(m: ExactMatrix) -> tuple[list[dict[int, tuple[int, int]]], list[int]]:
     """Fraction-free Gauss-Jordan (Bareiss) elimination of the numerators over Z[i].
 

@@ -238,7 +238,7 @@ class SubsetSweepResult:
 
 
 def _half_tables(
-    edges: Sequence[Sequence[int]], vertices: range
+    edges: Sequence[Sequence[int]], vertices: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """For every undominated subset T of ``vertices`` (bit k of the index
     stands for ``vertices[k]``): the m-bit masks of the edges T misses and of
@@ -264,19 +264,21 @@ def noncolorable_subsets(
     A sub-collection S admits a state iff S is contained in E_T for some
     vertex set T, where E_T is the set of edges T meets exactly once. E_T of
     every undominated T is marked in a bit table over the 2^m edge bitmasks
-    (bit p of uint64 word w is mask 64w + p), built from two half-vertex
-    tables; m passes close the table downward (a subset-lattice zeta
-    transform), and m more keep the no-state S whose every S - {i} is
-    colorable: the critical ones. ``jobs`` is accepted for compatibility
-    and has no effect.
+    (bit p of uint64 word w is mask 64w + p), built from tables over the two
+    halves of the vertices in order of first appearance in the edges (any
+    split is exact; on pm-square this one keeps fewer T); m passes close the
+    table downward (a subset-lattice zeta transform), and m more keep the
+    no-state S whose every S - {i} is colorable: the critical ones. ``jobs``
+    is accepted for compatibility and has no effect.
     """
     m, n = len(h.edges), len(h.vertices)
     caps = {"edges": (m, SUBSET_SWEEP_EDGE_CAP), "vertices": (n, SUBSET_SWEEP_VERTEX_CAP)}
     for what, (count, cap) in caps.items():
         if count > cap:
             raise ValueError(f"{count} {what} exceeds the sweep cap of {cap}")
-    zero1, once1 = _half_tables(h.edges, range(n // 2))
-    zero2, once2 = _half_tables(h.edges, range(n // 2, n))
+    order = list(dict.fromkeys([v for e in h.edges for v in e] + list(range(n))))
+    zero1, once1 = _half_tables(h.edges, order[: n // 2])
+    zero2, once2 = _half_tables(h.edges, order[n // 2 :])
     marked = np.zeros(max(1 << m, 64), dtype=bool)
     marked[1 << m :] = True  # pad to one word; padding is never no-state
     rows = max(1, (1 << 16) // len(zero2))  # about 2^16 vertex sets per block

@@ -12,12 +12,14 @@ is certified in exact arithmetic before a context is returned.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .exact import ExactMatrix, Ray, commutator_is_zero, linear_combination, rank
+from .exact import (ExactMatrix, Ray, commutator_is_zero, diagonal_blocks,
+                    linear_combination, rank)
 
 SNAP_TOLERANCE = 1e-6
 DEFAULT_MAX_SNAP_NORM = 4
@@ -53,6 +55,10 @@ class SnapError(PencilError):
 
 class VerificationError(PencilError):
     """An exact re-check of a numerically obtained quantity failed."""
+
+
+class UnresolvedSpectrumError(VerificationError):
+    """A float eigenvalue is not near an integer, though dichotomic terms promise one."""
 
 
 @dataclass(frozen=True)
@@ -185,17 +191,31 @@ def snap_to_ray(vector, *, max_snap_norm: int = DEFAULT_MAX_SNAP_NORM) -> Ray:
     return snap_rays(np.asarray(vector).reshape(-1, 1), max_snap_norm=max_snap_norm)[0]
 
 
+def _shift(m: ExactMatrix, lam: int) -> ExactMatrix:
+    """M - lam*I, built by changing only the diagonal numerators (by lam*den)."""
+    s, rows = lam * m.den, []
+    for i, row in enumerate(m.nonzeros):
+        off = [e for e in row if e[0] != i]
+        re, im = next(((re, im) for j, re, im in row if j == i), (0, 0))
+        if re != s or im:
+            off.append((i, re - s, im))
+            off.sort()
+        rows.append(tuple(off))
+    return ExactMatrix(m.rows, m.cols, tuple(rows), m.den)
+
+
 def _exact_integer_spectrum(p_exact: ExactMatrix, spectrum: set[int]) -> dict[int, int]:
     """Certify integer candidate eigenvalues and their multiplicities exactly.
 
-    The multiplicity of lambda is d - rank(P - lambda*I); every candidate must
-    have a positive one, and together they must sum to d.
+    The multiplicity of lambda is d - rank(P - lambda*I), summed as size(B) -
+    rank(B - lambda*I) over P's distinct connected blocks B times their counts;
+    every candidate must have a positive one, and together they must sum to d.
     """
     d = p_exact.rows
-    ident = ExactMatrix.identity(d)
-    multiplicities = {
-        lam: d - rank(linear_combination((1, -lam), (p_exact, ident))) for lam in spectrum
-    }
+    multiplicities = dict.fromkeys(spectrum, 0)
+    for block, count in Counter(diagonal_blocks(p_exact)).items():
+        for lam in spectrum:
+            multiplicities[lam] += count * (block.rows - rank(_shift(block, lam)))
     if 0 in multiplicities.values() or sum(multiplicities.values()) != d:
         raise VerificationError(
             f"certified multiplicities {multiplicities} of the rounded eigenvalues "
@@ -240,17 +260,17 @@ def joint_context(
     """Full pipeline: build, diagonalize, snap, and exactly verify a context.
 
     Raises DegeneratePencilError (with the certified multiplicity structure)
-    when the pencil cannot single out a basis, SnapError when an eigenvector
-    is not an integer ray, and VerificationError when any exact re-check
-    fails.
+    when the pencil cannot single out a basis, SnapError when an eigenvector is
+    not an integer ray, and VerificationError when any exact re-check fails
+    (UnresolvedSpectrumError when a float eigenvalue is not near an integer).
 
     Rounded float eigenvalues that repeat raise DegeneratePencilError with
-    multiplicities certified by exact rank. Otherwise each snapped ray v_k is
-    certified exactly: every term A_i has sign s_i = +/-1 on v_k and
-    sum(a_i * s_i) = lambda_k, so P v_k = lambda_k v_k. Rays of d distinct
-    eigenvalues are independent and diagonalize P, so the lambda_k are its
-    whole spectrum, each simple, and (P being Hermitian) the rays are
-    pairwise orthogonal.
+    multiplicities certified by exact rank on P's distinct connected blocks.
+    Otherwise each snapped ray v_k is certified exactly: every term A_i has
+    sign s_i = +/-1 on v_k and sum(a_i * s_i) = lambda_k, so P v_k = lambda_k
+    v_k. Rays of d distinct eigenvalues are independent and diagonalize P, so
+    the lambda_k are its whole spectrum, each simple, and (P being Hermitian)
+    the rays are pairwise orthogonal.
     """
     p = build(terms, coefficients)
     p_exact = evaluate(p)
@@ -258,7 +278,7 @@ def joint_context(
     spectrum = [int(x) for x in np.round(eigenvalues)]
     for x, lam in zip(eigenvalues, spectrum):
         if abs(x - lam) > _EIGENVALUE_INT_TOLERANCE:
-            raise VerificationError(
+            raise UnresolvedSpectrumError(
                 f"pencil eigenvalue {x!r} is not near an integer; integer "
                 "coefficients over dichotomic terms should give an integer spectrum"
             )

@@ -316,6 +316,29 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "intro-pair", "--coeffs", "1,2,3")
         assert code == 1
 
+    def test_coeffs_beyond_float_resolution_is_1(self, capsys):
+        # eigh cannot resolve the spectrum +/-10^10 +/- 1 to integers; no exact check ran
+        code, out, err = run_cli(capsys, "intro-pair", "--coeffs", "10000000000,1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(
+            "qpencil: error: coefficients beyond the float stage's resolution: "
+            "pencil eigenvalue"
+        )
+
+    def test_large_coeffs_within_float_resolution_succeed(self, capsys):
+        code, out, err = run_cli(capsys, "intro-pair", "--coeffs", "1000000000,1")
+        assert (code, err) == (0, "")
+        assert out == (
+            "mode: pencil | sites: 2\n"
+            "group 1: ZX, YY\n"
+            "  eigenvalue  ray              ZX  YY\n"
+            "  -1000000001  (1, -1, 1, 1)    -1  -1\n"
+            "  -999999999  (1, -1, -1, -1)  -1  +1\n"
+            "   999999999  (1, 1, -1, 1)    +1  -1\n"
+            "  1000000001  (1, 1, 1, -1)    +1  +1\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [("subsets", "--jobs", "2"), ("intro-pair", "--max-snap-norm", "1")],

@@ -9,6 +9,7 @@ from qpencil.exact import (
     ExactMatrix,
     Ray,
     commutator_is_zero,
+    diagonal_blocks,
     inner_product,
     is_orthogonal,
     is_product_state,
@@ -457,3 +458,106 @@ class TestSparseKernelAgainstNaiveReference:
         assert combined == ExactMatrix.from_rows(
             [list(row) for row in expected]
         )
+
+
+def _components_reference(pattern: list[list[bool]]) -> list[list[int]]:
+    """Connected components of i ~ j (either (i, j) or (j, i) nonzero), by
+    repeated closure from the smallest unplaced index."""
+    n, placed, out = len(pattern), set(), []
+    linked = [[pattern[i][j] or pattern[j][i] for j in range(n)] for i in range(n)]
+    for start in range(n):
+        if start in placed:
+            continue
+        comp = {start}
+        while grown := {j for i in comp for j in range(n) if linked[i][j]} - comp:
+            comp |= grown
+        placed |= comp
+        out.append(sorted(comp))
+    return out
+
+
+def _principal(dense, idx):
+    return ExactMatrix.from_rows([[dense[i][j] for j in idx] for i in idx])
+
+
+class TestDiagonalBlocks:
+    def test_scrambled_block_diagonal_matrix(self):
+        # blocks of sizes 3, 1 and 2, rows and columns permuted alike
+        blocks = [
+            [[1, 2, 0], [2, (0, 1), 3], [0, 3, -1]],
+            [[7]],
+            [[4, (1, -1)], [(1, 1), 5]],
+        ]
+        n = 6
+        dense = [[0] * n for _ in range(n)]
+        offset = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                for j, x in enumerate(row):
+                    dense[offset + i][offset + j] = x
+            offset += len(b)
+        perm = [4, 0, 5, 2, 1, 3]  # new index of old index k is perm[k]
+        scrambled = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                scrambled[perm[i]][perm[j]] = dense[i][j]
+        m = ExactMatrix.from_rows(scrambled)
+        components = [[0, 4, 5], [1, 3], [2]]  # perm of {0, 1, 2}, {4, 5} and {3}
+        pattern = [[x != 0 for x in row] for row in scrambled]
+        assert _components_reference(pattern) == components
+        assert diagonal_blocks(m) == [_principal(scrambled, c) for c in components]
+        assert [b.rows for b in diagonal_blocks(m)] == [3, 2, 1]
+
+    def test_zero_rows_are_one_by_one_zero_blocks(self):
+        m = ExactMatrix.from_rows([[0, 0, 2], [0, 0, 0], [2, 0, 0]])
+        zero = ExactMatrix(1, 1, ((),))
+        assert diagonal_blocks(m) == [ExactMatrix.from_rows([[0, 2], [2, 0]]), zero]
+        assert diagonal_blocks(ExactMatrix(3, 3, ((), (), ()))) == [zero] * 3
+
+    def test_non_symmetric_pattern(self):
+        # (0, 1) and (2, 1) join 0, 1, 2 although no entry is mirrored; (4, 3) joins 3, 4
+        m = ExactMatrix.from_rows([
+            [0, 1, 0, 0, 0],
+            [0, 0, 0, 0, 0],
+            [0, 5, 0, 0, 0],
+            [0, 0, 0, 0, 0],
+            [0, 0, 0, 3, 0],
+        ])
+        assert diagonal_blocks(m) == [
+            ExactMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 5, 0]]),
+            ExactMatrix.from_rows([[0, 0], [3, 0]]),
+        ]
+
+    def test_common_denominator_is_kept(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        m = ExactMatrix.from_rows([[half, 0, third], [0, 5, 0], [third, 0, (0, half)]])
+        assert m.den == 6
+        first, second = diagonal_blocks(m)
+        assert first.den == 6
+        assert first.row(0) == ((half, 0), (third, 0))
+        assert first.row(1) == ((third, 0), (0, half))
+        assert second == ExactMatrix.from_rows([[5]])  # an integer block, so den 1
+
+    def test_pauli_pencil_blocks_are_x_mask_cosets(self):
+        # XXI and ZZI have x-mask span {000, 110}: four cosets of two indices
+        p = linear_combination((1, 2), (word("XXI"), word("ZZI")))
+        blocks = diagonal_blocks(p)
+        assert [b.rows for b in blocks] == [2, 2, 2, 2]
+        assert blocks[0] == _principal([list(p.row(i)) for i in range(8)], [0, 6])
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_non_square_matrix_is_rejected(self, shape):
+        rows, cols = shape
+        m = ExactMatrix.from_rows([[1] * cols for _ in range(rows)])
+        with pytest.raises(ValueError, match="square"):
+            diagonal_blocks(m)
+
+    @given(st.data(), st.integers(1, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_reassemble_the_matrix(self, data, n):
+        m = data.draw(_sparse_matrix(n, n))
+        dense = _pairs(m)
+        components = _components_reference([[x != (0, 0) for x in row] for row in dense])
+        blocks = diagonal_blocks(m)
+        assert blocks == [_principal(dense, c) for c in components]
+        assert sum(rank(b) for b in blocks) == rank(m)

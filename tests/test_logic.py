@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from qpencil import logic as logic_module
 from qpencil.exact import Ray, inner_product
 from qpencil.logic import (
     ContextHypergraph,
@@ -397,6 +398,59 @@ class TestNoncolorableSubsets:
         monkeypatch.setattr(logic_mod, cap, limit)
         with pytest.raises(ValueError, match="exceeds the sweep cap"):
             noncolorable_subsets(pm_hypergraph)
+
+
+def _sweep_with_split(monkeypatch, h, halves=None):
+    """The sweep, with the halves' vertex lists and table lengths recorded; with
+    ``halves`` given, the tables are built on those halves instead of the
+    sweep's own (the range split ``range(n // 2)``, ``range(n // 2, n)``
+    is the reference)."""
+    real = logic_module._half_tables
+    seen, forced = [], iter(halves or ())
+
+    def recording(edges, vertices):
+        vertices = list(next(forced, vertices))
+        zero, once = real(edges, vertices)
+        seen.append((vertices, len(zero)))
+        return zero, once
+
+    with monkeypatch.context() as patch:
+        patch.setattr(logic_module, "_half_tables", recording)
+        return noncolorable_subsets(h), seen
+
+
+def _range_halves(n):
+    return [range(n // 2), range(n // 2, n)]
+
+
+class TestSweepSplit:
+    """Any split of the vertices gives the same sweep; the vertices halved in
+    order of first appearance in the edges keep fewer undominated sets."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_random_hypergraphs_match_the_range_split(self, monkeypatch, m):
+        rng = random.Random(100 + m)
+        for _ in range(20):
+            n = rng.randint(2, 12)
+            h = SimpleNamespace(edges=_random_edges(rng, n, m), vertices=range(n))
+            result, seen = _sweep_with_split(monkeypatch, h)
+            reference, _ = _sweep_with_split(monkeypatch, h, _range_halves(n))
+            assert result == reference, h
+            order = list(dict.fromkeys([v for e in h.edges for v in e] + list(range(n))))
+            assert [v for v, _ in seen] == [order[: n // 2], order[n // 2 :]]
+
+    @pytest.mark.parametrize("picks", [range(8), range(4, 14), range(0, 24, 2), range(20)])
+    def test_pm_square_sub_collections_match_the_range_split(
+        self, monkeypatch, pm_hypergraph, picks
+    ):
+        h = pm_hypergraph.sub_hypergraph(list(picks))
+        n = len(h.vertices)
+        result, seen = _sweep_with_split(monkeypatch, h)
+        reference, range_seen = _sweep_with_split(monkeypatch, h, _range_halves(n))
+        assert result == reference
+        if len(picks) == 20:  # the benchmark's sweep: 1,408 x 1,255 pairs, not 1,967 x 1,670
+            assert [size for _, size in seen] == [1408, 1255]
+            assert [size for _, size in range_seen] == [1967, 1670]
 
 
 class TestClassification:

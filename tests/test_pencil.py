@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qpencil import cli, pencil
-from qpencil.exact import ExactMatrix, Ray, commutator_is_zero
+from qpencil.exact import ExactMatrix, Ray, commutator_is_zero, linear_combination, rank
 from qpencil.parity import ParityScenario
 from qpencil.pauli import PauliString, commutes, multiply, parse_pauli, realization
 from qpencil.pencil import (
@@ -414,7 +414,14 @@ class TestRayCertificate:
         with pytest.raises(DegeneratePencilError) as err:
             joint_context(mats("ZII", "IZI"))
         assert err.value.multiplicities == {-3: 2, -1: 2, 1: 2, 3: 2}
-        assert len(calls) == 4  # one exact rank per distinct eigenvalue
+        # P = diag(3, 3, -1, -1, 1, 1, -3, -3) has eight 1 x 1 blocks, four distinct:
+        # one exact rank per distinct block and candidate, on that block shifted
+        assert len(calls) == 16
+        assert all((m.rows, m.cols) == (1, 1) for m in calls)
+        values = (-3, -1, 1, 3)
+        assert sorted(m.at(0, 0) for m in calls) == sorted(
+            (b - lam, 0) for b in values for lam in values
+        )
 
     def test_ghz_six_qubits_closed_form(self):
         self._check_ghz_closed_form(6)
@@ -531,3 +538,71 @@ class TestEigenSign:
             else:
                 assert eigen_sign(m, ray, name) == expected
         assert outcomes == {1, -1, None}
+
+
+def _full_rank_spectrum(p_exact: ExactMatrix, spectrum: set[int]) -> dict[int, int]:
+    """The multiplicity certificate on the whole d x d matrix: one exact rank of
+    P - lambda*I per candidate, with the same check and message."""
+    d = p_exact.rows
+    ident = ExactMatrix.identity(d)
+    multiplicities = {
+        lam: d - rank(linear_combination((1, -lam), (p_exact, ident))) for lam in spectrum
+    }
+    if 0 in multiplicities.values() or sum(multiplicities.values()) != d:
+        raise VerificationError(
+            f"certified multiplicities {multiplicities} of the rounded eigenvalues "
+            f"are not all positive with sum {d}"
+        )
+    return multiplicities
+
+
+def _certificate_outcome(certify, p_exact, spectrum):
+    try:
+        return certify(p_exact, spectrum)
+    except VerificationError as e:
+        return str(e)
+
+
+def _candidate_sets(p_exact: ExactMatrix) -> list[set[int]]:
+    """The rounded spectrum, and wrong candidate sets that fail the check."""
+    w, _ = hermitian_eigensystem(p_exact.to_complex_array())
+    exact = {int(x) for x in np.round(w)}
+    return [exact, {x + 2 for x in exact}, exact | {max(exact) + 1}, set(list(exact)[1:])]
+
+
+def _differential_cases():
+    rng = random.Random(13)
+    cases = []
+    for n in range(2, 5):
+        for k in range(1, n):
+            for _ in range(4):
+                words = _random_commuting_family(rng, n, k)
+                coeffs = [rng.choice((-1, 1)) * rng.randint(1, 7) for _ in words]
+                p = evaluate(build([realization(w) for w in words], coeffs))
+                cases.append(pytest.param(p, id=f"n{n}-k{k}-{len(cases)}"))
+    # a non-Pauli Hermitian input over den 2: a Gaussian 2 x 2 block with eigenvalues
+    # 0 and 3, a shared 1 x 1 value 3 on two indices, and a zero index
+    half = Fraction(1, 2)
+    rows = [[0] * 5 for _ in range(5)]
+    rows[0][0], rows[0][3], rows[3][0], rows[3][3] = half, (1, half), (1, -half), 5 * half
+    rows[1][1] = rows[4][4] = 3
+    cases.append(pytest.param(ExactMatrix.from_rows(rows), id="hermitian-den2"))
+    return cases
+
+
+class TestBlockwiseCertificate:
+    """``_exact_integer_spectrum`` sums rank over distinct blocks; the outcome
+    must equal one rank of the whole P - lambda*I per candidate."""
+
+    @pytest.mark.parametrize("p_exact", _differential_cases())
+    def test_matches_full_matrix_rank(self, p_exact):
+        for spectrum in _candidate_sets(p_exact):
+            expected = _certificate_outcome(_full_rank_spectrum, p_exact, spectrum)
+            got = _certificate_outcome(pencil._exact_integer_spectrum, p_exact, spectrum)
+            assert got == expected
+
+    def test_partial_families_repeat_blocks(self):
+        # k < n leaves every joint eigenspace of dimension 2^(n-k) > 1, and P
+        # repeats blocks, so the count of each distinct block matters
+        p = evaluate(build(mats("XXI", "ZZI"), (3, -5)))
+        assert pencil._exact_integer_spectrum(p, {-8, -2, 2, 8}) == {-8: 2, -2: 2, 2: 2, 8: 2}
