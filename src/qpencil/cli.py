@@ -173,15 +173,11 @@ def load_builtin(name: str) -> ScenarioFile:
 
 
 def _solve_groups(
-    s: ScenarioFile,
-    coeffs: Sequence[int] | None,
-    need_contexts: bool,
-    max_snap_norm: int = DEFAULT_MAX_SNAP_NORM,
+    s: ScenarioFile, coeffs: Sequence[int] | None, max_snap_norm: int = DEFAULT_MAX_SNAP_NORM
 ) -> list[tuple[ParityScenario, Context | None, dict]]:
-    """Validate and solve each group in order; a degenerate group is reported
-    as such, or rejected when every group must define a context."""
+    """Validate and solve each group in order; a degenerate group has no context."""
     solved = []
-    for gi, group in enumerate(s.groups):
+    for group in s.groups:
         try:
             scenario = ParityScenario(group, s.site_count)
         except ValueError as e:  # a non-Hermitian or non-commuting observable
@@ -194,13 +190,10 @@ def _solve_groups(
         try:
             ctx = joint_context(matrices, coeffs, max_snap_norm=max_snap_norm)
             result = {"kind": "context", **ctx.to_json()}
-        except UnresolvedSpectrumError as e:  # Pauli words have an integer spectrum
+        except (UnresolvedSpectrumError, OverflowError) as e:
+            # Pauli words have an integer spectrum, here beyond float64's integers or range
             raise _UsageError(f"coefficients beyond the float stage's resolution: {e}")
         except DegeneratePencilError as e:
-            if need_contexts:
-                raise ScenarioError(
-                    f"group {gi + 1} has a degenerate pencil and defines no context"
-                ) from None
             ctx, result = None, {
                 "kind": "degenerate",
                 "multiplicities": {str(k): v for k, v in e.multiplicities.items()},
@@ -209,7 +202,11 @@ def _solve_groups(
     return solved
 
 
-def _completion(contexts: list[Context]) -> ContextHypergraph:
+def _completion(contexts: list[Context | None]) -> ContextHypergraph:
+    """The completion of the contexts' ray union; every group must define a context."""
+    if None in contexts:
+        n = contexts.index(None) + 1
+        raise ScenarioError(f"group {n} has a degenerate pencil and defines no context")
     try:
         return ContextHypergraph.completion_of([r for ctx in contexts for r in ctx.rays])
     except ValueError as e:  # the rays do not complete to full contexts
@@ -220,7 +217,7 @@ def scenario_hypergraph(
     s: ScenarioFile, coeffs=None, max_snap_norm: int = DEFAULT_MAX_SNAP_NORM
 ) -> tuple[ContextHypergraph, list[Context]]:
     """Contexts of every group, then the completion of their ray union."""
-    solved = _solve_groups(s, coeffs, True, max_snap_norm=max_snap_norm)
+    solved = _solve_groups(s, coeffs, max_snap_norm)
     contexts = [ctx for _, ctx, _ in solved]
     return _completion(contexts), contexts
 
@@ -259,7 +256,7 @@ def _hypergraph_keys(site_count: int, contexts: list[Context]) -> dict:
 def run_scenario(s: ScenarioFile, coeffs: Sequence[int] | None = None) -> dict:
     """Each group's context or degenerate spectrum, plus per-group parity keys
     in parity mode and the hypergraph keys in hypergraph mode."""
-    solved = _solve_groups(s, coeffs, need_contexts=s.mode == "hypergraph")
+    solved = _solve_groups(s, coeffs)
     groups = []
     for scenario, ctx, result in solved:
         entry = {

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, Sequence, Union
 
 ScalarLike = Union[int, Fraction, Sequence]  # a rational, or an (re, im) pair of them
@@ -42,13 +41,20 @@ def _over_common_den(
     values: Iterable[ScalarLike],
 ) -> tuple[list[tuple[int, int]], int]:
     """Gaussian-integer numerators of the values over the lcm of their denominators;
-    an (re, im) pair may be a tuple or a list."""
+    an (re, im) pair may be a tuple or a list. Values all of type int (so no bool)
+    are their own numerators over 1, and no Fraction is built."""
     vals = [
-        (_as_fraction(v[0]), _as_fraction(v[1]))
-        if isinstance(v, (tuple, list)) and len(v) == 2
-        else (_as_fraction(v), Fraction(0))
+        v if type(v) is tuple and len(v) == 2  # as is: snapping passes d pairs per ray
+        else (v[0], v[1]) if isinstance(v, (tuple, list)) and len(v) == 2
+        else (v, 0)
         for v in values
     ]
+    for re, im in vals:
+        if type(re) is not int or type(im) is not int:
+            break
+    else:
+        return vals, 1
+    vals = [(_as_fraction(re), _as_fraction(im)) for re, im in vals]
     den = math.lcm(*(x.denominator for v in vals for x in v))
     return [
         (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
@@ -99,7 +105,10 @@ def _canonical(ints: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Divide out the Gaussian-integer content; rotate the lead phase into [0, pi/2)."""
     if not ints:
         raise ValueError("a ray needs at least one component")
-    content = reduce(gaussian_gcd, (c for c in ints if c != (0, 0)), (0, 0))
+    content = (0, 0)
+    for c in ints:  # a unit gcd divides every entry: stop at the first one
+        if c != (0, 0) and (content := gaussian_gcd(content, c)) in I_POWERS:
+            break
     if content == (0, 0):
         raise ValueError("the zero vector is not a ray")
     if content not in I_POWERS:  # a unit content is undone by the lead rotation below
@@ -122,16 +131,9 @@ class Ray:
     __slots__ = ("parts",)  # canonical components as Gaussian-integer (re, im) pairs
 
     def __init__(self, components: Iterable[ScalarLike]):
-        """The ray through exact scalars, such as ``to_json()``'s output; their
-        denominators are cleared first."""
+        """The ray through exact scalars, such as ``to_json()``'s output or
+        Gaussian-integer (re, im) pairs; their denominators are cleared first."""
         self.parts = _canonical(_over_common_den(components)[0])
-
-    @staticmethod
-    def from_parts(parts: Iterable[tuple[int, int]]) -> "Ray":
-        """The ray through a Gaussian-integer vector given as (re, im) int pairs."""
-        ray = object.__new__(Ray)
-        ray.parts = _canonical([(re, im) for re, im in parts])
-        return ray
 
     @property
     def dim(self) -> int:
@@ -159,8 +161,8 @@ class Ray:
         return [[re, im] for re, im in self.parts]
 
 
-def _inner(u: Ray, v: Ray) -> tuple[int, int]:
-    """Hermitian inner product sum(conj(u_i) * v_i) of the canonical parts."""
+def inner_product(u: Ray, v: Ray) -> tuple[int, int]:
+    """Hermitian inner product sum(conj(u_i) * v_i) as a Gaussian-integer pair."""
     if u.dim != v.dim:
         raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
     re = im = 0
@@ -169,14 +171,9 @@ def _inner(u: Ray, v: Ray) -> tuple[int, int]:
     return re, im
 
 
-def inner_product(u: Ray, v: Ray) -> tuple[int, int]:
-    """Hermitian inner product sum(conj(u_i) * v_i) as a Gaussian-integer pair."""
-    return _inner(u, v)
-
-
 def is_orthogonal(u: Ray, v: Ray) -> bool:
     """True iff the exact inner product of the rays is zero."""
-    return _inner(u, v) == (0, 0)
+    return inner_product(u, v) == (0, 0)
 
 
 SparseRow = tuple[tuple[int, int, int], ...]

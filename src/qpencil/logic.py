@@ -119,9 +119,6 @@ class ContextHypergraph:
 
 def orthogonality_graph(rays: Sequence[Ray]) -> list[set[int]]:
     """Adjacency sets over vertex indices; edge iff exact inner product is zero."""
-    dims = {r.dim for r in rays}
-    if len(dims) > 1:
-        raise ValueError("rays of mixed dimension")
     adjacency: list[set[int]] = [set() for _ in rays]
     for i in range(len(rays)):
         for j in range(i + 1, len(rays)):
@@ -360,9 +357,9 @@ _DOT_PALETTE = (
 )
 
 
-def to_dot(h: ContextHypergraph, title: str = "contexts") -> str:
+def to_dot(h: ContextHypergraph) -> str:
     """Render contexts as colored vertex chains, one color per context."""
-    lines = [f'graph "{title}" {{', "  node [shape=circle fontsize=10];"]
+    lines = ['graph "contexts" {', "  node [shape=circle fontsize=10];"]
     for i, v in enumerate(h.vertices):
         label = ",".join(str(c) for c in v.to_json())
         lines.append(f'  v{i} [label="({label})"];')

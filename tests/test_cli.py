@@ -166,7 +166,7 @@ class TestCommands:
         def refuse(*args):
             raise RuntimeError("Fraction scalar built between words and output")
 
-        for name in ("_over_common_den", "_scalar"):
+        for name in ("_as_fraction", "_scalar"):
             monkeypatch.setattr(exact, name, refuse)
         formats = ("text", "json")
         runs = [(name, "--format", fmt) for name in sorted(BUILTINS) for fmt in formats]
@@ -189,7 +189,7 @@ class TestCommands:
         contexts = 0
         for s in scenarios:
             groups = run_scenario(s)["groups"]
-            for (_, ctx, _), group in zip(_solve_groups(s, None, False), groups):
+            for (_, ctx, _), group in zip(_solve_groups(s, None), groups):
                 if ctx is None:
                     assert "states" not in group
                     continue
@@ -316,15 +316,34 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "intro-pair", "--coeffs", "1,2,3")
         assert code == 1
 
-    def test_coeffs_beyond_float_resolution_is_1(self, capsys):
-        # eigh cannot resolve the spectrum +/-10^10 +/- 1 to integers; no exact check ran
-        code, out, err = run_cli(capsys, "intro-pair", "--coeffs", "10000000000,1")
+    @pytest.mark.parametrize(
+        "command, coeffs, reason",
+        [
+            # eigh cannot resolve the spectrum +/-10^10 +/- 1 to integers
+            ("intro-pair", f"{10**10},1", "pencil eigenvalue"),
+            # from 2^52 on every float is an integer, so none resolves the spectrum
+            ("intro-pair", f"{10**16},1", "pencil eigenvalue"),
+            ("ghzm", f"{10**16},1,1,1", "pencil eigenvalue"),
+            # a 401-digit entry overflows float64 itself
+            ("intro-pair", f"{10**400},1", "integer division result too large"),
+        ],
+        ids=["1e10", "1e16", "ghzm-1e16", "1e400"],
+    )
+    def test_coeffs_beyond_float_resolution_is_1(self, capsys, command, coeffs, reason):
+        # no exact check ran
+        code, out, err = run_cli(capsys, command, "--coeffs", coeffs)
         assert code == 1
         assert out == ""
         assert err.startswith(
-            "qpencil: error: coefficients beyond the float stage's resolution: "
-            "pencil eigenvalue"
+            "qpencil: error: coefficients beyond the float stage's resolution: " + reason
         )
+
+    def test_ghzm_coeffs_below_float_integer_range_succeed(self, capsys):
+        # 10^15 < 2^52: the degenerate spectrum is still resolved and certified
+        code, out, err = run_cli(capsys, "ghzm", "--coeffs", f"{10**15},1,1,1")
+        assert (code, err) == (0, "")
+        assert "  degenerate pencil spectrum: -1000000000000001 (x3), -999999999999997 (x1), " \
+            "999999999999997 (x1), 1000000000000001 (x3)\n" in out
 
     def test_large_coeffs_within_float_resolution_succeed(self, capsys):
         code, out, err = run_cli(capsys, "intro-pair", "--coeffs", "1000000000,1")
@@ -386,9 +405,10 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "qpencil: verification failure: injected re-check failure\n"
 
-    def test_degenerate_group_in_hypergraph_mode_is_1(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["analyze", "export", "subsets"])
+    def test_degenerate_group_in_hypergraph_mode_is_1(self, capsys, tmp_path, command):
         path = _write(tmp_path, "sites 2\nmode hypergraph\ngroup\nZI\n")
-        code, _, err = run_cli(capsys, "analyze", "--file", str(path))
+        code, _, err = run_cli(capsys, command, "--file", str(path))
         assert code == 1
         assert "scenario error: group 1 has a degenerate pencil" in err
 

@@ -67,6 +67,24 @@ class TestScalars:
         with pytest.raises(TypeError, match="exact rational"):
             build(value)
 
+    @given(
+        st.lists(
+            st.one_of(st.integers(-9, 9), st.tuples(st.integers(-9, 9), st.integers(-9, 9))),
+            min_size=1,
+            max_size=6,
+        ).filter(lambda v: any(c not in (0, (0, 0)) for c in v))
+    )
+    @settings(max_examples=200)
+    def test_int_input_matches_fraction_input(self, values):
+        # all-int input builds no Fraction; the same values as Fractions must agree
+        fractions = [tuple(map(Fraction, c)) if isinstance(c, tuple) else Fraction(c)
+                     for c in values]
+        assert Ray(values) == Ray(fractions)
+        m = ExactMatrix.from_rows([values, values[::-1]])
+        assert m == ExactMatrix.from_rows([fractions, fractions[::-1]])
+        assert m.apply(values) == m.apply(fractions)
+        assert SIGMA_Y.scale(values[0]) == SIGMA_Y.scale(fractions[0])
+
     def test_readouts_are_fraction_pairs(self):
         m = ExactMatrix.from_rows([[Fraction(1, 2), (0, 1)], [[2, -3], 0]])
         assert m.row(0) == ((Fraction(1, 2), 0), (0, 1))
@@ -124,23 +142,15 @@ class TestRayCanonicalization:
         r = Ray(comps)
         assert Ray(r.parts) == r
 
-    @given(
-        st.lists(
-            st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=6
-        ).filter(lambda v: any(c != (0, 0) for c in v))
-    )
-    @settings(max_examples=200)
-    def test_from_parts_matches_exact_components(self, comps):
-        assert Ray.from_parts(comps).parts == Ray(comps).parts
-
-    def test_from_parts_takes_pairs_as_lists(self):
-        assert Ray.from_parts([[0, 0], [2, 2]]) == Ray([0, (1, 1)])
+    def test_pairs_may_be_lists(self):
+        assert Ray([[0, 0], [2, 2]]) == Ray([0, (1, 1)])
 
     def test_from_parts_rejects_the_zero_vector(self):
+        # Gaussian-integer parts, as Ray.parts holds them, take the all-int path
         with pytest.raises(ValueError):
-            Ray.from_parts([(0, 0), (0, 0)])
+            Ray([(0, 0), (0, 0)])
         with pytest.raises(ValueError):
-            Ray.from_parts([])
+            Ray([[0, 0], [0, 0]])
 
     def test_json_roundtrip_complex(self):
         r = Ray([1, (0, 1), (2, -3)])

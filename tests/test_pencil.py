@@ -334,7 +334,7 @@ def _snap_column_reference(v, max_snap_norm):
         near = np.round(scaled.real) + 1j * np.round(scaled.imag)
         if np.max(np.abs(scaled - near)) <= pencil.SNAP_TOLERANCE:
             re, im = near.real.astype(int).tolist(), near.imag.astype(int).tolist()
-            return Ray.from_parts(zip(re, im))
+            return Ray(zip(re, im))
     return None
 
 
@@ -520,13 +520,13 @@ class TestEigenSign:
                     for _ in range(2**n)
                 ]
                 if parts.count((0, 0)) < len(parts):
-                    rays.append(Ray.from_parts(parts))
+                    rays.append(Ray(parts))
             cases += [(realization(w), str(w), r) for w in probes for r in rays]
         reflection = ExactMatrix.from_rows(
             [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]
         )
         for parts in [(2, 1), (1, -2), (1, 0), (0, 1), (1, 1), (2, -1)]:
-            cases.append((reflection, "R", Ray.from_parts([(x, 0) for x in parts])))
+            cases.append((reflection, "R", Ray(parts)))
         outcomes = set()
         for m, name, ray in cases:
             image = m.apply(ray.parts)
