@@ -73,6 +73,8 @@ def _gauss_round_div(p: int, q: int) -> int:
 
 def gaussian_gcd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     """Euclidean gcd in Z[i], unique up to units."""
+    if a == (0, 0):
+        return b
     while b != (0, 0):
         ar, ai = a
         br, bi = b
@@ -101,21 +103,20 @@ def _gmul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def _canonical(ints: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Divide out the Gaussian-integer content; rotate the lead phase into [0, pi/2)."""
-    if not ints:
-        raise ValueError("a ray needs at least one component")
+def _canonical(support: list[tuple[int, tuple[int, int]]]) -> tuple:
+    """Divide out the Gaussian-integer content of the nonzero (index, value) pairs;
+    rotate the lead phase into [0, pi/2)."""
     content = (0, 0)
-    for c in ints:  # a unit gcd divides every entry: stop at the first one
-        if c != (0, 0) and (content := gaussian_gcd(content, c)) in I_POWERS:
+    for _, c in support:  # a unit gcd divides every entry: stop at the first one
+        if (content := gaussian_gcd(content, c)) in I_POWERS:
             break
     if content == (0, 0):
         raise ValueError("the zero vector is not a ray")
     if content not in I_POWERS:  # a unit content is undone by the lead rotation below
-        ints = [_gauss_exact_div(c, content) for c in ints]
-    lead = next(c for c in ints if c != (0, 0))
+        support = [(j, _gauss_exact_div(c, content)) for j, c in support]
+    lead = support[0][1]
     unit = next(u for u in I_POWERS if (z := _gmul(lead, u))[0] > 0 and z[1] >= 0)
-    return tuple(ints if unit == (1, 0) else (_gmul(c, unit) for c in ints))
+    return tuple(support if unit == (1, 0) else ((j, _gmul(c, unit)) for j, c in support))
 
 
 class Ray:
@@ -126,27 +127,49 @@ class Ray:
     [0, pi/2); for real-component vectors that makes the leading entry a
     positive integer. Two inputs spanning the same complex line always
     canonicalize to the identical object, so rays hash and compare reliably.
+    Only the support is stored, so a ray costs its nonzero count, not ``dim``.
     """
 
-    __slots__ = ("parts",)  # canonical components as Gaussian-integer (re, im) pairs
+    # the nonzero canonical components as (index, (re, im)) pairs by ascending
+    # index, and the length of the vector
+    __slots__ = ("support", "dim")
 
-    def __init__(self, components: Iterable[ScalarLike]):
+    def __init__(self, components: Iterable, dim: int | None = None):
         """The ray through exact scalars, such as ``to_json()``'s output or
-        Gaussian-integer (re, im) pairs; their denominators are cleared first."""
-        self.parts = _canonical(_over_common_den(components)[0])
+        Gaussian-integer (re, im) pairs; their denominators are cleared first.
+        Given ``dim``, the components are the support instead: (index, scalar)
+        pairs with ascending indices below ``dim``, every other component zero."""
+        if dim is None:
+            pairs = list(enumerate(components))
+            dim = len(pairs)
+        else:
+            pairs, prev = list(components), -1
+            for j, _ in pairs:
+                if type(j) is not int or not prev < j < dim:
+                    raise ValueError(f"support indices must ascend within [0, {dim})")
+                prev = j
+        if not dim:
+            raise ValueError("a ray needs at least one component")
+        nums = _over_common_den([c for _, c in pairs])[0]
+        self.support = _canonical([(j, c) for (j, _), c in zip(pairs, nums) if c != (0, 0)])
+        self.dim = dim
 
     @property
-    def dim(self) -> int:
-        return len(self.parts)
+    def parts(self) -> tuple[tuple[int, int], ...]:
+        """All ``dim`` canonical components as (re, im) pairs, zeros included."""
+        out = [(0, 0)] * self.dim
+        for j, c in self.support:
+            out[j] = c
+        return tuple(out)
 
     def is_real(self) -> bool:
-        return all(im == 0 for _, im in self.parts)
+        return all(im == 0 for _, (_, im) in self.support)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Ray) and self.parts == other.parts
+        return isinstance(other, Ray) and (self.dim, self.support) == (other.dim, other.support)
 
     def __hash__(self) -> int:
-        return hash(self.parts)
+        return hash((self.dim, self.support))
 
     def __lt__(self, other: "Ray") -> bool:
         return self.parts < other.parts
@@ -162,12 +185,16 @@ class Ray:
 
 
 def inner_product(u: Ray, v: Ray) -> tuple[int, int]:
-    """Hermitian inner product sum(conj(u_i) * v_i) as a Gaussian-integer pair."""
+    """Hermitian inner product sum(conj(u_i) * v_i) as a Gaussian-integer pair,
+    summed over the indices the two supports share."""
     if u.dim != v.dim:
         raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
+    other = dict(v.support)
     re = im = 0
-    for (ar, ai), (br, bi) in zip(u.parts, v.parts):
-        re, im = re + ar * br + ai * bi, im + ar * bi - ai * br
+    for j, (ar, ai) in u.support:
+        if (b := other.get(j)) is not None:
+            br, bi = b
+            re, im = re + ar * br + ai * bi, im + ar * bi - ai * br
     return re, im
 
 
@@ -253,7 +280,10 @@ class ExactMatrix:
         return ExactMatrix(self.rows, self.cols, rows, self.den * sden)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        rows = _product_rows(self, other)
+        if self.cols != other.rows:
+            shapes = f"{self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            raise ValueError(f"cannot multiply {shapes}")
+        rows = tuple(_row_times(ra, other) for ra in self.nonzeros)
         return ExactMatrix(self.rows, other.cols, rows, self.den * other.den)
 
     def conjugate_transpose(self) -> "ExactMatrix":
@@ -297,29 +327,37 @@ def linear_combination(
     return ExactMatrix(*shape, tuple(_sum_rows(zip(factors, r)) for r in rows), den)
 
 
-def _product_rows(a: ExactMatrix, b: ExactMatrix) -> tuple[SparseRow, ...]:
-    """Rows of A @ B as numerators over a.den * b.den; a one-entry row of A, as in
+def _row_times(ra: SparseRow, b: ExactMatrix) -> SparseRow:
+    """Row ra of A times B, as numerators over a.den * b.den; a one-entry row, as in
     every Pauli realization, scales one row of B, whose nonzeros stay nonzero."""
-    if a.cols != b.rows:
-        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return tuple(
-        _sum_rows(((ar, ai), b.nonzeros[k]) for k, ar, ai in ra) if len(ra) != 1
-        else tuple((j, ar * br - ai * bi, ar * bi + ai * br)
-                   for k, ar, ai in ra for j, br, bi in b.nonzeros[k])
-        for ra in a.nonzeros
-    )
+    if len(ra) != 1:
+        return _sum_rows(((ar, ai), b.nonzeros[k]) for k, ar, ai in ra)
+    [(k, ar, ai)] = ra
+    return tuple((j, ar * br - ai * bi, ar * bi + ai * br) for j, br, bi in b.nonzeros[k])
 
 
 def commutator_is_zero(a: ExactMatrix, b: ExactMatrix) -> bool:
-    """True iff AB - BA vanishes exactly; both products share the denominator."""
+    """True iff AB - BA vanishes exactly, compared row by row up to the first
+    row that differs; both products share the denominator."""
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
         raise ValueError("commutator needs square matrices of equal dimension")
-    return _product_rows(a, b) == _product_rows(b, a)
+    an, bn = a.nonzeros, b.nonzeros
+    for ra, rb in zip(an, bn):
+        if len(ra) == len(rb) == 1 and len(bn[ra[0][0]]) == len(an[rb[0][0]]) == 1:
+            # one entry each way, as for Pauli words: (AB)_ij = a_ik b_kj, (BA)_ij = b_il a_lj
+            [(k, ar, ai)], [(l, br, bi)] = ra, rb
+            [(j, xr, xi)], [(jj, yr, yi)] = bn[k], an[l]
+            ab, ba = (ar * xr - ai * xi, ar * xi + ai * xr), (br * yr - bi * yi, br * yi + bi * yr)
+            if j != jj or ab != ba:
+                return False
+        elif _row_times(ra, b) != _row_times(rb, a):
+            return False
+    return True
 
 
-def diagonal_blocks(m: ExactMatrix) -> list[ExactMatrix]:
-    """The principal submatrices of a square matrix on the connected components of
-    its nonzero pattern (i ~ j for every nonzero (i, j)), by ascending indices."""
+def components(m: ExactMatrix) -> list[list[int]]:
+    """The connected components of a square matrix's nonzero pattern (i ~ j for
+    every nonzero (i, j)) as ascending index lists, by smallest index."""
     if m.rows != m.cols:
         raise ValueError(f"diagonal blocks need a square matrix, not {m.rows}x{m.cols}")
     parent = list(range(m.rows))
@@ -332,27 +370,30 @@ def diagonal_blocks(m: ExactMatrix) -> list[ExactMatrix]:
     for i, row in enumerate(m.nonzeros):
         for j, _, _ in row:
             parent[find(j)] = find(i)
-    components: dict[int, list[int]] = {}
+    found: dict[int, list[int]] = {}
     for i in range(m.rows):
-        components.setdefault(find(i), []).append(i)
+        found.setdefault(find(i), []).append(i)
+    return list(found.values())
+
+
+def diagonal_blocks(m: ExactMatrix) -> list[ExactMatrix]:
+    """The principal submatrices of a square matrix on its ``components``."""
     blocks = []
-    for idx in components.values():
+    for idx in components(m):
         local = {g: k for k, g in enumerate(idx)}
         rows = tuple(tuple((local[j], re, im) for j, re, im in m.nonzeros[i]) for i in idx)
         blocks.append(ExactMatrix(len(idx), len(idx), rows, m.den))
     return blocks
 
 
-def _rref(m: ExactMatrix) -> tuple[list[dict[int, tuple[int, int]]], list[int]]:
-    """Fraction-free Gauss-Jordan (Bareiss) elimination of the numerators over Z[i].
+def _echelon(m: ExactMatrix) -> tuple[list[dict[int, tuple[int, int]]], list[int]]:
+    """Fraction-free forward (Bareiss) elimination of the numerators over Z[i].
 
-    Returns the rows as {col: (re, im)} and the pivot columns. With p the new
-    pivot and q the previous one (1 at first), each row i but the pivot row r
-    becomes (p*row_i - row_i[col]*row_r) / q, whose entries are minors up to
-    sign, so q divides exactly in Z[i] (Bareiss 1968); an inexact one raises.
-    Every pivot row ends with the last pivot D in its pivot column and zeros
-    in the other pivot columns, so the rows over D are the reduced row echelon
-    form. The common denominator changes neither.
+    Returns the rows as {col: (re, im)} and the pivot columns; the first
+    len(pivots) rows are in row echelon form and the rest are zero. With p the
+    new pivot and q the previous one (1 at first), each row i below the pivot
+    row becomes (p*row_i - row_i[col]*row_r) / q, whose entries are minors up
+    to sign, so q divides exactly in Z[i] (Bareiss 1968); an inexact one raises.
     """
     work = [{j: (re, im) for j, re, im in row} for row in m.nonzeros]
     pivots: list[int] = []
@@ -365,9 +406,10 @@ def _rref(m: ExactMatrix) -> tuple[list[dict[int, tuple[int, int]]], list[int]]:
         work[r], work[pivot] = work[pivot], work[r]
         prow = work[r]
         pr, pi = p = prow[col]
-        for i, row in enumerate(work):
+        for i in range(r + 1, m.rows):
+            row = work[i]
             fr, fi = row.get(col, (0, 0))
-            if i == r or (not (fr or fi) and p == q):
+            if not (fr or fi) and p == q:
                 continue  # p*row_i / q is row_i
             acc = {j: (pr * xr - pi * xi, pr * xi + pi * xr) for j, (xr, xi) in row.items()}
             if fr or fi:
@@ -385,22 +427,26 @@ def _rref(m: ExactMatrix) -> tuple[list[dict[int, tuple[int, int]]], list[int]]:
 
 def rank(m: ExactMatrix) -> int:
     """Exact rank by fraction-free elimination over the Gaussian integers."""
-    return len(_rref(m)[1])
+    return len(_echelon(m)[1])
 
 
 def nullspace(m: ExactMatrix) -> list[tuple[Pair, ...]]:
-    """Exact basis of the right nullspace (reduced row echelon back-substitution)."""
-    work, pivots = _rref(m)
-    dr, di = work[0][pivots[0]] if pivots else (1, 0)
+    """Exact basis of the right nullspace: per free column f, the solution with
+    x_f = 1 and every other free entry 0, by back-substitution on the echelon rows."""
+    work, pivots = _echelon(m)
     basis = []
     for free in (c for c in range(m.cols) if c not in pivots):
-        vec = [ZERO] * m.cols
-        vec[free] = ONE
-        for prow, pcol in enumerate(pivots):
-            # -x / D with D the common pivot: -x * conj(D) / |D|^2
-            xr, xi = work[prow].get(free, (0, 0))
-            vec[pcol] = _scalar(-xr * dr - xi * di, xr * di - xi * dr, dr * dr + di * di)
-        basis.append(tuple(vec))
+        x = {free: ONE}
+        for row, pcol in zip(reversed(work[: len(pivots)]), reversed(pivots)):
+            sr = si = Fraction(0)  # sum over the row's later entries of row_j * x_j
+            for j, (er, ei) in row.items():
+                if j != pcol and j in x:
+                    xr, xi = x[j]
+                    sr, si = sr + er * xr - ei * xi, si + er * xi + ei * xr
+            dr, di = row[pcol]  # x_pcol = -s / d = -s * conj(d) / |d|^2
+            n = dr * dr + di * di
+            x[pcol] = ((-sr * dr - si * di) / n, (sr * di - si * dr) / n)
+        basis.append(tuple(x.get(c, ZERO) for c in range(m.cols)))
     return basis
 
 
@@ -417,6 +463,6 @@ def is_product_state(r: Ray, site_dims: Sequence[int]) -> bool:
     for split in range(1, len(site_dims)):
         cols = total // math.prod(site_dims[:split])
         rows = _sparse(r.parts[i : i + cols] for i in range(0, total, cols))
-        if len(_rref(ExactMatrix(total // cols, cols, rows))[1]) > 1:
+        if len(_echelon(ExactMatrix(total // cols, cols, rows))[1]) > 1:
             return False
     return True

@@ -81,7 +81,8 @@ class ContextHypergraph:
         if len(dims) != 1:
             raise ValueError("all rays must share one dimension")
         dim = dims.pop()
-        vertices = sorted(set(itertools.chain.from_iterable(groups)))
+        # the order of Ray.__lt__, with each ray's dense parts built once
+        vertices = sorted(set(itertools.chain.from_iterable(groups)), key=lambda r: r.parts)
         index = {r: i for i, r in enumerate(vertices)}
         edges = sorted(set(tuple(sorted(index[r] for r in g)) for g in groups))
         return ContextHypergraph(tuple(vertices), tuple(edges), dim)
@@ -89,7 +90,7 @@ class ContextHypergraph:
     @staticmethod
     def completion_of(rays: Iterable[Ray]) -> "ContextHypergraph":
         """All contexts hiding in a ray set: maximal cliques of orthogonality."""
-        vertices = sorted(set(rays))
+        vertices = sorted(set(rays), key=lambda r: r.parts)  # as in from_ray_groups
         dim = vertices[0].dim
         adjacency = orthogonality_graph(vertices)
         edges = enumerate_contexts(adjacency, dim)

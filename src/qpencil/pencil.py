@@ -11,15 +11,15 @@ is certified in exact arithmetic before a context is returned.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .exact import (ExactMatrix, Ray, commutator_is_zero, diagonal_blocks,
+from .exact import (ExactMatrix, Ray, commutator_is_zero, components, diagonal_blocks,
                     linear_combination, rank)
 
 SNAP_TOLERANCE = 1e-6
@@ -152,44 +152,75 @@ def evaluate(p: Pencil) -> ExactMatrix:
 
 
 def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
-    """Floating-point diagonalization of a Hermitian matrix by ``numpy.linalg.eigh``.
+    """Floating-point diagonalization of a Hermitian matrix, or of a stack of
+    equal-size ones, by ``numpy.linalg.eigh``.
 
-    Returns (eigenvalues ascending, eigenvector columns). The result only
-    proposes candidates; ``joint_context`` certifies them exactly.
+    Returns (eigenvalues ascending, eigenvector columns), per matrix of a
+    stack. The result only proposes candidates; ``joint_context`` certifies
+    them exactly.
     """
-    a = np.array(m, dtype=complex)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
-        raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.conj().T))) > 1e-12 * scale:
+    a = np.asarray(m, dtype=complex)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of equal-size ones")
+    scale = max(1.0, float(np.abs(a).max()))
+    if float(np.abs(a - a.conj().swapaxes(-1, -2)).max()) > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian to tolerance 1e-12")
     return np.linalg.eigh(a)
 
 
-def snap_rays(vectors, *, max_snap_norm: int = DEFAULT_MAX_SNAP_NORM) -> list[Ray]:
+def snap_rays(
+    vectors, *, max_snap_norm: int = DEFAULT_MAX_SNAP_NORM, rows=None, dim: int | None = None
+) -> list[Ray]:
     """Round every eigenvector column to its exact integer ray, in one vectorized pass.
 
     Each column is divided by its largest-magnitude entry (fixing scale and global
     phase), then takes its own smallest multiplier k <= max_snap_norm (a broadcast
     axis) that puts every entry within ``SNAP_TOLERANCE`` of a Gaussian integer.
+    With ``rows`` (an index array of the vectors' shape) and ``dim``, entry e of
+    column c is component rows[e, c] of a ``dim``-vector that is zero elsewhere,
+    as for an eigenvector of one diagonal block; ascending down each column.
     """
     v = np.asarray(vectors, dtype=complex)
-    lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    if rows is None:
+        rows, dim = np.broadcast_to(np.arange(len(v))[:, None], v.shape), len(v)
+    columns = np.arange(v.shape[1])
+    lead = v[np.abs(v).argmax(axis=0), columns]
     w = v / np.where(lead == 0, 1, lead)
     scaled = np.arange(1, max_snap_norm + 1)[:, None, None] * w  # (k, entry, column)
-    rounded = np.round(scaled)
-    fits = (np.max(np.abs(scaled - rounded), axis=1) <= SNAP_TOLERANCE) & (lead != 0)
+    rounded = scaled.round()
+    fits = (np.abs(scaled - rounded).max(axis=1) <= SNAP_TOLERANCE) & (lead != 0)
     if not (snapped := fits.any(axis=0)).all():
-        raise SnapError(v[:, np.argmin(snapped)])
-    chosen = rounded[np.argmax(fits, axis=0), :, np.arange(v.shape[1])]  # (column, entry)
-    re, im = chosen.real.astype(int).tolist(), chosen.imag.astype(int).tolist()
-    return [Ray(zip(r, i)) for r, i in zip(re, im)]
+        bad = snapped.argmin()
+        vector = np.zeros(dim, dtype=complex)
+        vector[rows[:, bad]] = v[:, bad]
+        raise SnapError(vector)
+    chosen = rounded[fits.argmax(axis=0), :, columns]  # (column, entry)
+    at = chosen.nonzero()  # by column, then entry
+    nz = chosen[at]
+    support = zip(rows.T[at].tolist(), zip(nz.real.astype(int).tolist(),
+                                           nz.imag.astype(int).tolist()))
+    counts = np.count_nonzero(chosen, axis=1).tolist()
+    return [Ray(itertools.islice(support, n), dim) for n in counts]
 
 
 def snap_to_ray(vector, *, max_snap_norm: int = DEFAULT_MAX_SNAP_NORM) -> Ray:
     """``snap_rays`` on one vector."""
     return snap_rays(np.asarray(vector).reshape(-1, 1), max_snap_norm=max_snap_norm)[0]
+
+
+def _block_stack(p: ExactMatrix, blocks: list[list[int]]) -> np.ndarray:
+    """The principal blocks of P on equal-size index lists, as one float array."""
+    s = len(blocks[0])
+    local = {g: k for idx in blocks for k, g in enumerate(idx)}
+    at, values = [], []
+    for b, idx in enumerate(blocks):
+        for k, i in enumerate(idx):
+            for j, re, im in p.nonzeros[i]:
+                at.append((b * s + k) * s + local[j])
+                values.append(complex(re / p.den, im / p.den))
+    stack = np.zeros(len(blocks) * s * s, dtype=complex)
+    stack[at] = values
+    return stack.reshape(len(blocks), s, s)
 
 
 def _shift(m: ExactMatrix, lam: int) -> ExactMatrix:
@@ -205,18 +236,32 @@ def _shift(m: ExactMatrix, lam: int) -> ExactMatrix:
     return ExactMatrix(m.rows, m.cols, tuple(rows), m.den)
 
 
-def _exact_integer_spectrum(p_exact: ExactMatrix, spectrum: set[int]) -> dict[int, int]:
+def _exact_integer_spectrum(
+    p_exact: ExactMatrix, spectrum: set[int], proposed: Sequence[Sequence[int]] = ()
+) -> dict[int, int]:
     """Certify integer candidate eigenvalues and their multiplicities exactly.
 
     The multiplicity of lambda is d - rank(P - lambda*I), summed as size(B) -
     rank(B - lambda*I) over P's distinct connected blocks B times their counts;
     every candidate must have a positive one, and together they must sum to d.
+    ``proposed[k]`` lists ``diagonal_blocks(p_exact)[k]``'s own candidates,
+    which are ranked first. Eigenspaces of distinct eigenvalues are independent,
+    so once a block's multiplicities sum to its size every other candidate has
+    multiplicity 0 there, and is not ranked.
     """
     d = p_exact.rows
     multiplicities = dict.fromkeys(spectrum, 0)
-    for block, count in Counter(diagonal_blocks(p_exact)).items():
-        for lam in spectrum:
-            multiplicities[lam] += count * (block.rows - rank(_shift(block, lam)))
+    distinct: dict[ExactMatrix, list] = {}
+    for block, own in itertools.zip_longest(diagonal_blocks(p_exact), proposed, fillvalue=()):
+        distinct.setdefault(block, [0, own])[0] += 1
+    for block, (count, own) in distinct.items():
+        found = 0
+        for lam in [*sorted(set(own)), *sorted(spectrum.difference(own))]:
+            if found == block.rows:
+                break
+            m = block.rows - rank(_shift(block, lam))
+            multiplicities[lam] += count * m
+            found += m
     if 0 in multiplicities.values() or sum(multiplicities.values()) != d:
         raise VerificationError(
             f"certified multiplicities {multiplicities} of the rounded eigenvalues "
@@ -230,25 +275,26 @@ def eigen_sign(operator: ExactMatrix, ray: Ray, name: str) -> int:
 
     Raises VerificationError, naming ``name``, unless the ray is exactly an
     eigenvector of ``operator`` with eigenvalue +1 or -1. With M = M_num/den,
-    M v = +/-v exactly when M_num v = +/-den*v, compared on integers over all d
-    entries: on the ray's support entry by entry, and off it by counting the
-    image's zeros. ``operator`` must be Hermitian, so that column j of M_num is
-    the conjugate of row j and M_num v is built from the ray's support alone.
+    M v = +/-v exactly when M_num v = +/-den*v, compared on integers: the
+    image's nonzeros must be +/-den times the ray's, index by index, with the
+    sign read off the ray's first nonzero.
+    ``operator`` must be Hermitian, so that column j of M_num is the conjugate
+    of row j and M_num v is built from the rows on the ray's support alone.
     """
-    v = ray.parts
-    if operator.cols != len(v):
+    if operator.cols != ray.dim:
         raise ValueError("ray length does not match the operator")
-    support = [(j, c) for j, c in enumerate(v) if c != (0, 0)]
-    image = [(0, 0)] * len(v)
-    for j, (br, bi) in support:
+    image: dict[int, tuple[int, int]] = {}
+    for j, (br, bi) in ray.support:
         for i, ar, ai in operator.nonzeros[j]:  # conj(ar + i*ai) * (br + i*bi)
-            re, im = image[i]
+            re, im = image.get(i, (0, 0))
             image[i] = (re + ar * br + ai * bi, im + ar * bi - ai * br)
-    if image.count((0, 0)) == len(v) - len(support):
-        for sign in (1, -1):
-            sd = sign * operator.den
-            if all(image[j] == (sd * re, sd * im) for j, (re, im) in support):
-                return sign
+    if (0, 0) in image.values():  # terms that cancelled
+        image = {i: z for i, z in image.items() if z != (0, 0)}
+    j, (re, im) = ray.support[0]
+    sign = 1 if image.get(j) == (operator.den * re, operator.den * im) else -1
+    sd = sign * operator.den
+    if image == {j: (sd * re, sd * im) for j, (re, im) in ray.support}:
+        return sign
     raise VerificationError(f"{ray!r} is not a +/-1 eigenvector of {name}")
 
 
@@ -265,8 +311,10 @@ def joint_context(
     not an integer ray, and VerificationError when any exact re-check fails
     (UnresolvedSpectrumError when a float eigenvalue does not resolve to an integer).
 
-    Rounded float eigenvalues that repeat raise DegeneratePencilError with
-    multiplicities certified by exact rank on P's distinct connected blocks.
+    The float stage diagonalizes P's connected diagonal blocks, one batched
+    ``eigh`` per block size, and pools their eigenvalues. Rounded eigenvalues
+    that repeat raise DegeneratePencilError with multiplicities certified by
+    exact rank on P's distinct connected blocks.
     Otherwise each snapped ray v_k is certified exactly: every term A_i has
     sign s_i = +/-1 on v_k and sum(a_i * s_i) = lambda_k, so P v_k = lambda_k
     v_k. Rays of d distinct eigenvalues are independent and diagonalize P, so
@@ -275,30 +323,55 @@ def joint_context(
     """
     p = build(terms, coefficients)
     p_exact = evaluate(p)
-    eigenvalues, eigenvectors = hermitian_eigensystem(p_exact.to_complex_array())
-    spectrum = [int(x) for x in np.round(eigenvalues)]
+    blocks = components(p_exact)
+    by_size: dict[int, list[int]] = {}
+    for k, idx in enumerate(blocks):
+        by_size.setdefault(len(idx), []).append(k)
+    # per block size: the block numbers, eigenvalues (block, i), vectors (block, entry, i)
+    stages = [
+        (ks, *hermitian_eigensystem(_block_stack(p_exact, [blocks[k] for k in ks])))
+        for ks in by_size.values()
+    ]
+    pooled = np.concatenate([w.ravel() for _, w, _ in stages])
+    order = np.argsort(pooled)
+    eigenvalues = pooled[order]
+    rounded = eigenvalues.round()
+    spectrum = [int(x) for x in rounded.tolist()]
     # eigh's error grows with max |x|, at an end of the ascending spectrum; from
     # 2^52 on, every float is an integer and nearness to one proves nothing
     coarse = math.ulp(max(-eigenvalues[0], eigenvalues[-1])) >= 1
-    for x, lam in zip(eigenvalues, spectrum):
-        if coarse or abs(x - lam) > _EIGENVALUE_INT_TOLERANCE:
-            raise UnresolvedSpectrumError(
-                f"pencil eigenvalue {x!r} does not resolve to an integer; integer "
-                "coefficients over dichotomic terms should give an integer spectrum"
-            )
+    off = np.abs(eigenvalues - rounded) > _EIGENVALUE_INT_TOLERANCE
+    if coarse or off.any():
+        raise UnresolvedSpectrumError(
+            f"pencil eigenvalue {float(eigenvalues[0 if coarse else off.argmax()])!r} does "
+            "not resolve to an integer; integer coefficients over dichotomic terms should "
+            "give an integer spectrum"
+        )
     if len(set(spectrum)) < len(spectrum):
         # fewer than d candidates, certified to sum to d: some multiplicity exceeds 1
-        raise DegeneratePencilError(_exact_integer_spectrum(p_exact, set(spectrum)))
+        proposed = [()] * len(blocks)
+        for ks, w, _ in stages:
+            for k, own in zip(ks, np.round(w).tolist()):
+                proposed[k] = [int(x) for x in own]
+        raise DegeneratePencilError(_exact_integer_spectrum(p_exact, set(spectrum), proposed))
 
-    rays = snap_rays(eigenvectors, max_snap_norm=max_snap_norm)
+    d = p_exact.rows
+    snapped = []
+    for ks, _, v in stages:  # column b*s + i of the (entry, column) array is v[b, :, i]
+        s = v.shape[1]
+        rows = np.repeat(np.array([blocks[k] for k in ks]), s, axis=0).T
+        columns = v.transpose(1, 0, 2).reshape(s, -1)
+        snapped += snap_rays(columns, max_snap_norm=max_snap_norm, rows=rows, dim=d)
+    rays = tuple(snapped[k] for k in order.tolist())
+    named = [(t, f"term {i}") for i, t in enumerate(p.terms)]
     eigentable = []
     for ray, lam in zip(rays, spectrum):
-        signs = tuple(eigen_sign(t, ray, f"term {i}") for i, t in enumerate(p.terms))
-        if sum(a * s for a, s in zip(p.coefficients, signs)) != lam:
+        signs = tuple([eigen_sign(t, ray, name) for t, name in named])
+        if sum(map(operator.mul, p.coefficients, signs)) != lam:
             raise VerificationError(
                 f"per-term signs of {ray!r} do not recombine to the pencil "
                 f"eigenvalue {lam}"
             )
         eigentable.append(signs)
 
-    return Context(tuple(rays), tuple(eigentable), tuple(spectrum))
+    return Context(rays, tuple(eigentable), tuple(spectrum))

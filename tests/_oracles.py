@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 These deliberately avoid the library's own solver paths: state counting
-enumerates all 2^|V| assignments, and joint eigenbases come from exact
-eigenspace intersection instead of the numerical pencil pipeline.
+enumerates all 2^|V| assignments, joint eigenbases come from exact
+eigenspace intersection instead of the numerical pencil pipeline, and a
+Pauli word acts on a sparse vector letter by letter, without its matrix.
 """
 
 from __future__ import annotations
@@ -97,3 +98,39 @@ def two_qubit_determinant(v) -> tuple[Fraction, Fraction]:
     """v0*v3 - v1*v2 for a 4-component vector, as a pair."""
     c = [pair(x) for x in v]
     return psub(pmul(c[0], c[3]), pmul(c[1], c[2]))
+
+
+# letter -> (flips its site's bit, phase exponent k of i**k on bit 0, on bit 1):
+# Y|0> = i|1>, Y|1> = -i|0>, Z|1> = -|1>
+_LETTER_ACTION = {"I": (0, 0, 0), "X": (1, 0, 0), "Y": (1, 1, 3), "Z": (0, 0, 2)}
+
+
+def apply_word(word, vector: dict[int, tuple[int, int]]) -> dict[int, tuple[int, int]]:
+    """A Pauli word (its ``letters`` and ``phase_power``) applied to a sparse
+    vector {basis state: (re, im)}, letter by letter: basis state b goes to a
+    phase times b XOR x, where site s is bit n-1-s of b."""
+    n = len(word.letters)
+    out: dict[int, tuple[int, int]] = {}
+    for b, (re, im) in vector.items():
+        k = word.phase_power
+        for s, letter in enumerate(word.letters):
+            bit = 1 << (n - 1 - s)
+            flips, k0, k1 = _LETTER_ACTION[letter]
+            k += k1 if b & bit else k0
+            b ^= bit if flips else 0
+        for _ in range(k % 4):  # times i
+            re, im = -im, re
+        acc = out.get(b, (0, 0))
+        out[b] = (acc[0] + re, acc[1] + im)
+    return {b: z for b, z in out.items() if z != (0, 0)}
+
+
+def check_sign_table(words, rays, eigentable) -> None:
+    """Assert that word i has sign eigentable[k][i] on ray k, by ``apply_word``
+    on the ray's nonzero components, and that the rows are distinct sign patterns."""
+    assert len(set(eigentable)) == len(eigentable) == len(rays)
+    for ray, signs in zip(rays, eigentable):
+        vector = dict(ray.support)
+        for word, s in zip(words, signs):
+            expected = {b: (s * re, s * im) for b, (re, im) in vector.items()}
+            assert apply_word(word, vector) == expected, (str(word), ray)

@@ -337,6 +337,7 @@ class TestExitCodes:
         assert err.startswith(
             "qpencil: error: coefficients beyond the float stage's resolution: " + reason
         )
+        assert "np.float64" not in err  # the value as a plain float, not numpy's repr
 
     def test_ghzm_coeffs_below_float_integer_range_succeed(self, capsys):
         # 10^15 < 2^52: the degenerate spectrum is still resolved and certified

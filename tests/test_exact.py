@@ -163,6 +163,37 @@ class TestRayCanonicalization:
             Ray(data)
 
 
+class TestRaySupport:
+    """A ray stores its nonzero components and its length; the dense form is
+    built on demand."""
+
+    def test_only_the_support_is_stored(self):
+        r = Ray([0, 2, 0, -2])
+        assert (r.dim, r.support) == (4, ((1, (1, 0)), (3, (-1, 0))))
+        assert r.parts == ((0, 0), (1, 0), (0, 0), (-1, 0))
+
+    def test_support_form_matches_dense_form(self):
+        assert Ray([(1, 2), (3, (0, -2))], 4) == Ray([0, 2, 0, (0, -2)])
+        # an explicit zero in the support is dropped, and denominators cleared
+        assert Ray([(0, 0), (2, Fraction(1, 2))], 3) == Ray([0, 0, 1])
+        assert Ray([(0, 1)], 1) != Ray([(0, 1)], 2)
+
+    @pytest.mark.parametrize(
+        "support",
+        [[(1, 1), (0, 1)], [(1, 1), (1, 2)], [(4, 1)], [(-1, 1)], [(1.0, 1)], [(True, 1)]],
+        ids=["descending", "repeated", "too-large", "negative", "float", "bool"],
+    )
+    def test_bad_support_indices_rejected(self, support):
+        with pytest.raises(ValueError, match="ascend"):
+            Ray(support, 4)
+
+    def test_empty_support_is_the_zero_vector(self):
+        with pytest.raises(ValueError, match="zero vector"):
+            Ray([], 3)
+        with pytest.raises(ValueError, match="at least one component"):
+            Ray([], 0)
+
+
 class TestInnerProduct:
     def test_disjoint_support(self):
         assert inner_product(Ray([1, 0, 0, 0]), Ray([0, 1, 0, 0])) == (0, 0)
@@ -258,6 +289,16 @@ class TestCommutator:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             commutator_is_zero(SIGMA_X, word("XI"))
+
+    @given(st.data(), st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_whole_products(self, data, n):
+        # row by row must decide as AB == BA does, on sparse draws (one-entry and
+        # denser rows) and on monomial ones (every row one entry, as for Pauli words)
+        a, b = (data.draw(_sparse_matrix(n, n)) for _ in range(2))
+        p, q = (data.draw(_monomial_matrix(n)) for _ in range(2))
+        for x, y in ((a, b), (a, a + b), (a, a @ a), (p, q), (p, p @ p), (p, q @ p @ q), (p, a)):
+            assert commutator_is_zero(x, y) == (x @ y == y @ x)
 
 
 class TestMatrixBasics:
@@ -412,6 +453,14 @@ def _sparse_matrix(rows, cols):
         min_size=rows,
         max_size=rows,
     ).map(ExactMatrix.from_rows)
+
+
+def _monomial_matrix(n):
+    """A permutation matrix whose ones are scaled by Gaussian integers."""
+    units = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1), (2, 1)])
+    return st.tuples(
+        st.permutations(range(n)), st.lists(units, min_size=n, max_size=n)
+    ).map(lambda t: ExactMatrix(n, n, tuple(((j, *c),) for j, c in zip(*t))))
 
 
 class TestSparseKernelAgainstNaiveReference:

@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import json
 import random
 import re
 from fractions import Fraction
@@ -7,7 +9,8 @@ import numpy as np
 import pytest
 
 from qpencil import cli, pencil
-from qpencil.exact import ExactMatrix, Ray, commutator_is_zero, linear_combination, rank
+from qpencil.exact import (ExactMatrix, Ray, commutator_is_zero, diagonal_blocks,
+                           linear_combination, rank)
 from qpencil.parity import ParityScenario
 from qpencil.pauli import PauliString, commutes, multiply, parse_pauli, realization
 from qpencil.pencil import (
@@ -33,7 +36,8 @@ from _fixtures import (
     HEADERS_PLAIN,
     SQUARE_TRIPLES,
 )
-from _oracles import joint_eigenrays_by_intersection, signed_components
+from _oracles import (apply_word, check_sign_table, joint_eigenrays_by_intersection,
+                      signed_components)
 
 
 def mats(*words):
@@ -149,6 +153,22 @@ class TestHermitianEigensystem:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_stack_of_equal_size_matrices(self):
+        rng = np.random.default_rng(5)
+        h = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        h = (h + h.conj().swapaxes(-1, -2)) / 2
+        w, v = hermitian_eigensystem(h)
+        assert (w.shape, v.shape) == ((3, 4), (3, 4, 4))
+        for k in range(3):
+            assert np.allclose(w[k], np.linalg.eigvalsh(h[k]))
+            assert np.max(np.abs(h[k] @ v[k] - v[k] @ np.diag(w[k]))) < 1e-9
+
+    def test_non_hermitian_matrix_in_a_stack_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_eigensystem(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
+        with pytest.raises(ValueError, match="square"):
+            hermitian_eigensystem(np.zeros((2, 2, 3)))
+
 
 class TestSnapToRay:
     def test_scale_and_round(self):
@@ -253,12 +273,17 @@ class TestJointContext:
     )
     def test_wrong_float_eigenvectors_are_rejected(self, monkeypatch, name, check):
         # row1 is diagonal, so identity columns are joint eigenvectors in the
-        # wrong eigenvalue order; row3's rays are not standard basis vectors
+        # wrong eigenvalue order; row3's rays are not standard basis vectors.
+        # The float stage solves a stack of diagonal blocks: pair the k-th index's
+        # unit vector with the k-th smallest eigenvalue, as the identity columns
+        # of one dense eigensystem would be
         solve = pencil.hermitian_eigensystem
 
         def identity_vectors(m):
-            w, _ = solve(m)
-            return w, np.eye(len(w), dtype=complex)
+            w, v = solve(m)
+            return np.sort(w, axis=None).reshape(w.shape), np.broadcast_to(
+                np.eye(v.shape[-1], dtype=complex), v.shape
+            )
 
         monkeypatch.setattr(pencil, "hermitian_eigensystem", identity_vectors)
         with pytest.raises(VerificationError, match=check):
@@ -363,6 +388,15 @@ class TestSnapRays:
             snap_rays(v, max_snap_norm=2)
         assert np.array_equal(err.value.vector, v[:, 2])
 
+    def test_block_columns_land_on_their_rows(self):
+        # the columns of one 2 x 2 block on indices 1 and 3 of a 4-vector
+        v = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+        rows = np.array([[1, 1], [3, 3]])
+        assert snap_rays(v, rows=rows, dim=4) == [Ray([0, 1, 0, 1]), Ray([0, 1, 0, -1])]
+        with pytest.raises(SnapError) as err:
+            snap_rays(np.column_stack([v[:, 0], [0.3, 0.7]]), rows=rows, dim=4)
+        assert np.array_equal(err.value.vector, [0, 0.3, 0, 0.7])
+
     @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [0.3, 0.7, 0.0]])
     def test_error_carries_the_failing_column(self, bad):
         v = np.column_stack([[1.0, 0.0, 0.0], bad, [0.0, 1.0, 1.0]])
@@ -415,13 +449,11 @@ class TestRayCertificate:
             joint_context(mats("ZII", "IZI"))
         assert err.value.multiplicities == {-3: 2, -1: 2, 1: 2, 3: 2}
         # P = diag(3, 3, -1, -1, 1, 1, -3, -3) has eight 1 x 1 blocks, four distinct:
-        # one exact rank per distinct block and candidate, on that block shifted
-        assert len(calls) == 16
+        # each distinct block ranks its own candidate first, and that fills it, so
+        # the other three candidates are certified absent without a rank
+        assert len(calls) == 4
         assert all((m.rows, m.cols) == (1, 1) for m in calls)
-        values = (-3, -1, 1, 3)
-        assert sorted(m.at(0, 0) for m in calls) == sorted(
-            (b - lam, 0) for b in values for lam in values
-        )
+        assert [m.at(0, 0) for m in calls] == [(0, 0)] * 4
 
     def test_ghz_six_qubits_closed_form(self):
         self._check_ghz_closed_form(6)
@@ -601,8 +633,138 @@ class TestBlockwiseCertificate:
             got = _certificate_outcome(pencil._exact_integer_spectrum, p_exact, spectrum)
             assert got == expected
 
+    @pytest.mark.parametrize("p_exact", _differential_cases())
+    def test_own_candidates_first_match_full_matrix_rank(self, p_exact):
+        # ranking each block's own candidates first, and stopping once they fill
+        # the block, must not change the outcome, whether the proposals are right,
+        # shifted or missing one
+        own = [
+            sorted({int(x) for x in np.round(np.linalg.eigvalsh(b.to_complex_array()))})
+            for b in diagonal_blocks(p_exact)
+        ]
+        variants = [own, [[x + 2 for x in o] for o in own], [o[1:] for o in own]]
+        for spectrum in _candidate_sets(p_exact):
+            expected = _certificate_outcome(_full_rank_spectrum, p_exact, spectrum)
+            for variant in variants:
+                proposed = [[x for x in o if x in spectrum] for o in variant]
+                got = _certificate_outcome(
+                    lambda p, s: pencil._exact_integer_spectrum(p, s, proposed), p_exact, spectrum
+                )
+                assert got == expected
+
     def test_partial_families_repeat_blocks(self):
         # k < n leaves every joint eigenspace of dimension 2^(n-k) > 1, and P
         # repeats blocks, so the count of each distinct block matters
         p = evaluate(build(mats("XXI", "ZZI"), (3, -5)))
         assert pencil._exact_integer_spectrum(p, {-8, -2, 2, 8}) == {-8: 2, -2: 2, 2: 2, 8: 2}
+
+
+# sha256 of json.dumps(joint_context(GHZ n).to_json(), sort_keys=True,
+# separators=(",", ":")), recorded with the dense d x d float stage that the
+# block-diagonal one replaced
+GHZ_CONTEXT_SHA256 = {
+    2: "15414855af172c7a8a745906be11ddb1c8172a6d68bc3413fb600cbed62e0f81",
+    3: "c88a4d03cefbc062fb77b50e1046a93c597a8c5029adc7e09c41ed3e3fc87f91",
+    4: "db0146d25dc412e433a8b73bb5e886800c5c8fa7b69f1a6b0948f5245059e287",
+    5: "90ee3de417f3a48fcca878971d5a5fb81b8de325ef20db2cde2e2bd18692b4a9",
+    6: "c67dbf97a8f347ea6ccddc191fc847c722702be2289ae57177c1b0b0e6b4b14d",
+    7: "612e1cf067c795b4829a59cfdcb8a2ad478142f3c18fc952f759b17eff883dec",
+    8: "6a7814a33b85c26ae18fc78cb3ee048200eba28fee726c418aa39619fc445114",
+    9: "0b4d75a9e1b7c29298d746e0419871fdad387b9811504da91974f611185368a4",
+    10: "d940da458c4c81a2272cf7ec07372a9fce692be1968cbb3d6134e1d6b788ac7a",
+}
+
+
+def _recorded_stacks(monkeypatch) -> list[tuple[int, ...]]:
+    """The shape of every array the float stage hands to ``hermitian_eigensystem``."""
+    shapes, solve = [], pencil.hermitian_eigensystem
+
+    def recorded(m):
+        shapes.append(np.shape(m))
+        return solve(m)
+
+    monkeypatch.setattr(pencil, "hermitian_eigensystem", recorded)
+    return shapes
+
+
+class TestBlockFloatStage:
+    """The float stage solves P's connected diagonal blocks, batched by size."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_ghz_context_json_is_unchanged(self, monkeypatch, n):
+        shapes = _recorded_stacks(monkeypatch)
+        ctx = joint_context(mats(*ghz_words(n)))
+        text = json.dumps(ctx.to_json(), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == GHZ_CONTEXT_SHA256[n]
+        assert shapes == [(2 ** (n - 1), 2, 2)]  # X...X pairs b with its complement
+
+    def test_repeat_across_distinct_blocks_is_degenerate(self, monkeypatch):
+        # bipartite's first group is YY and -YY: two different 2 x 2 blocks with
+        # eigenvalues -1 and 1 each, so no block repeats a value but P does
+        s = cli.load_builtin("bipartite")
+        terms = [realization(w) for w in ParityScenario(s.groups[0], s.site_count).composed()]
+        first, second = diagonal_blocks(evaluate(build(terms)))
+        assert first != second
+        calls = []
+        exact_rank = pencil.rank
+        monkeypatch.setattr(pencil, "rank", lambda m: calls.append(m) or exact_rank(m))
+        with pytest.raises(DegeneratePencilError, match=re.escape(": -1 (x2), 1 (x2)")):
+            joint_context(terms)
+        assert len(calls) == 4  # two distinct blocks, two own candidates each
+
+    def test_blocks_of_unequal_size_in_a_degenerate_pencil(self, monkeypatch):
+        # XX + YY cancels on indices 0 and 3, leaving blocks {0}, {1, 2}, {3}
+        shapes = _recorded_stacks(monkeypatch)
+        with pytest.raises(DegeneratePencilError) as err:
+            joint_context(mats("XX", "YY"), (1, 1))
+        assert err.value.multiplicities == {-2: 1, 0: 2, 2: 1}
+        assert shapes == [(2, 1, 1), (1, 2, 2)]
+
+    def test_blocks_of_unequal_size_in_a_nondegenerate_pencil(self, monkeypatch):
+        # T1 = (1) + sigma_x and T2 = (1) - I on blocks {0} and {1, 2}: P = T1 + 2 T2
+        # has eigenvalue 3 on the first block and -1, -3 on the second
+        t1 = ExactMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+        t2 = ExactMatrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+        shapes = _recorded_stacks(monkeypatch)
+        ctx = joint_context([t1, t2])
+        assert shapes == [(1, 1, 1), (1, 2, 2)]
+        assert ctx.rays == (Ray([0, 1, -1]), Ray([0, 1, 1]), Ray([1, 0, 0]))
+        assert ctx.eigentable == ((-1, -1), (1, -1), (1, 1))
+        assert ctx.pencil_eigenvalues == (-3, -1, 3)
+
+
+class TestSparseWordOracle:
+    """Every ray's sign table, checked by applying each word letter by letter to
+    the ray's nonzero components, without the words' matrices."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_oracle_agrees_with_the_realization(self, seed):
+        rng = random.Random(seed)
+        for n in (1, 2, 3):
+            for _ in range(8):
+                w = PauliString(tuple(rng.choice("IXYZ") for _ in range(n)), rng.randrange(4))
+                vec = {b: (rng.randint(-2, 2), rng.randint(-2, 2)) for b in range(2**n)}
+                dense = [vec[b] for b in range(2**n)]
+                image = realization(w).apply(dense)
+                expected = {b: z for b, z in enumerate(image) if z != (0, 0)}
+                assert apply_word(w, vec) == expected
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_ghz_sign_tables(self, n):
+        words = [parse_pauli(w) for w in ghz_words(n)]
+        ctx = joint_context([realization(w) for w in words])
+        check_sign_table(words, ctx.rays, ctx.eigentable)
+
+    @pytest.mark.parametrize("n,seed", [(n, seed) for n in range(1, 7) for seed in (11, 12)])
+    def test_random_full_families(self, n, seed):
+        words = _random_commuting_family(random.Random(seed), n, n)
+        ctx = joint_context([realization(w) for w in words])
+        check_sign_table(words, ctx.rays, ctx.eigentable)
+
+    def test_a_flipped_sign_is_caught(self):
+        words = [parse_pauli(w) for w in ghz_words(3)]
+        ctx = joint_context([realization(w) for w in words])
+        table = [list(row) for row in ctx.eigentable]
+        table[5][2] *= -1
+        with pytest.raises(AssertionError):
+            check_sign_table(words, ctx.rays, [tuple(row) for row in table])
