@@ -56,7 +56,7 @@ BUILTINS = {
     "bipartite": "bipartite.scn",
     "intro-pair": "intro_pair.scn",
 }
-SITE_CAP = 10  # a pencil over N sites has dimension 2^N; its cost grows as 4^N
+SITE_CAP = 10  # 2^N rays of length 2^N over N sites, printed densely: output grows as 4^N
 
 
 class ScenarioError(ValueError):

@@ -286,30 +286,24 @@ class ExactMatrix:
         rows = tuple(_row_times(ra, other) for ra in self.nonzeros)
         return ExactMatrix(self.rows, other.cols, rows, self.den * other.den)
 
-    def conjugate_transpose(self) -> "ExactMatrix":
-        cols: list[list[tuple[int, int, int]]] = [[] for _ in range(self.cols)]
-        for i, row in enumerate(self.nonzeros):
-            for j, re, im in row:
-                cols[j].append((i, re, -im))
-        return ExactMatrix(self.cols, self.rows, tuple(map(tuple, cols)), self.den)
-
     def is_hermitian(self) -> bool:
-        return self.rows == self.cols and self == self.conjugate_transpose()
+        """True iff square with entry (j, i) the conjugate of (i, j), in one pass over
+        the nonzeros: rows i in ascending order meet row j's entries in column order."""
+        if self.rows != self.cols:
+            return False
+        rows, seen = self.nonzeros, [0] * self.rows
+        for i, row in enumerate(rows):
+            for j, re, im in row:
+                if seen[j] == len(rows[j]) or rows[j][seen[j]] != (i, re, -im):
+                    return False
+                seen[j] += 1
+        return True
 
     def apply(self, vec: Sequence[ScalarLike]) -> tuple[Pair, ...]:
         """The exact image M v, read off the product with v as a one-column matrix."""
         nums, vden = _over_common_den(vec)
         image = self @ ExactMatrix(len(nums), 1, _sparse([x] for x in nums), vden)
         return tuple(image.at(i, 0) for i in range(self.rows))
-
-    def to_complex_array(self):
-        import numpy as np
-
-        out = np.zeros((self.rows, self.cols), dtype=complex)
-        for i, row in enumerate(self.nonzeros):
-            for j, re, im in row:
-                out[i, j] = complex(re / self.den, im / self.den)
-        return out
 
 
 def linear_combination(

@@ -66,8 +66,8 @@ class UnresolvedSpectrumError(VerificationError):
 class Pencil:
     """Terms A_i with integer coefficients a_i, validated on construction.
 
-    The terms must be square, Hermitian, of equal dimension and pairwise
-    commuting, so every ``Pencil`` value carries that guarantee.
+    The terms must be square, Hermitian and of equal dimension, so every ``Pencil``
+    value carries that guarantee; ``joint_context`` certifies that they commute.
     """
 
     terms: tuple[ExactMatrix, ...]
@@ -98,10 +98,6 @@ class Pencil:
                 raise PencilError(f"term {i} has dimension {t.rows}, expected {d}")
             if not t.is_hermitian():
                 raise PencilError(f"term {i} is not Hermitian")
-        for i in range(len(terms)):
-            for j in range(i + 1, len(terms)):
-                if not commutator_is_zero(terms[i], terms[j]):
-                    raise PencilError(f"terms {i} and {j} do not commute")
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ def default_coefficients(l: int) -> tuple[int, ...]:
 def build(
     terms: Sequence[ExactMatrix], coefficients: Sequence[int] | None = None
 ) -> Pencil:
-    """Validate terms (square, Hermitian, equal dimension, pairwise commuting)."""
+    """Validate terms (square, Hermitian, equal dimension), not their commutation."""
     terms = tuple(terms)
     if coefficients is None:
         coefficients = default_coefficients(len(terms)) if terms else ()
@@ -143,11 +139,8 @@ def build(
 
 
 def evaluate(p: Pencil) -> ExactMatrix:
-    """The exact Hermitian sum; commutes with every term by construction.
-
-    [P, A_j] = sum(a_i * [A_i, A_j]) = 0, because ``Pencil`` only exists
-    with pairwise-commuting terms.
-    """
+    """The exact Hermitian sum sum(a_i * A_i); it commutes with every term if the
+    terms commute pairwise, which ``joint_context`` certifies."""
     return linear_combination(p.coefficients, p.terms)
 
 
@@ -306,10 +299,10 @@ def joint_context(
 ) -> Context:
     """Full pipeline: build, diagonalize, snap, and exactly verify a context.
 
-    Raises DegeneratePencilError (with the certified multiplicity structure)
-    when the pencil cannot single out a basis, SnapError when an eigenvector is
-    not an integer ray, and VerificationError when any exact re-check fails
-    (UnresolvedSpectrumError when a float eigenvalue does not resolve to an integer).
+    Raises PencilError naming two terms that do not commute, DegeneratePencilError
+    (with the certified multiplicities) when the pencil cannot single out a basis,
+    SnapError when an eigenvector is not an integer ray, and VerificationError when
+    an exact re-check fails (UnresolvedSpectrumError: a float eigenvalue is no integer).
 
     The float stage diagonalizes P's connected diagonal blocks, one batched
     ``eigh`` per block size, and pools their eigenvalues. Rounded eigenvalues
@@ -319,9 +312,21 @@ def joint_context(
     sign s_i = +/-1 on v_k and sum(a_i * s_i) = lambda_k, so P v_k = lambda_k
     v_k. Rays of d distinct eigenvalues are independent and diagonalize P, so
     the lambda_k are its whole spectrum, each simple, and (P being Hermitian)
-    the rays are pairwise orthogonal.
+    the rays are pairwise orthogonal. With V the rays as columns, A_i = V diag(s_i) V^-1,
+    so the terms commute; any other outcome runs the pairwise commutators first.
     """
     p = build(terms, coefficients)
+    try:
+        return _certified_context(p, max_snap_norm)
+    except Exception:  # re-raised once the terms are known to commute
+        for i, j in itertools.combinations(range(len(p.terms)), 2):
+            if not commutator_is_zero(p.terms[i], p.terms[j]):
+                raise PencilError(f"terms {i} and {j} do not commute") from None
+        raise
+
+
+def _certified_context(p: Pencil, max_snap_norm: int) -> Context:
+    """``joint_context`` after validation: its float stage and exact certificate."""
     p_exact = evaluate(p)
     blocks = components(p_exact)
     by_size: dict[int, list[int]] = {}

@@ -56,6 +56,15 @@ def signed_components(ray: Ray, s: int) -> tuple[tuple[int, int], ...]:
     return tuple((s * re, s * im) for re, im in ray.parts)
 
 
+def conjugate_transpose(m: ExactMatrix) -> ExactMatrix:
+    """M^H, built entry by entry: entry (i, j) of M lands conjugated at (j, i)."""
+    cols: list[list[tuple[int, int, int]]] = [[] for _ in range(m.cols)]
+    for i, row in enumerate(m.nonzeros):
+        for j, re, im in row:
+            cols[j].append((i, re, -im))
+    return ExactMatrix(m.cols, m.rows, tuple(map(tuple, cols)), m.den)
+
+
 def brute_state_count(edges: list[tuple[int, ...]], n_vertices: int) -> int:
     """Count {0,1} assignments with exactly one 1 per edge, over all 2^n."""
     if n_vertices > 22:

@@ -40,7 +40,7 @@ from _fixtures import (
     HEADERS_PLAIN,
     SQUARE_TRIPLES,
 )
-from _oracles import brute_state_count, signed_components
+from _oracles import brute_state_count, conjugate_transpose, signed_components
 
 
 def mats(*words):
@@ -215,7 +215,7 @@ def test_criterion_7_intro_fixture():
     second_literal = ExactMatrix.from_rows(
         [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]
     )
-    second = second_literal.conjugate_transpose()  # displayed transposed; symmetric
+    second = conjugate_transpose(second_literal)  # displayed transposed; symmetric
     assert second == second_literal
     assert commutator_is_zero(first, second)
 

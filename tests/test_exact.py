@@ -19,7 +19,8 @@ from qpencil.exact import (
 )
 from qpencil.pauli import parse_pauli, realization
 
-from _oracles import padd, pair, pdiv, pmul, psub, raw_inner, two_qubit_determinant
+from _oracles import (conjugate_transpose, padd, pair, pdiv, pmul, psub, raw_inner,
+                      two_qubit_determinant)
 
 
 SIGMA_X = ExactMatrix.from_rows([[0, 1], [1, 0]])
@@ -262,7 +263,7 @@ class TestTensor:
         literal = ExactMatrix.from_rows(
             [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]
         )
-        assert literal.conjugate_transpose() == literal
+        assert conjugate_transpose(literal) == literal
         assert word("YY") == literal
 
     def test_mixed_product_property(self):
@@ -305,6 +306,43 @@ class TestMatrixBasics:
     def test_hermitian_flag(self):
         assert SIGMA_Y.is_hermitian()
         assert not ExactMatrix.from_rows([[0, 1], [0, 0]]).is_hermitian()
+
+    def test_hermitian_flag_on_edge_cases(self):
+        half = Fraction(1, 2)
+        cases = {
+            "den 2": ([[half, (0, half)], [(0, -half), 3]], True),
+            "non-real diagonal": ([[(1, 1), 0], [0, 1]], False),
+            "one-sided off-diagonal": ([[0, 0, 0], [0, 0, 0], [(1, half), 0, 0]], False),
+            "unconjugated mirror": ([[0, (1, 1)], [(1, 1), 0]], False),
+            "non-square": ([[0, 0, 1], [0, 0, 0]], False),
+        }
+        for name, (rows, expected) in cases.items():
+            m = ExactMatrix.from_rows(rows)
+            assert m.is_hermitian() is expected, name
+            assert (m == conjugate_transpose(m)) is expected, name
+
+    @given(st.data(), st.integers(1, 5), st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_hermitian_flag_matches_conjugate_transpose(self, data, n, m):
+        # a random draw is rarely Hermitian, so A + A^H is made one, then broken
+        # by a non-real diagonal entry or by a one-sided off-diagonal entry
+        a = data.draw(_sparse_matrix(n, m))
+        cases = [a]
+        if n == m:
+            h = a + conjugate_transpose(a)
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            imaginary = [[(0, Fraction(1, 3)) if r == c == i else 0 for c in range(n)]
+                         for r in range(n)]
+            cases += [h, h.scale(Fraction(1, 3)), h + ExactMatrix.from_rows(imaginary)]
+            if i != j:  # entry (i, j) set, its mirror (j, i) cleared
+                one_sided = [list(h.row(r)) for r in range(n)]
+                one_sided[i][j] = data.draw(_SPARSE_ENTRY.filter(lambda v: v not in (0, (0, 0))))
+                one_sided[j][i] = 0
+                cases.append(ExactMatrix.from_rows(one_sided))
+            assert h.is_hermitian() and not cases[3].is_hermitian()
+            assert len(cases) == 4 or not cases[4].is_hermitian()
+        for x in cases:
+            assert x.is_hermitian() == (x == conjugate_transpose(x))
 
     def test_matmul_shapes(self):
         with pytest.raises(ValueError):

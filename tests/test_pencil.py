@@ -19,6 +19,7 @@ from qpencil.pencil import (
     Pencil,
     PencilError,
     SnapError,
+    UnresolvedSpectrumError,
     VerificationError,
     build,
     default_coefficients,
@@ -42,6 +43,15 @@ from _oracles import (apply_word, check_sign_table, joint_eigenrays_by_intersect
 
 def mats(*words):
     return [realization(parse_pauli(word)) for word in words]
+
+
+def dense(m: ExactMatrix) -> np.ndarray:
+    """The exact matrix as a complex float array, for the float eigensolver."""
+    out = np.zeros((m.rows, m.cols), dtype=complex)
+    for i, row in enumerate(m.nonzeros):
+        for j, re, im in row:
+            out[i, j] = complex(re / m.den, im / m.den)
+    return out
 
 
 class TestDefaultCoefficients:
@@ -82,8 +92,10 @@ class TestBuildAndEvaluate:
         assert p.rows == 8 and p.is_hermitian()
 
     def test_noncommuting_terms_rejected(self):
-        with pytest.raises(PencilError, match="commute"):
-            build(mats("ZI", "XI"))
+        # build() leaves commutation to joint_context, which certifies it
+        assert build(mats("ZI", "XI")).coefficients == (1, 2)
+        with pytest.raises(PencilError, match="^terms 0 and 1 do not commute$"):
+            joint_context(mats("ZI", "XI"))
 
     def test_non_hermitian_term_rejected(self):
         m = realization(parse_pauli("+i ZX"))
@@ -113,11 +125,13 @@ class TestBuildAndEvaluate:
         assert all(type(c) is int for c in p.coefficients)
 
     def test_direct_construction_is_validated(self):
-        # evaluate() trusts every Pencil to have commuting Hermitian terms
-        with pytest.raises(PencilError, match="commute"):
-            Pencil(tuple(mats("ZI", "XI")), (1, 2))
+        # evaluate() and eigen_sign trust every Pencil to have Hermitian terms;
+        # that they commute is joint_context's to certify
         with pytest.raises(PencilError, match="Hermitian"):
             Pencil((realization(parse_pauli("+i ZX")),), (1,))
+        p = Pencil(tuple(mats("ZI", "XI")), (1, 2))
+        with pytest.raises(PencilError, match="^terms 0 and 1 do not commute$"):
+            joint_context(p.terms, p.coefficients)
 
 
 class TestHermitianEigensystem:
@@ -135,7 +149,7 @@ class TestHermitianEigensystem:
 
     def test_row1_pencil_eigenvalues(self):
         p = evaluate(build(mats(*SQUARE_TRIPLES["row1"]), (1, 2, 4)))
-        w, _ = hermitian_eigensystem(p.to_complex_array())
+        w, _ = hermitian_eigensystem(dense(p))
         assert np.allclose(w, [-5, -3, 1, 7])
 
     def test_postconditions_on_random_hermitian(self):
@@ -324,6 +338,56 @@ class TestJointContext:
         assert all(all(isinstance(x, int) for x in row) for row in data["rays"])
 
 
+# non-commuting terms whose certificate fails at a different stage each: the error
+# the float stage and certificate raise when the commutators are not run
+_NONCOMMUTING = [
+    pytest.param(("ZI", "XI"), None, UnresolvedSpectrumError, "-2.236", id="unresolved-sqrt5"),
+    pytest.param(("X", "Z"), (3, 4), VerificationError, r"not a \+/-1 eigenvector of term 0",
+                 id="snapped-then-sign"),
+    pytest.param(("XI", "ZI"), (3, 4), DegeneratePencilError, r"^degenerate pencil spectrum: "
+                 r"-5 \(x2\), 5 \(x2\)$", id="degenerate-5x2"),
+    pytest.param(("XI", "ZI"), (10**400, 1), OverflowError, "too large", id="overflow"),
+]
+
+
+class TestCommutationCertificate:
+    """A passing certificate implies that the terms commute; every failure runs
+    the pairwise commutators first, so terms that do not commute are named."""
+
+    @pytest.mark.parametrize("words,coefficients,stage,message", _NONCOMMUTING)
+    def test_noncommuting_terms_are_named_on_every_failure_path(
+        self, words, coefficients, stage, message
+    ):
+        with pytest.raises(stage, match=message) as err:
+            pencil._certified_context(build(mats(*words), coefficients), DEFAULT_MAX_SNAP_NORM)
+        assert type(err.value) is stage
+        with pytest.raises(PencilError, match="^terms 0 and 1 do not commute$"):
+            joint_context(mats(*words), coefficients)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_success_runs_no_commutator(self, monkeypatch, n):
+        def no_commutator(a, b):
+            raise AssertionError("commutator on the success path")
+
+        expected = joint_context(mats(*ghz_words(n)))
+        monkeypatch.setattr(pencil, "commutator_is_zero", no_commutator)
+        assert joint_context(mats(*ghz_words(n))) == expected
+
+    def test_degenerate_pencil_runs_every_commutator_before_reporting(self, monkeypatch):
+        calls = []
+        commutator = pencil.commutator_is_zero
+
+        def counted(a, b):
+            calls.append((a, b))
+            return commutator(a, b)
+
+        monkeypatch.setattr(pencil, "commutator_is_zero", counted)
+        terms = mats("ZIII", "IZII", "IIZI")
+        with pytest.raises(DegeneratePencilError, match=r"\(x2\)"):
+            joint_context(terms)
+        assert calls == [(terms[i], terms[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+
+
 def _random_commuting_family(rng: random.Random, n: int, k: int) -> list[PauliString]:
     """k pairwise-commuting, independent Hermitian Pauli words on n qubits."""
     words: list[PauliString] = []
@@ -406,7 +470,7 @@ class TestSnapRays:
 
     @pytest.mark.parametrize("terms", _builtin_and_ghz_term_lists())
     def test_batch_matches_per_column_snap(self, terms):
-        _, v = hermitian_eigensystem(evaluate(build(terms)).to_complex_array())
+        _, v = hermitian_eigensystem(dense(evaluate(build(terms))))
         reference = [_snap_column_reference(v[:, k], DEFAULT_MAX_SNAP_NORM) for k in range(len(v))]
         if None in reference:  # a degenerate pencil: eigh may mix an eigenspace
             first_bad = reference.index(None)
@@ -597,7 +661,7 @@ def _certificate_outcome(certify, p_exact, spectrum):
 
 def _candidate_sets(p_exact: ExactMatrix) -> list[set[int]]:
     """The rounded spectrum, and wrong candidate sets that fail the check."""
-    w, _ = hermitian_eigensystem(p_exact.to_complex_array())
+    w, _ = hermitian_eigensystem(dense(p_exact))
     exact = {int(x) for x in np.round(w)}
     return [exact, {x + 2 for x in exact}, exact | {max(exact) + 1}, set(list(exact)[1:])]
 
@@ -639,7 +703,7 @@ class TestBlockwiseCertificate:
         # the block, must not change the outcome, whether the proposals are right,
         # shifted or missing one
         own = [
-            sorted({int(x) for x in np.round(np.linalg.eigvalsh(b.to_complex_array()))})
+            sorted({int(x) for x in np.round(np.linalg.eigvalsh(dense(b)))})
             for b in diagonal_blocks(p_exact)
         ]
         variants = [own, [[x + 2 for x in o] for o in own], [o[1:] for o in own]]
