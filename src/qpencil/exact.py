@@ -171,9 +171,6 @@ class Ray:
     def __hash__(self) -> int:
         return hash((self.dim, self.support))
 
-    def __lt__(self, other: "Ray") -> bool:
-        return self.parts < other.parts
-
     def __repr__(self) -> str:
         return f"Ray({self.to_json()})"
 
@@ -353,7 +350,7 @@ def components(m: ExactMatrix) -> list[list[int]]:
     """The connected components of a square matrix's nonzero pattern (i ~ j for
     every nonzero (i, j)) as ascending index lists, by smallest index."""
     if m.rows != m.cols:
-        raise ValueError(f"diagonal blocks need a square matrix, not {m.rows}x{m.cols}")
+        raise ValueError(f"components need a square matrix, not {m.rows}x{m.cols}")
     parent = list(range(m.rows))
 
     def find(i: int) -> int:
@@ -368,16 +365,6 @@ def components(m: ExactMatrix) -> list[list[int]]:
     for i in range(m.rows):
         found.setdefault(find(i), []).append(i)
     return list(found.values())
-
-
-def diagonal_blocks(m: ExactMatrix) -> list[ExactMatrix]:
-    """The principal submatrices of a square matrix on its ``components``."""
-    blocks = []
-    for idx in components(m):
-        local = {g: k for k, g in enumerate(idx)}
-        rows = tuple(tuple((local[j], re, im) for j, re, im in m.nonzeros[i]) for i in idx)
-        blocks.append(ExactMatrix(len(idx), len(idx), rows, m.den))
-    return blocks
 
 
 def _echelon(m: ExactMatrix) -> tuple[list[dict[int, tuple[int, int]]], list[int]]:

@@ -81,7 +81,7 @@ class ContextHypergraph:
         if len(dims) != 1:
             raise ValueError("all rays must share one dimension")
         dim = dims.pop()
-        # the order of Ray.__lt__, with each ray's dense parts built once
+        # by dense components, each ray's parts built once
         vertices = sorted(set(itertools.chain.from_iterable(groups)), key=lambda r: r.parts)
         index = {r: i for i, r in enumerate(vertices)}
         edges = sorted(set(tuple(sorted(index[r] for r in g)) for g in groups))
@@ -91,6 +91,8 @@ class ContextHypergraph:
     def completion_of(rays: Iterable[Ray]) -> "ContextHypergraph":
         """All contexts hiding in a ray set: maximal cliques of orthogonality."""
         vertices = sorted(set(rays), key=lambda r: r.parts)  # as in from_ray_groups
+        if not vertices:
+            raise ValueError("cannot complete an empty ray set")
         dim = vertices[0].dim
         adjacency = orthogonality_graph(vertices)
         edges = enumerate_contexts(adjacency, dim)

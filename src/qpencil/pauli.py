@@ -68,9 +68,6 @@ class PauliString:
         word = "".join(self.letters)
         return word if self.phase_power == 0 else f"{PHASE_TEXT[self.phase_power]} {word}"
 
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return multiply(self, other)
-
 
 def multiply(a: PauliString, b: PauliString) -> PauliString:
     """Product with exact phase: Z^za X^xa Z^zb X^xb = (-1)**|xa&zb| Z^z X^x."""

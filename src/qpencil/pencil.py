@@ -19,8 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import (ExactMatrix, Ray, commutator_is_zero, components, diagonal_blocks,
-                    linear_combination, rank)
+from .exact import ExactMatrix, Ray, commutator_is_zero, components, linear_combination, rank
 
 SNAP_TOLERANCE = 1e-6
 DEFAULT_MAX_SNAP_NORM = 4
@@ -230,22 +229,26 @@ def _shift(m: ExactMatrix, lam: int) -> ExactMatrix:
 
 
 def _exact_integer_spectrum(
-    p_exact: ExactMatrix, spectrum: set[int], proposed: Sequence[Sequence[int]] = ()
+    p_exact: ExactMatrix, spectrum: set[int], blocks: Sequence[tuple[Sequence[int], Sequence[int]]]
 ) -> dict[int, int]:
     """Certify integer candidate eigenvalues and their multiplicities exactly.
 
-    The multiplicity of lambda is d - rank(P - lambda*I), summed as size(B) -
-    rank(B - lambda*I) over P's distinct connected blocks B times their counts;
-    every candidate must have a positive one, and together they must sum to d.
-    ``proposed[k]`` lists ``diagonal_blocks(p_exact)[k]``'s own candidates,
-    which are ranked first. Eigenspaces of distinct eigenvalues are independent,
-    so once a block's multiplicities sum to its size every other candidate has
-    multiplicity 0 there, and is not ranked.
+    ``blocks`` pairs the index list of each of P's connected blocks
+    (``components``) with that block's own candidates. The multiplicity of
+    lambda is d - rank(P - lambda*I), summed as size(B) - rank(B - lambda*I)
+    over the distinct principal blocks B times their counts; every candidate
+    must have a positive one, and together they must sum to d. A block ranks
+    its own candidates first. Eigenspaces of distinct eigenvalues are
+    independent, so once a block's multiplicities sum to its size every other
+    candidate has multiplicity 0 there, and is not ranked.
     """
     d = p_exact.rows
     multiplicities = dict.fromkeys(spectrum, 0)
     distinct: dict[ExactMatrix, list] = {}
-    for block, own in itertools.zip_longest(diagonal_blocks(p_exact), proposed, fillvalue=()):
+    for idx, own in blocks:
+        local = {g: k for k, g in enumerate(idx)}
+        rows = tuple(tuple((local[j], re, im) for j, re, im in p_exact.nonzeros[i]) for i in idx)
+        block = ExactMatrix(len(idx), len(idx), rows, p_exact.den)
         distinct.setdefault(block, [0, own])[0] += 1
     for block, (count, own) in distinct.items():
         found = 0
@@ -328,15 +331,12 @@ def joint_context(
 def _certified_context(p: Pencil, max_snap_norm: int) -> Context:
     """``joint_context`` after validation: its float stage and exact certificate."""
     p_exact = evaluate(p)
-    blocks = components(p_exact)
-    by_size: dict[int, list[int]] = {}
-    for k, idx in enumerate(blocks):
-        by_size.setdefault(len(idx), []).append(k)
-    # per block size: the block numbers, eigenvalues (block, i), vectors (block, entry, i)
-    stages = [
-        (ks, *hermitian_eigensystem(_block_stack(p_exact, [blocks[k] for k in ks])))
-        for ks in by_size.values()
-    ]
+    by_size: dict[int, list[list[int]]] = {}
+    for idx in components(p_exact):
+        by_size.setdefault(len(idx), []).append(idx)
+    # per block size: the index lists, eigenvalues (block, i), vectors (block, entry, i)
+    stages = [(idxs, *hermitian_eigensystem(_block_stack(p_exact, idxs)))
+              for idxs in by_size.values()]
     pooled = np.concatenate([w.ravel() for _, w, _ in stages])
     order = np.argsort(pooled)
     eigenvalues = pooled[order]
@@ -354,17 +354,15 @@ def _certified_context(p: Pencil, max_snap_norm: int) -> Context:
         )
     if len(set(spectrum)) < len(spectrum):
         # fewer than d candidates, certified to sum to d: some multiplicity exceeds 1
-        proposed = [()] * len(blocks)
-        for ks, w, _ in stages:
-            for k, own in zip(ks, np.round(w).tolist()):
-                proposed[k] = [int(x) for x in own]
-        raise DegeneratePencilError(_exact_integer_spectrum(p_exact, set(spectrum), proposed))
+        # each block's index list with its own rounded eigenvalues
+        blocks = [b for idxs, w, _ in stages for b in zip(idxs, w.round().astype(int).tolist())]
+        raise DegeneratePencilError(_exact_integer_spectrum(p_exact, set(spectrum), blocks))
 
     d = p_exact.rows
     snapped = []
-    for ks, _, v in stages:  # column b*s + i of the (entry, column) array is v[b, :, i]
+    for idxs, _, v in stages:  # column b*s + i of the (entry, column) array is v[b, :, i]
         s = v.shape[1]
-        rows = np.repeat(np.array([blocks[k] for k in ks]), s, axis=0).T
+        rows = np.repeat(np.array(idxs), s, axis=0).T
         columns = v.transpose(1, 0, 2).reshape(s, -1)
         snapped += snap_rays(columns, max_snap_norm=max_snap_norm, rows=rows, dim=d)
     rays = tuple(snapped[k] for k in order.tolist())

@@ -73,6 +73,17 @@ class TestScenarioParser:
     def test_missing_sites(self):
         with pytest.raises(ScenarioParseError, match="sites"):
             parse_scenario(b"group\nZX\n")
+        # no observable line to report it at: the end-of-file check names line 1
+        with pytest.raises(ScenarioParseError, match="^line 1: missing 'sites N' declaration$"):
+            parse_scenario(b"mode parity\ngroup\n")
+
+    def test_no_groups(self):
+        with pytest.raises(ScenarioParseError, match="^line 1: no groups declared$"):
+            parse_scenario(b"sites 2\nmode parity\n")
+
+    def test_group_line_takes_no_arguments(self):
+        with pytest.raises(ScenarioParseError, match="^line 2: a group line takes no arguments$"):
+            parse_scenario(b"sites 2\ngroup ZX\n")
 
     def test_duplicate_declarations(self):
         with pytest.raises(ScenarioParseError, match="duplicate"):

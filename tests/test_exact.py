@@ -9,7 +9,7 @@ from qpencil.exact import (
     ExactMatrix,
     Ray,
     commutator_is_zero,
-    diagonal_blocks,
+    components,
     inner_product,
     is_orthogonal,
     is_product_state,
@@ -348,6 +348,17 @@ class TestMatrixBasics:
         with pytest.raises(ValueError):
             SIGMA_X @ word("XI")
 
+    @pytest.mark.parametrize(
+        "rows, nonzeros, den", [(2, ((),), 1), (1, ((),), 0)], ids=["row-count", "zero-den"]
+    )
+    def test_rows_and_denominator_must_fit(self, rows, nonzeros, den):
+        with pytest.raises(ValueError, match="one sparse row per row and a positive denominator"):
+            ExactMatrix(rows, 1, nonzeros, den)
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError, match="ragged rows"):
+            ExactMatrix.from_rows([[1, 0], [1]])
+
     def test_equal_matrices_built_by_different_routes(self):
         m = word("YZ")
         b = ExactMatrix.from_rows(  # common denominator 6
@@ -577,7 +588,23 @@ def _principal(dense, idx):
     return ExactMatrix.from_rows([[dense[i][j] for j in idx] for i in idx])
 
 
-class TestDiagonalBlocks:
+def _principal_blocks(m: ExactMatrix) -> list[ExactMatrix]:
+    """The principal submatrices of m on its ``components``, from its dense rows."""
+    dense = _pairs(m)
+    return [_principal(dense, idx) for idx in components(m)]
+
+
+def _reassembled(m: ExactMatrix) -> ExactMatrix:
+    """The matrix with m's entries inside its components and zeros elsewhere."""
+    out = [[0] * m.cols for _ in range(m.rows)]
+    for idx, block in zip(components(m), _principal_blocks(m)):
+        for k, i in enumerate(idx):
+            for l, j in enumerate(idx):
+                out[i][j] = block.at(k, l)
+    return ExactMatrix.from_rows(out)
+
+
+class TestComponents:
     def test_scrambled_block_diagonal_matrix(self):
         # blocks of sizes 3, 1 and 2, rows and columns permuted alike
         blocks = [
@@ -599,17 +626,17 @@ class TestDiagonalBlocks:
             for j in range(n):
                 scrambled[perm[i]][perm[j]] = dense[i][j]
         m = ExactMatrix.from_rows(scrambled)
-        components = [[0, 4, 5], [1, 3], [2]]  # perm of {0, 1, 2}, {4, 5} and {3}
+        expected = [[0, 4, 5], [1, 3], [2]]  # perm of {0, 1, 2}, {4, 5} and {3}
         pattern = [[x != 0 for x in row] for row in scrambled]
-        assert _components_reference(pattern) == components
-        assert diagonal_blocks(m) == [_principal(scrambled, c) for c in components]
-        assert [b.rows for b in diagonal_blocks(m)] == [3, 2, 1]
+        assert _components_reference(pattern) == expected
+        assert components(m) == expected
+        assert _principal_blocks(m)[2] == ExactMatrix.from_rows([[7]])
+        assert _reassembled(m) == m
 
-    def test_zero_rows_are_one_by_one_zero_blocks(self):
+    def test_zero_rows_are_one_index_components(self):
         m = ExactMatrix.from_rows([[0, 0, 2], [0, 0, 0], [2, 0, 0]])
-        zero = ExactMatrix(1, 1, ((),))
-        assert diagonal_blocks(m) == [ExactMatrix.from_rows([[0, 2], [2, 0]]), zero]
-        assert diagonal_blocks(ExactMatrix(3, 3, ((), (), ()))) == [zero] * 3
+        assert components(m) == [[0, 2], [1]]
+        assert components(ExactMatrix(3, 3, ((), (), ()))) == [[0], [1], [2]]
 
     def test_non_symmetric_pattern(self):
         # (0, 1) and (2, 1) join 0, 1, 2 although no entry is mirrored; (4, 3) joins 3, 4
@@ -620,41 +647,26 @@ class TestDiagonalBlocks:
             [0, 0, 0, 0, 0],
             [0, 0, 0, 3, 0],
         ])
-        assert diagonal_blocks(m) == [
-            ExactMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 5, 0]]),
-            ExactMatrix.from_rows([[0, 0], [3, 0]]),
-        ]
-
-    def test_common_denominator_is_kept(self):
-        half, third = Fraction(1, 2), Fraction(1, 3)
-        m = ExactMatrix.from_rows([[half, 0, third], [0, 5, 0], [third, 0, (0, half)]])
-        assert m.den == 6
-        first, second = diagonal_blocks(m)
-        assert first.den == 6
-        assert first.row(0) == ((half, 0), (third, 0))
-        assert first.row(1) == ((third, 0), (0, half))
-        assert second == ExactMatrix.from_rows([[5]])  # an integer block, so den 1
+        assert components(m) == [[0, 1, 2], [3, 4]]
+        assert _reassembled(m) == m
 
     def test_pauli_pencil_blocks_are_x_mask_cosets(self):
         # XXI and ZZI have x-mask span {000, 110}: four cosets of two indices
         p = linear_combination((1, 2), (word("XXI"), word("ZZI")))
-        blocks = diagonal_blocks(p)
-        assert [b.rows for b in blocks] == [2, 2, 2, 2]
-        assert blocks[0] == _principal([list(p.row(i)) for i in range(8)], [0, 6])
+        assert components(p) == [[0, 6], [1, 7], [2, 4], [3, 5]]
 
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
     def test_non_square_matrix_is_rejected(self, shape):
         rows, cols = shape
         m = ExactMatrix.from_rows([[1] * cols for _ in range(rows)])
         with pytest.raises(ValueError, match="square"):
-            diagonal_blocks(m)
+            components(m)
 
     @given(st.data(), st.integers(1, 7))
     @settings(max_examples=100, deadline=None)
     def test_blocks_reassemble_the_matrix(self, data, n):
         m = data.draw(_sparse_matrix(n, n))
-        dense = _pairs(m)
-        components = _components_reference([[x != (0, 0) for x in row] for row in dense])
-        blocks = diagonal_blocks(m)
-        assert blocks == [_principal(dense, c) for c in components]
-        assert sum(rank(b) for b in blocks) == rank(m)
+        pattern = [[x != (0, 0) for x in row] for row in _pairs(m)]
+        assert components(m) == _components_reference(pattern)
+        assert _reassembled(m) == m
+        assert sum(rank(b) for b in _principal_blocks(m)) == rank(m)

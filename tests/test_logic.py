@@ -92,6 +92,10 @@ class TestEnumerateContexts:
         with pytest.raises(ValueError, match="not completable"):
             enumerate_contexts(orthogonality_graph(rays), 4)
 
+    def test_empty_ray_set_rejected(self):
+        with pytest.raises(ValueError, match="cannot complete an empty ray set"):
+            ContextHypergraph.completion_of([])
+
     def test_edges_exactly_orthogonal(self, pm_hypergraph):
         for e in pm_hypergraph.edges:
             for i, j in itertools.combinations(e, 2):
@@ -133,6 +137,10 @@ class TestHypergraphConstruction:
                 [[Ray([1, 0, 0, 0]), Ray([1, 1, 0, 0]), Ray([0, 0, 1, 0]), Ray([0, 0, 0, 1])]]
             )
 
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="all rays must share one dimension"):
+            ContextHypergraph.from_ray_groups([[Ray([1, 0]), Ray([0, 1])], [Ray([1, 0, 0])]])
+
     @pytest.mark.parametrize(
         "data, message",
         [
@@ -145,10 +153,17 @@ class TestHypergraphConstruction:
             ({"dim": 2.0, "vertices": [[1, 0], [0, 1]], "edges": [[0, 1]]}, "2.0 is not an integer"),
             ({"dim": 2, "vertices": [[1, 0], [0, 1]], "edges": [[0, True]]}, "not an integer"),
             ({"dim": 2, "vertices": [[1, 0], [0, 1]], "edges": [[0.0, 1.0]]}, "not an integer"),
+            ({"dim": 2, "vertices": [[1, 0], [0, 1]], "edges": [[0, 0]]},
+             r"edge \(0, 0\) does not have 2 distinct vertices"),
+            ({"dim": 2, "vertices": [[1, 0], [0, 1]], "edges": [[0, 1], [0, 1]]},
+             r"duplicate edge \(0, 1\)"),
+            ({"dim": 2, "vertices": [[1, 0], [0, 1], [1, 1]], "edges": [[0, 1]]},
+             "every vertex must belong to at least one edge"),
         ],
         ids=[
             "index-out-of-range", "vertex-dimension", "unsorted-edge",
             "float-dimension", "bool-index", "float-index",
+            "repeated-vertex", "duplicate-edge", "uncovered-vertex",
         ],
     )
     def test_malformed_json_rejected(self, data, message):

@@ -61,6 +61,16 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             ParityScenario(((parse_pauli("ZX"),),), 3)
 
+    @pytest.mark.parametrize(
+        "observables, message",
+        [((), "a scenario needs at least one observable"),
+         (((),), "an observable needs at least one factor")],
+        ids=["no-observable", "no-factor"],
+    )
+    def test_empty_scenario_or_observable_rejected(self, observables, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ParityScenario(observables, 2)
+
 
 class TestAnalyze:
     def test_ghzm_contradiction(self):

@@ -170,9 +170,15 @@ class TestTextForm:
             parse_pauli("ZQ")
         with pytest.raises(ValueError):
             parse_pauli("ZX", site_count=3)
+        with pytest.raises(ValueError, match="malformed Pauli word '-1 Z X'"):
+            parse_pauli("-1 Z X")
 
 
 class TestConstruction:
+    def test_empty_word_rejected(self):
+        with pytest.raises(ValueError, match="a Pauli word needs at least one site"):
+            PauliString(())
+
     @pytest.mark.parametrize("k", [0.5, 2.0, Fraction(1, 2), "1"], ids=repr)
     def test_non_integer_phase_power_rejected(self, k):
         # 0.5 % 4 used to survive: str raised KeyError and p * p came out as +i II

@@ -8,9 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpencil import cli, pencil
-from qpencil.exact import (ExactMatrix, Ray, commutator_is_zero, diagonal_blocks,
-                           linear_combination, rank)
+from qpencil import cli, exact, pencil
+from qpencil.exact import (ExactMatrix, Ray, commutator_is_zero, components, linear_combination,
+                           rank)
 from qpencil.parity import ParityScenario
 from qpencil.pauli import PauliString, commutes, multiply, parse_pauli, realization
 from qpencil.pencil import (
@@ -105,6 +105,12 @@ class TestBuildAndEvaluate:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(PencilError, match="dimension"):
             build(mats("Z") + mats("ZZ"))
+        with pytest.raises(PencilError, match="^term 1 is not square$"):
+            build(mats("Z") + [ExactMatrix.from_rows([[1, 0]])])
+
+    def test_no_terms_rejected(self):
+        with pytest.raises(PencilError, match="^a pencil needs at least one term$"):
+            build([])
 
     def test_coefficient_count_mismatch(self):
         with pytest.raises(PencilError):
@@ -597,6 +603,11 @@ class TestEigenSign:
         with pytest.raises(ValueError, match="length"):
             eigen_sign(mats("ZZ")[0], Ray([1, 0]), "ZZ")
 
+    def test_cancelled_image_entry_is_zero(self):
+        # entry 2 of M (1, 1, 0) is 1 - 1: a cancelled sum must count as zero
+        m = ExactMatrix.from_rows([[1, 0, 1], [0, 1, -1], [1, -1, 0]])
+        assert eigen_sign(m, Ray([1, 1, 0]), "M") == 1
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_dense_image(self, seed):
         # the support-only image must decide exactly as the dense M v = s v does
@@ -659,6 +670,16 @@ def _certificate_outcome(certify, p_exact, spectrum):
         return str(e)
 
 
+def _blockwise(proposed=None):
+    """``_exact_integer_spectrum`` on P's components, with the candidate lists
+    ``proposed`` (none by default) as their own."""
+    def certify(p_exact, spectrum):
+        blocks = components(p_exact)
+        own = proposed if proposed is not None else [()] * len(blocks)
+        return pencil._exact_integer_spectrum(p_exact, spectrum, list(zip(blocks, own)))
+    return certify
+
+
 def _candidate_sets(p_exact: ExactMatrix) -> list[set[int]]:
     """The rounded spectrum, and wrong candidate sets that fail the check."""
     w, _ = hermitian_eigensystem(dense(p_exact))
@@ -694,7 +715,7 @@ class TestBlockwiseCertificate:
     def test_matches_full_matrix_rank(self, p_exact):
         for spectrum in _candidate_sets(p_exact):
             expected = _certificate_outcome(_full_rank_spectrum, p_exact, spectrum)
-            got = _certificate_outcome(pencil._exact_integer_spectrum, p_exact, spectrum)
+            got = _certificate_outcome(_blockwise(), p_exact, spectrum)
             assert got == expected
 
     @pytest.mark.parametrize("p_exact", _differential_cases())
@@ -702,25 +723,24 @@ class TestBlockwiseCertificate:
         # ranking each block's own candidates first, and stopping once they fill
         # the block, must not change the outcome, whether the proposals are right,
         # shifted or missing one
+        p = dense(p_exact)
         own = [
-            sorted({int(x) for x in np.round(np.linalg.eigvalsh(dense(b)))})
-            for b in diagonal_blocks(p_exact)
+            sorted({int(x) for x in np.round(np.linalg.eigvalsh(p[np.ix_(idx, idx)]))})
+            for idx in components(p_exact)
         ]
         variants = [own, [[x + 2 for x in o] for o in own], [o[1:] for o in own]]
         for spectrum in _candidate_sets(p_exact):
             expected = _certificate_outcome(_full_rank_spectrum, p_exact, spectrum)
             for variant in variants:
                 proposed = [[x for x in o if x in spectrum] for o in variant]
-                got = _certificate_outcome(
-                    lambda p, s: pencil._exact_integer_spectrum(p, s, proposed), p_exact, spectrum
-                )
+                got = _certificate_outcome(_blockwise(proposed), p_exact, spectrum)
                 assert got == expected
 
     def test_partial_families_repeat_blocks(self):
         # k < n leaves every joint eigenspace of dimension 2^(n-k) > 1, and P
         # repeats blocks, so the count of each distinct block matters
         p = evaluate(build(mats("XXI", "ZZI"), (3, -5)))
-        assert pencil._exact_integer_spectrum(p, {-8, -2, 2, 8}) == {-8: 2, -2: 2, 2: 2, 8: 2}
+        assert _blockwise()(p, {-8, -2, 2, 8}) == {-8: 2, -2: 2, 2: 2, 8: 2}
 
 
 # sha256 of json.dumps(joint_context(GHZ n).to_json(), sort_keys=True,
@@ -767,14 +787,18 @@ class TestBlockFloatStage:
         # eigenvalues -1 and 1 each, so no block repeats a value but P does
         s = cli.load_builtin("bipartite")
         terms = [realization(w) for w in ParityScenario(s.groups[0], s.site_count).composed()]
-        first, second = diagonal_blocks(evaluate(build(terms)))
-        assert first != second
-        calls = []
-        exact_rank = pencil.rank
+        p_exact = evaluate(build(terms))
+        p, (first, second) = dense(p_exact), components(p_exact)
+        assert not np.array_equal(p[np.ix_(first, first)], p[np.ix_(second, second)])
+        calls, splits = [], []
+        exact_rank, split = pencil.rank, exact.components
         monkeypatch.setattr(pencil, "rank", lambda m: calls.append(m) or exact_rank(m))
+        for module in (exact, pencil):  # calls through either binding
+            monkeypatch.setattr(module, "components", lambda m: splits.append(m) or split(m))
         with pytest.raises(DegeneratePencilError, match=re.escape(": -1 (x2), 1 (x2)")):
             joint_context(terms)
         assert len(calls) == 4  # two distinct blocks, two own candidates each
+        assert len(splits) == 1  # the float stage's split serves the certificate
 
     def test_blocks_of_unequal_size_in_a_degenerate_pencil(self, monkeypatch):
         # XX + YY cancels on indices 0 and 3, leaving blocks {0}, {1, 2}, {3}
