@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -282,10 +283,6 @@ def _ray_text(ray_json) -> str:
     ) + ")"
 
 
-def _sign(v: int) -> str:
-    return f"{v:+d}"
-
-
 def _render_context_table(result: dict, observables: list[str], out: list[str]):
     if result["kind"] == "degenerate":
         desc = ", ".join(
@@ -305,7 +302,7 @@ def _render_context_table(result: dict, observables: list[str], out: list[str]):
     ):
         out.append(
             f"  {lam:>10}  {text:<{ray_width}}  "
-            + "  ".join(f"{_sign(v):>{w}}" for v, w in zip(signs, widths))
+            + "  ".join(f"{v:>+{w}d}" for v, w in zip(signs, widths))
         )
 
 
@@ -313,7 +310,7 @@ def render_text(report: dict) -> str:
     out: list[str] = []
     mode = report["mode"]
     out.append(f"mode: {mode} | sites: {report['sites']}")
-    for gi, group in enumerate(report.get("groups", []), start=1):
+    for gi, group in enumerate(report["groups"], start=1):
         out.append(f"group {gi}: " + ", ".join(group["observables"]))
         _render_context_table(group["result"], group["observables"], out)
         if "parity" in group:
@@ -328,21 +325,16 @@ def render_text(report: dict) -> str:
                     f"  quantum product {p['quantum']:+d} vs classical forced "
                     f"product {p['classical']:+d} -> {verdict}"
                 )
-        if "states" in group:
-            st = group["states"]
-            sep = "separating" if st["separating"] else "not separating"
-            out.append(f"  two-valued states: {st['count']} ({sep})")
-        if "eigenstate_table" in group:
+        if "states" in group:  # written together with "eigenstate_table"
+            out.append(f"  two-valued states: {group['states']['count']} (separating)")
             out.append("  co-measured values per ray:")
-            rays = group["result"].get("rays", [])
-            width = max((len(_ray_text(r)) for r in rays), default=3)
+            rays = group["result"]["rays"]
+            width = max(len(_ray_text(r)) for r in rays)
             for ray, row in zip(rays, group["eigenstate_table"]):
-                vals = "  ".join(f"{_sign(v):>4}" for v in row)
-                prod = 1
-                for v in row:
-                    prod *= v
+                vals = "  ".join(f"{v:>+4d}" for v in row)
                 out.append(
-                    f"    {_ray_text(ray):<{width}}  {vals}   (row product {_sign(prod)})"
+                    f"    {_ray_text(ray):<{width}}  {vals}   "
+                    f"(row product {math.prod(row):+d})"
                 )
     if "hypergraph" in report:
         h = report["hypergraph"]

@@ -19,7 +19,7 @@ import numpy as np
 from .exact import Ray, is_orthogonal, is_product_state
 
 SUBSET_SWEEP_EDGE_CAP = 30
-SUBSET_SWEEP_VERTEX_CAP = 32  # vertex masks are uint32; time grows as 2^|V|
+SUBSET_SWEEP_VERTEX_CAP = 32  # two half tables of 2^(|V|/2) entries, paired: 2^|V|
 # _LOW[i]: the bits of a packed sweep-table word whose edge mask lacks edge i
 _LOW = [sum(1 << p for p in range(64) if not (p >> i) & 1) for i in range(6)]
 
@@ -29,9 +29,6 @@ class TwoValuedState:
     """A {0,1} per-vertex assignment with exactly one 1 on every edge."""
 
     values: tuple[int, ...]
-
-    def ones(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.values) if v)
 
 
 @dataclass(frozen=True)
@@ -137,21 +134,35 @@ def enumerate_contexts(
     """All maximal cliques (pivoting Bron-Kerbosch), asserted to have size d.
 
     A maximal clique smaller than d means some ray set cannot be completed
-    to an orthonormal basis, so the hypergraph would be ill-formed.
+    to an orthonormal basis, so the hypergraph would be ill-formed. The
+    search runs on an explicit stack, so a clique of any size fits; each
+    node's children are pushed reversed and pop in ascending order.
     """
     cliques: list[tuple[int, ...]] = []
-
-    def expand(r: set[int], p: set[int], x: set[int]):
+    stack: list[tuple[tuple[int, ...], set[int], set[int]]] = [
+        ((), set(range(len(adjacency))), set())
+    ]
+    while stack:
+        r, p, x = stack.pop()
         if not p and not x:
             cliques.append(tuple(sorted(r)))
-            return
-        pivot = max(p | x, key=lambda u: len(p & adjacency[u]))
+            continue
+        # Tomita's pivot maximizes |P & N(u)|. The scan stops at the first u
+        # reaching |P| - [u in P]; a later u beats it only if it lies in X and
+        # is adjacent to all of P, and then neither pivot finds a clique here.
+        best = -1
+        for u in p | x:
+            size = len(p & adjacency[u])
+            if size > best:
+                pivot, best = u, size
+                if size == len(p) - (u in p):
+                    break
+        children = []
         for v in sorted(p - adjacency[pivot]):
-            expand(r | {v}, p & adjacency[v], x & adjacency[v])
-            p = p - {v}
-            x = x | {v}
-
-    expand(set(), set(range(len(adjacency))), set())
+            children.append((r + (v,), p & adjacency[v], x & adjacency[v]))
+            p = p - {v}  # fresh sets, not in place: their layout picks the
+            x = x | {v}  # pivot among ties, and so the discovery order
+        stack.extend(reversed(children))
     for c in cliques:
         if len(c) != d:
             raise ValueError(
@@ -166,10 +177,6 @@ def enumerate_contexts(
 # vertex forces 0 on every other vertex of every edge containing it.
 
 
-def _edge_bitmasks(edges: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    return tuple(sum(1 << v for v in e) for e in edges)
-
-
 def two_valued_states(h: ContextHypergraph) -> list[TwoValuedState]:
     """Complete, deterministic enumeration by backtracking over edges.
 
@@ -177,7 +184,7 @@ def two_valued_states(h: ContextHypergraph) -> list[TwoValuedState]:
     (lowest index first) as its designated 1, and propagates 0 to its co-edge
     vertices, all others on its edges, whose mask is computed once per vertex.
     """
-    edge_masks = _edge_bitmasks(h.edges)
+    edge_masks = [sum(1 << v for v in e) for e in h.edges]
     n = len(h.vertices)
     co_edge = [0] * n
     for e, mask in zip(h.edges, edge_masks):

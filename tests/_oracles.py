@@ -76,6 +76,84 @@ def brute_state_count(edges: list[tuple[int, ...]], n_vertices: int) -> int:
     return int(ok.sum())
 
 
+def brute_maximal_cliques(adjacency) -> list[tuple[int, ...]]:
+    """Every maximal clique, found by checking all 2^n vertex subsets."""
+    n = len(adjacency)
+    if n > 12:
+        raise ValueError("brute force capped at 12 vertices")
+    cliques = []
+    for members in itertools.chain.from_iterable(
+        itertools.combinations(range(n), k) for k in range(n + 1)
+    ):
+        is_clique = all(b in adjacency[a] for a, b in itertools.combinations(members, 2))
+        extendable = any(
+            all(u in adjacency[v] for v in members) for u in range(n) if u not in members
+        )
+        if is_clique and not extendable:
+            cliques.append(members)
+    return sorted(cliques)
+
+
+def parity_proofs(edges) -> list[tuple[int, ...]]:
+    """Every odd-size set S of edges in which each vertex lies in an even
+    number of edges. No state exists on S: its values summed over S are |S|
+    counted edge by edge, but even counted vertex by vertex.
+
+    Such sets are the odd elements of the GF(2) kernel of the vertex-by-edge
+    incidence matrix. Elimination of the edges' incidence bitmasks tracks
+    which edges each row combines; the rows that reduce to zero span the
+    kernel, and all 2^(its dimension) elements are checked for odd size."""
+    pivots: dict[int, tuple[int, int]] = {}  # lowest vertex bit -> (row, edges)
+    kernel = []
+    for j, e in enumerate(edges):
+        row, combo = sum(1 << v for v in e), 1 << j
+        while row and row & -row in pivots:
+            pivot_row, pivot_combo = pivots[row & -row]
+            row, combo = row ^ pivot_row, combo ^ pivot_combo
+        if row:
+            pivots[row & -row] = (row, combo)
+        else:
+            kernel.append(combo)
+    if len(kernel) > 20:
+        raise ValueError("enumeration capped at a kernel of dimension 20")
+    proofs = []
+    for picks in range(1 << len(kernel)):
+        combo = 0
+        for k, element in enumerate(kernel):
+            if picks >> k & 1:
+                combo ^= element
+        if combo.bit_count() % 2:
+            proofs.append(tuple(j for j in range(len(edges)) if combo >> j & 1))
+    return sorted(proofs)
+
+
+def admits_state(edges) -> bool:
+    """Whether some {0,1} assignment puts exactly one 1 on every edge.
+
+    A depth-first search on vertex bitmasks that stops at the first state:
+    it branches on the open edge with the fewest free vertices, and a 1 on a
+    vertex rules out every vertex of every edge through it."""
+    masks = [sum(1 << v for v in e) for e in edges]
+
+    def search(ones: int, ruled_out: int) -> bool:
+        open_edges = [m & ~ruled_out for m in masks if not m & ones]
+        if not open_edges:
+            return True
+        free = min(open_edges, key=int.bit_count)
+        while free:
+            v = free & -free
+            free ^= v
+            through_v = ruled_out
+            for m in masks:
+                if m & v:
+                    through_v |= m
+            if search(ones | v, through_v):
+                return True
+        return False
+
+    return search(0, 0)
+
+
 def eigenspace(matrix: ExactMatrix, eigenvalue: int):
     """Exact basis of ker(A - lambda I)."""
     shifted = matrix - ExactMatrix.identity(matrix.rows).scale(eigenvalue)

@@ -40,7 +40,13 @@ from _fixtures import (
     HEADERS_PLAIN,
     SQUARE_TRIPLES,
 )
-from _oracles import brute_state_count, conjugate_transpose, signed_components
+from _oracles import (
+    admits_state,
+    brute_state_count,
+    conjugate_transpose,
+    parity_proofs,
+    signed_components,
+)
 
 
 def mats(*words):
@@ -252,16 +258,32 @@ def test_criterion_7_intro_fixture():
     )
 
 
-def test_criterion_8_subset_sweep(pm_hypergraph):
+@pytest.fixture(scope="module")
+def pm_sweep(pm_hypergraph):
+    start = time.perf_counter()
+    result = noncolorable_subsets(pm_hypergraph, jobs=2)
+    return result, time.perf_counter() - start
+
+
+def check_critical_sets_are_parity_proofs(h, critical):
+    """The sweep's critical sets are exactly the odd elements of the GF(2)
+    cycle space of h's incidence matrix, each a no-state set whose every
+    S - {i} admits a state: both found by oracles sharing no code with it."""
+    assert list(critical) == parity_proofs(h.edges)
+    for s in critical:
+        assert not admits_state([h.edges[j] for j in s])
+        for i in s:
+            assert admits_state([h.edges[j] for j in s if j != i]), (s, i)
+
+
+def test_criterion_8_subset_sweep(pm_hypergraph, pm_sweep):
     # Convention: every labeled sub-collection of the 24 contexts is counted
     # separately (ascending bitmasks; vertices outside the chosen contexts
     # dropped). Class-level tallies quoted in the literature (1,233 no-state
     # sets with 6 critical ones) merge isomorphic copies, so the labeled
     # totals here are larger; the 18-ray/9-context critical configuration
     # must exist either way. See README "Counting conventions".
-    start = time.perf_counter()
-    result = noncolorable_subsets(pm_hypergraph, jobs=2)
-    elapsed = time.perf_counter() - start
+    result, elapsed = pm_sweep
     assert result.total == 739824
     assert len(result.critical) == 512
     shapes = result.critical_shapes(pm_hypergraph)
@@ -271,11 +293,28 @@ def test_criterion_8_subset_sweep(pm_hypergraph):
     assert tally == {(9, 18): 16, (11, 20): 240, (13, 22): 240, (15, 24): 16}
     assert tally[(9, 18)] >= 1  # the 18-9 configuration exists
     assert elapsed < 60.0
+    check_critical_sets_are_parity_proofs(pm_hypergraph, result.critical)
     print(
         f"CRITERION 8 PASS: sweep found 739824 labeled no-state "
-        f"sub-collections, 512 critical incl. 16 of shape 18-9 "
+        f"sub-collections, 512 critical incl. 16 of shape 18-9, each a "
+        f"parity proof with a state on every S - {{i}} "
         f"(documented labeled-sub-collection convention; {elapsed:.1f}s)"
     )
+
+
+@pytest.mark.parametrize("change", ["extra", "missing"])
+def test_criterion_8_parity_check_rejects_a_changed_critical_list(
+    pm_hypergraph, pm_sweep, change
+):
+    critical = list(pm_sweep[0].critical)
+    if change == "extra":  # a no-state superset of a critical set
+        first = critical[0]
+        extra = min(set(range(24)) - set(first))
+        critical = sorted(critical + [tuple(sorted(first + (extra,)))])
+    else:
+        del critical[100]
+    with pytest.raises(AssertionError):
+        check_critical_sets_are_parity_proofs(pm_hypergraph, critical)
 
 
 def test_criterion_9_property_suites(pm_contexts):

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import random
@@ -17,11 +18,10 @@ from qpencil.logic import (
     orthogonality_graph,
     to_dot,
     two_valued_states,
-    _edge_bitmasks,
 )
 
 from _fixtures import ALL_24_RAY_LITERALS, EXPECTED_BASES
-from _oracles import brute_state_count
+from _oracles import brute_maximal_cliques, brute_state_count
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +91,39 @@ class TestEnumerateContexts:
         rays = [Ray([1, 0, 0, 0]), Ray([0, 1, 0, 0]), Ray([1, 1, 1, 1])]
         with pytest.raises(ValueError, match="not completable"):
             enumerate_contexts(orthogonality_graph(rays), 4)
+
+    def test_complete_graph_at_the_site_cap_is_one_clique(self):
+        # 10 sites: one GHZ context of 1,024 rays, which a search that
+        # recursed once per clique vertex could not reach
+        n = 1 << 10
+        adjacency = [set(range(n)) - {i} for i in range(n)]
+        assert enumerate_contexts(adjacency, n) == (tuple(range(n)),)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_brute_force_maximal_cliques(self, seed):
+        rng = random.Random(seed)
+        outcomes = {"equal": 0, "rejected": 0}
+        for _ in range(60):
+            n = rng.randint(1, 12)
+            density = rng.choice([0.3, 0.6, 0.9])
+            adjacency: list[set[int]] = [set() for _ in range(n)]
+            for i, j in itertools.combinations(range(n), 2):
+                if rng.random() < density:
+                    adjacency[i].add(j)
+                    adjacency[j].add(i)
+            expected = brute_maximal_cliques(adjacency)
+            d = max(map(len, expected))
+            if all(len(c) == d for c in expected):
+                assert enumerate_contexts(adjacency, d) == tuple(expected)
+                outcomes["equal"] += 1
+            else:
+                with pytest.raises(ValueError, match="not completable") as info:
+                    enumerate_contexts(adjacency, d)
+                message = str(info.value).removeprefix("maximal clique ")
+                named = ast.literal_eval(message.split(" has size")[0])
+                assert named in expected and len(named) < d
+                outcomes["rejected"] += 1
+        assert min(outcomes.values()) >= 5
 
     def test_empty_ray_set_rejected(self):
         with pytest.raises(ValueError, match="cannot complete an empty ray set"):
@@ -190,7 +223,7 @@ class TestTwoValuedStates:
         h = ContextHypergraph.from_ray_groups([[Ray(v) for v in EXPECTED_BASES["row1"]]])
         states = two_valued_states(h)
         assert len(states) == 4
-        assert sorted(s.ones()[0] for s in states) == [0, 1, 2, 3]
+        assert sorted(s.values.index(1) for s in states) == [0, 1, 2, 3]
 
     def test_every_state_satisfies_every_edge(self, pm_hypergraph):
         sub = pm_hypergraph.sub_hypergraph([0, 5, 9, 13])
@@ -231,7 +264,7 @@ class TestMonotonicityAndClosure:
     def test_vertex_preserving_edge_addition_never_adds_states(self, pm_hypergraph):
         # guaranteed form: the added context draws only on already-covered rays
         rng = random.Random(7)
-        masks = _edge_bitmasks(pm_hypergraph.edges)
+        masks = [sum(1 << v for v in e) for e in pm_hypergraph.edges]
         checked = 0
         for _ in range(400):
             k = rng.randint(2, 12)
