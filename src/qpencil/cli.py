@@ -111,9 +111,7 @@ def parse_scenario(text: bytes | str) -> ScenarioFile:
                 raise ScenarioParseError(ln, "duplicate mode declaration")
             parts = line.split()
             if len(parts) != 2 or parts[1] not in MODES:
-                raise ScenarioParseError(
-                    ln, f"expected 'mode {{{'|'.join(MODES)}}}'"
-                )
+                raise ScenarioParseError(ln, f"expected 'mode {{{'|'.join(MODES)}}}'")
             mode = parts[1]
         elif head == "group":
             if line != "group":
@@ -135,9 +133,7 @@ def parse_scenario(text: bytes | str) -> ScenarioFile:
         raise ScenarioParseError(open_group_line, "empty group")
     if not groups:
         raise ScenarioParseError(1, "no groups declared")
-    return ScenarioFile(
-        site_count, mode or "pencil", tuple(tuple(g) for g in groups)
-    )
+    return ScenarioFile(site_count, mode or "pencil", tuple(tuple(g) for g in groups))
 
 
 def _parse_observable(line: str, ln: int, site_count: int) -> ObservableFactors:
@@ -163,10 +159,8 @@ def format_scenario(s: ScenarioFile) -> str:
 
 
 def load_builtin(name: str) -> ScenarioFile:
-    data = (
-        resources.files("qpencil").joinpath("scenarios", BUILTINS[name]).read_bytes()
-    )
-    return parse_scenario(data)
+    path = resources.files("qpencil").joinpath("scenarios", BUILTINS[name])
+    return parse_scenario(path.read_bytes())
 
 
 # ---------------------------------------------------------------------------

@@ -381,24 +381,32 @@ def _echelon(m: ExactMatrix) -> tuple[list[dict[int, tuple[int, int]]], list[int
     q = (1, 0)
     for col in range(m.cols):
         r = len(pivots)
-        pivot = next((i for i in range(r, m.rows) if col in work[i]), None)
-        if pivot is None:
+        for pivot in range(r, m.rows):
+            if col in work[pivot]:
+                break
+        else:
             continue
         work[r], work[pivot] = work[pivot], work[r]
         prow = work[r]
         pr, pi = p = prow[col]
+        qr, qi = q
+        n = qr * qr + qi * qi
         for i in range(r + 1, m.rows):
             row = work[i]
             fr, fi = row.get(col, (0, 0))
             if not (fr or fi) and p == q:
                 continue  # p*row_i / q is row_i
-            acc = {j: (pr * xr - pi * xi, pr * xi + pi * xr) for j, (xr, xi) in row.items()}
-            if fr or fi:
-                for j, (yr, yi) in prow.items():
-                    xr, xi = acc.get(j, (0, 0))
-                    acc[j] = (xr - fr * yr + fi * yi, xi - fr * yi - fi * yr)
-            nonzero = ((j, x) for j, x in acc.items() if x != (0, 0))
-            work[i] = {j: x if q == (1, 0) else _gauss_exact_div(x, q) for j, x in nonzero}
+            work[i] = out = {}
+            for j in (row.keys() | prow.keys()) if fr or fi else row:
+                xr, xi = row.get(j, (0, 0))
+                yr, yi = prow.get(j, (0, 0))
+                zr = pr * xr - pi * xi - fr * yr + fi * yi  # p*row_i[j] - f*row_r[j]
+                zi = pr * xi + pi * xr - fr * yi - fi * yr
+                if zr or zi:  # divided by q as z * conj(q) / |q|^2, on integers
+                    xr, xi = zr * qr + zi * qi, zi * qr - zr * qi
+                    if xr % n or xi % n:
+                        raise ArithmeticError(f"{(zr, zi)} is not divisible by {q} in Z[i]")
+                    out[j] = (xr // n, xi // n)
         q = p
         pivots.append(col)
         if len(pivots) == m.rows:

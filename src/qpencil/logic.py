@@ -11,7 +11,7 @@ collections.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -120,11 +120,10 @@ class ContextHypergraph:
 def orthogonality_graph(rays: Sequence[Ray]) -> list[set[int]]:
     """Adjacency sets over vertex indices; edge iff exact inner product is zero."""
     adjacency: list[set[int]] = [set() for _ in rays]
-    for i in range(len(rays)):
-        for j in range(i + 1, len(rays)):
-            if is_orthogonal(rays[i], rays[j]):
-                adjacency[i].add(j)
-                adjacency[j].add(i)
+    for i, j in itertools.combinations(range(len(rays)), 2):
+        if is_orthogonal(rays[i], rays[j]):
+            adjacency[i].add(j)
+            adjacency[j].add(i)
     return adjacency
 
 
@@ -237,11 +236,8 @@ class SubsetSweepResult:
 
     def critical_shapes(self, h: ContextHypergraph) -> list[tuple[int, int]]:
         """(edge count, induced vertex count) per critical collection."""
-        shapes = []
-        for edges in self.critical:
-            covered = set(itertools.chain.from_iterable(h.edges[i] for i in edges))
-            shapes.append((len(edges), len(covered)))
-        return shapes
+        return [(len(edges), len({v for i in edges for v in h.edges[i]}))
+                for edges in self.critical]
 
 
 def _half_tables(
@@ -328,13 +324,7 @@ class ContextClassification:
     mixed_edges: tuple[int, ...]
 
     def counts(self) -> dict[str, int]:
-        return {
-            "separable_vertices": len(self.separable_vertices),
-            "entangled_vertices": len(self.entangled_vertices),
-            "separable_edges": len(self.separable_edges),
-            "entangled_edges": len(self.entangled_edges),
-            "mixed_edges": len(self.mixed_edges),
-        }
+        return {f.name: len(getattr(self, f.name)) for f in fields(self)}
 
 
 def classify_contexts(

@@ -151,9 +151,8 @@ def classical_bruteforce(s: ParityScenario) -> set[int]:
             value = 1
             for f in factors:
                 for site, letter in enumerate(f.letters):
-                    if letter != "I":
-                        if (bits >> index[(site, letter)]) & 1:
-                            value = -value
+                    if letter != "I" and (bits >> index[(site, letter)]) & 1:
+                        value = -value
             total *= value
         results.add(total)
     return results

@@ -241,6 +241,9 @@ def _exact_integer_spectrum(
     its own candidates first. Eigenspaces of distinct eigenvalues are
     independent, so once a block's multiplicities sum to its size every other
     candidate has multiplicity 0 there, and is not ranked.
+    B is Hermitian, so a ranked multiplicity is algebraic, and the R eigenvalues
+    mu left unassigned have exact sums from tr(B) and tr(B^2) = sum |b_ij|^2. If
+    sum(mu) = R*lambda and sum(mu^2) = R*lambda^2, every mu is lambda: no rank.
     """
     d = p_exact.rows
     multiplicities = dict.fromkeys(spectrum, 0)
@@ -251,13 +254,17 @@ def _exact_integer_spectrum(
         block = ExactMatrix(len(idx), len(idx), rows, p_exact.den)
         distinct.setdefault(block, [0, own])[0] += 1
     for block, (count, own) in distinct.items():
-        found = 0
+        left = block.rows  # eigenvalues not yet assigned, with their sums times den, den^2
+        s1 = sum(re for i, row in enumerate(block.nonzeros) for j, re, _ in row if j == i)
+        s2 = sum(re * re + im * im for row in block.nonzeros for _, re, im in row)
         for lam in [*sorted(set(own)), *sorted(spectrum.difference(own))]:
-            if found == block.rows:
+            if not left:
                 break
-            m = block.rows - rank(_shift(block, lam))
+            x = lam * block.den  # the block's own den, reduced on construction
+            settled = s1 == left * x and s2 == left * x * x  # every one left is lam
+            m = left if settled else block.rows - rank(_shift(block, lam))
             multiplicities[lam] += count * m
-            found += m
+            left, s1, s2 = left - m, s1 - m * x, s2 - m * x * x
     if 0 in multiplicities.values() or sum(multiplicities.values()) != d:
         raise VerificationError(
             f"certified multiplicities {multiplicities} of the rounded eigenvalues "
@@ -309,8 +316,8 @@ def joint_context(
 
     The float stage diagonalizes P's connected diagonal blocks, one batched
     ``eigh`` per block size, and pools their eigenvalues. Rounded eigenvalues
-    that repeat raise DegeneratePencilError with multiplicities certified by
-    exact rank on P's distinct connected blocks.
+    that repeat raise DegeneratePencilError with multiplicities certified on
+    P's distinct connected blocks by exact rank and exact power sums.
     Otherwise each snapped ray v_k is certified exactly: every term A_i has
     sign s_i = +/-1 on v_k and sum(a_i * s_i) = lambda_k, so P v_k = lambda_k
     v_k. Rays of d distinct eigenvalues are independent and diagonalize P, so

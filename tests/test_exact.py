@@ -541,6 +541,22 @@ class TestSparseKernelAgainstNaiveReference:
             basis = [list(v) for v in nullspace(x)]
             assert basis == _naive_nullspace(_pairs(x))
 
+    @given(st.data(), st.integers(3, 6), st.integers(2, 6), st.integers(2, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_rank_with_non_unit_pivots(self, data, n, m, den):
+        # nonzero entries over den, with 1 + i at (0, 0) and 1/den at (0, 1): the
+        # first pivot is den*(1 + i), a non-unit, and every row below a second
+        # pivot is divided by it exactly
+        entry = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda z: z != (0, 0))
+        rows = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                                  min_size=n, max_size=n))
+        rows = [[(Fraction(re, den), Fraction(im, den)) for re, im in row] for row in rows]
+        rows[0][:2] = [(1, 1), Fraction(1, den)]
+        x = ExactMatrix.from_rows(rows)
+        assert x.den == den and x.nonzeros[0][0] == (0, den, den)
+        assert rank(x) == _naive_rank(_pairs(x))
+        assert [list(v) for v in nullspace(x)] == _naive_nullspace(_pairs(x))
+
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=100, deadline=None)
     def test_inner_product(self, n, data):

@@ -507,23 +507,15 @@ class TestRayCertificate:
         assert set(ctx.rays) == oracle_rays
 
     def test_degenerate_pencil_reports_rank_certified_multiplicities(self, monkeypatch):
-        calls = []
-        exact_rank = pencil.rank
-
-        def counted_rank(m):
-            calls.append(m)
-            return exact_rank(m)
-
-        monkeypatch.setattr(pencil, "rank", counted_rank)
+        calls = _counted_rank(monkeypatch)
         with pytest.raises(DegeneratePencilError) as err:
             joint_context(mats("ZII", "IZI"))
         assert err.value.multiplicities == {-3: 2, -1: 2, 1: 2, 3: 2}
         # P = diag(3, 3, -1, -1, 1, 1, -3, -3) has eight 1 x 1 blocks, four distinct:
-        # each distinct block ranks its own candidate first, and that fills it, so
-        # the other three candidates are certified absent without a rank
-        assert len(calls) == 4
-        assert all((m.rows, m.cols) == (1, 1) for m in calls)
-        assert [m.at(0, 0) for m in calls] == [(0, 0)] * 4
+        # each distinct block's own candidate is its one entry, so its trace and
+        # square sum settle it without a rank, and that fills the block, so the
+        # other three candidates are certified absent without one either
+        assert calls == []
 
     def test_ghz_six_qubits_closed_form(self):
         self._check_ghz_closed_form(6)
@@ -697,14 +689,25 @@ def _differential_cases():
                 coeffs = [rng.choice((-1, 1)) * rng.randint(1, 7) for _ in words]
                 p = evaluate(build([realization(w) for w in words], coeffs))
                 cases.append(pytest.param(p, id=f"n{n}-k{k}-{len(cases)}"))
-    # a non-Pauli Hermitian input over den 2: a Gaussian 2 x 2 block with eigenvalues
-    # 0 and 3, a shared 1 x 1 value 3 on two indices, and a zero index
+    cases.append(pytest.param(_hermitian_den2(), id="hermitian-den2"))
+    return cases
+
+
+def _hermitian_den2() -> ExactMatrix:
+    """A non-Pauli Hermitian input over den 2: a Gaussian 2 x 2 block with eigenvalues
+    0 and 3, a shared 1 x 1 value 3 on two indices, and a zero index."""
     half = Fraction(1, 2)
     rows = [[0] * 5 for _ in range(5)]
     rows[0][0], rows[0][3], rows[3][0], rows[3][3] = half, (1, half), (1, -half), 5 * half
     rows[1][1] = rows[4][4] = 3
-    cases.append(pytest.param(ExactMatrix.from_rows(rows), id="hermitian-den2"))
-    return cases
+    return ExactMatrix.from_rows(rows)
+
+
+def _counted_rank(monkeypatch) -> list[ExactMatrix]:
+    """Every matrix the certificate ranks, recorded through ``pencil.rank``."""
+    calls, exact_rank = [], pencil.rank
+    monkeypatch.setattr(pencil, "rank", lambda m: calls.append(m) or exact_rank(m))
+    return calls
 
 
 class TestBlockwiseCertificate:
@@ -741,6 +744,44 @@ class TestBlockwiseCertificate:
         # repeats blocks, so the count of each distinct block matters
         p = evaluate(build(mats("XXI", "ZZI"), (3, -5)))
         assert _blockwise()(p, {-8, -2, 2, 8}) == {-8: 2, -2: 2, 2: 2, 8: 2}
+
+
+class TestTraceCertificate:
+    """Once a block's unassigned eigenvalues have the exact sum R*lambda and square
+    sum R*lambda^2, all R of them are lambda, and no rank runs for it."""
+
+    def test_connected_block_ranks_all_but_its_last_value(self, monkeypatch):
+        # XI + IX is one connected 4 x 4 block with spectrum -2, 0 (x2), 2; ranking
+        # -2 and 0 leaves one eigenvalue with sum 2 and square sum 4, so it is 2
+        terms = mats("XI", "IX")
+        p = evaluate(build(terms, (1, 1)))
+        assert components(p) == [[0, 1, 2, 3]]
+        expected = _full_rank_spectrum(p, {-2, 0, 2})
+        calls = _counted_rank(monkeypatch)
+        with pytest.raises(DegeneratePencilError) as err:
+            joint_context(terms, (1, 1))
+        assert err.value.multiplicities == expected == {-2: 1, 0: 2, 2: 1}
+        assert [(m.rows, m.cols) for m in calls] == [(4, 4), (4, 4)]
+
+    def test_matching_trace_with_another_square_sum_is_ranked(self):
+        # [[0, 1], [1, 0]] has trace 0 = 2 * 0 but square sum 2, not 0: candidate 0
+        # is ranked, has multiplicity 0, and fails as the full-matrix rank does
+        p = ExactMatrix.from_rows([[0, 1], [1, 0]])
+        expected = _certificate_outcome(_full_rank_spectrum, p, {0})
+        assert expected == ("certified multiplicities {0: 0} of the rounded eigenvalues "
+                            "are not all positive with sum 2")
+        assert _certificate_outcome(_blockwise([[0]]), p, {0}) == expected
+
+    def test_blocks_compare_against_their_own_reduced_den(self, monkeypatch):
+        # P is over den 2, but its 1 x 1 blocks (3) and (0) reduce to den 1, where
+        # their traces settle them; the 2 x 2 block over den 2 (eigenvalues 0, 3)
+        # ranks 0 and its trace settles 3
+        p = _hermitian_den2()
+        assert p.den == 2 and components(p) == [[0, 3], [1], [2], [4]]
+        expected = _full_rank_spectrum(p, {0, 3})
+        calls = _counted_rank(monkeypatch)
+        assert _blockwise([[0, 3], [3], [0], [3]])(p, {0, 3}) == expected == {0: 2, 3: 3}
+        assert [(m.rows, m.den) for m in calls] == [(2, 2)]
 
 
 # sha256 of json.dumps(joint_context(GHZ n).to_json(), sort_keys=True,
@@ -790,14 +831,14 @@ class TestBlockFloatStage:
         p_exact = evaluate(build(terms))
         p, (first, second) = dense(p_exact), components(p_exact)
         assert not np.array_equal(p[np.ix_(first, first)], p[np.ix_(second, second)])
-        calls, splits = [], []
-        exact_rank, split = pencil.rank, exact.components
-        monkeypatch.setattr(pencil, "rank", lambda m: calls.append(m) or exact_rank(m))
+        calls, splits, split = _counted_rank(monkeypatch), [], exact.components
         for module in (exact, pencil):  # calls through either binding
             monkeypatch.setattr(module, "components", lambda m: splits.append(m) or split(m))
         with pytest.raises(DegeneratePencilError, match=re.escape(": -1 (x2), 1 (x2)")):
             joint_context(terms)
-        assert len(calls) == 4  # two distinct blocks, two own candidates each
+        # two distinct blocks with own candidates -1 and 1: each ranks -1, and its
+        # trace and square sum then settle 1
+        assert len(calls) == 2
         assert len(splits) == 1  # the float stage's split serves the certificate
 
     def test_blocks_of_unequal_size_in_a_degenerate_pencil(self, monkeypatch):
