@@ -14,6 +14,7 @@ images and nullspace vectors read out as ``(Fraction, Fraction)`` pairs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -222,10 +223,9 @@ def _sum_rows(terms: Iterable[tuple[tuple[int, int], SparseRow]]) -> SparseRow:
 class ExactMatrix:
     """Sparse matrix of Gaussian rationals over one common denominator.
 
-    ``nonzeros[i]`` lists row i's nonzero entries as (col, re, im) in column
-    order, where (re + i*im) / den is the entry. ``den`` is positive and is
-    reduced against every numerator on construction, so equal matrices have
-    equal fields and hash alike.
+    ``nonzeros[i]`` lists row i's nonzero entries as (col, re, im) by strictly ascending
+    col < cols, where (re + i*im) / den is the entry; ``den`` > 0 is reduced against
+    every numerator on construction, so equal matrices have equal fields and hash alike.
     """
 
     rows: int
@@ -236,6 +236,12 @@ class ExactMatrix:
     def __post_init__(self):
         if len(self.nonzeros) != self.rows or self.den < 1:
             raise ValueError("need one sparse row per row and a positive denominator")
+        for row in self.nonzeros:
+            prev = -1
+            for j, re, im in row:
+                if not prev < j < self.cols or not (re or im):
+                    raise ValueError(f"row {row} needs nonzeros in rising columns < {self.cols}")
+                prev = j
         nums = (x for row in self.nonzeros for _, re, im in row for x in (re, im))
         if self.den > 1 and (g := math.gcd(self.den, *nums)) > 1:
             object.__setattr__(self, "den", self.den // g)
@@ -367,8 +373,10 @@ def components(m: ExactMatrix) -> list[list[int]]:
     return list(found.values())
 
 
-def _echelon(m: ExactMatrix) -> tuple[list[dict[int, tuple[int, int]]], list[int]]:
-    """Fraction-free forward (Bareiss) elimination of the numerators over Z[i].
+def _echelon(
+    m: ExactMatrix, shift: int = 0
+) -> tuple[list[dict[int, tuple[int, int]]], list[int]]:
+    """Fraction-free forward (Bareiss) elimination of M - shift*I's numerators over Z[i].
 
     Returns the rows as {col: (re, im)} and the pivot columns; the first
     len(pivots) rows are in row echelon form and the rest are zero. With p the
@@ -377,6 +385,10 @@ def _echelon(m: ExactMatrix) -> tuple[list[dict[int, tuple[int, int]]], list[int
     to sign, so q divides exactly in Z[i] (Bareiss 1968); an inexact one raises.
     """
     work = [{j: (re, im) for j, re, im in row} for row in m.nonzeros]
+    for i, row in enumerate(work[: m.cols] if shift else ()):  # I's ones are at (i, i)
+        re, im = row.pop(i, (0, 0))
+        if re != (x := shift * m.den) or im:  # a cancelled entry goes: a stored one is a pivot
+            row[i] = (re - x, im)
     pivots: list[int] = []
     q = (1, 0)
     for col in range(m.cols):
@@ -414,9 +426,9 @@ def _echelon(m: ExactMatrix) -> tuple[list[dict[int, tuple[int, int]]], list[int
     return work, pivots
 
 
-def rank(m: ExactMatrix) -> int:
-    """Exact rank by fraction-free elimination over the Gaussian integers."""
-    return len(_echelon(m)[1])
+def rank(m: ExactMatrix, shift: int = 0) -> int:
+    """Exact rank of M - shift*I, I's ones on M's main diagonal, for an integer shift."""
+    return len(_echelon(m, operator.index(shift))[1])
 
 
 def nullspace(m: ExactMatrix) -> list[tuple[Pair, ...]]:

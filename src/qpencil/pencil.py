@@ -215,19 +215,6 @@ def _block_stack(p: ExactMatrix, blocks: list[list[int]]) -> np.ndarray:
     return stack.reshape(len(blocks), s, s)
 
 
-def _shift(m: ExactMatrix, lam: int) -> ExactMatrix:
-    """M - lam*I, built by changing only the diagonal numerators (by lam*den)."""
-    s, rows = lam * m.den, []
-    for i, row in enumerate(m.nonzeros):
-        off = [e for e in row if e[0] != i]
-        re, im = next(((re, im) for j, re, im in row if j == i), (0, 0))
-        if re != s or im:
-            off.append((i, re - s, im))
-            off.sort()
-        rows.append(tuple(off))
-    return ExactMatrix(m.rows, m.cols, tuple(rows), m.den)
-
-
 def _exact_integer_spectrum(
     p_exact: ExactMatrix, spectrum: set[int], blocks: Sequence[tuple[Sequence[int], Sequence[int]]]
 ) -> dict[int, int]:
@@ -262,7 +249,7 @@ def _exact_integer_spectrum(
                 break
             x = lam * block.den  # the block's own den, reduced on construction
             settled = s1 == left * x and s2 == left * x * x  # every one left is lam
-            m = left if settled else block.rows - rank(_shift(block, lam))
+            m = left if settled else block.rows - rank(block, lam)
             multiplicities[lam] += count * m
             left, s1, s2 = left - m, s1 - m * x, s2 - m * x * x
     if 0 in multiplicities.values() or sum(multiplicities.values()) != d:

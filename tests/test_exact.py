@@ -397,6 +397,43 @@ class TestMatrixBasics:
         assert image == ((0, 0),) * 3
 
 
+class TestRowContract:
+    """``ExactMatrix`` takes sparse rows only with nonzero entries in strictly
+    ascending columns within [0, cols): a stored zero or a misplaced index would
+    be read wrongly by the kernels that walk the rows."""
+
+    @pytest.mark.parametrize(
+        "cols, nonzeros",
+        [
+            (3, (((0, 0, 0), (1, 1, 0)), ((0, 1, 0), (2, 1, 0)), ((1, 1, 0), (2, 1, 0)))),
+            (2, (((1, 0, 0),), ((1, 1, 0),))),
+            (1, (((3, 1, 0),),)),
+            (1, (((-1, 1, 0),),)),
+            (2, (((1, 1, 0), (0, 1, 0)), ((0, 1, 0),))),
+            (2, (((0, 1, 0), (0, 1, 0)), ((0, 1, 0),))),
+        ],
+        ids=["zero-pivot", "zero-link", "past-cols", "negative", "descending", "repeated"],
+    )
+    def test_malformed_rows_are_rejected(self, cols, nonzeros):
+        with pytest.raises(ValueError, match="needs nonzeros in rising columns <"):
+            ExactMatrix(len(nonzeros), cols, nonzeros)
+
+    def test_a_stored_zero_would_hide_a_pivot(self):
+        # [[0, 1, 0], [1, 0, 1], [0, 1, 1]] has determinant -1; with its (0, 0) zero
+        # stored, elimination would take it as the first pivot and find rank 2
+        m = ExactMatrix.from_rows([[0, 1, 0], [1, 0, 1], [0, 1, 1]])
+        assert m.nonzeros[0] == ((1, 1, 0),)
+        assert rank(m) == 3
+
+    def test_a_stored_zero_would_join_components(self):
+        # a stored zero at (0, 1) would link indices 0 and 1
+        assert components(ExactMatrix.from_rows([[0, 0], [0, 1]])) == [[0], [1]]
+
+    def test_ascending_symmetric_rows_are_hermitian(self):
+        m = ExactMatrix(2, 2, (((0, 1, 0), (1, 1, 0)), ((0, 1, 0),)))
+        assert m == ExactMatrix.from_rows([[1, 1], [1, 0]]) and m.is_hermitian()
+
+
 class TestProductStates:
     def test_standard_basis_is_separable(self):
         assert is_product_state(Ray([1, 0, 0, 0]), (2, 2))
@@ -556,6 +593,43 @@ class TestSparseKernelAgainstNaiveReference:
         assert x.den == den and x.nonzeros[0][0] == (0, den, den)
         assert rank(x) == _naive_rank(_pairs(x))
         assert [list(v) for v in nullspace(x)] == _naive_nullspace(_pairs(x))
+
+    @given(st.data(), st.integers(1, 5), st.integers(1, 3), st.integers(1, 5),
+           st.integers(1, 4), st.integers(-3, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_shifted_rank(self, data, n, k, m, den, shift):
+        # M = T + shift*I, I's ones on the main diagonal, where T is a product
+        # through inner dimension k of Gaussian matrices over den, so often
+        # rank-deficient; some rows of T are then redrawn so that M's diagonal
+        # entry cancels (T_ii = 0, or the whole row 0) or is missing (T_ii = -shift,
+        # or the row -shift*e_i, which leaves M's row empty)
+        entry = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(
+            lambda z: (Fraction(z[0], den), Fraction(z[1], den)))
+        factors = [data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                                      min_size=r, max_size=r).map(ExactMatrix.from_rows))
+                   for r, c in ((n, k), (k, m))]
+        target = _pairs(factors[0] @ factors[1])
+        for i in range(min(n, m)):
+            kind = data.draw(st.sampled_from(["kept", "cancel", "zero", "missing", "empty"]))
+            if kind in ("zero", "empty"):
+                target[i] = [0] * m
+            if kind != "kept":
+                target[i][i] = -shift if kind in ("missing", "empty") else 0
+        eye = ExactMatrix.from_rows([[int(i == j) for j in range(m)] for i in range(n)])
+        t = ExactMatrix.from_rows(target)
+        x = t + eye.scale(shift)
+        assert linear_combination((1, -shift), (x, eye)) == t
+        assert rank(x, shift) == rank(t) == _naive_rank(_pairs(t))
+        if n == m:
+            assert eye == ExactMatrix.identity(n)
+
+    def test_shift_must_be_an_integer(self):
+        m = ExactMatrix.from_rows([[Fraction(1, 2), 0], [0, 1]])
+        assert rank(m, 1) == 1
+        with pytest.raises(TypeError):
+            rank(m, Fraction(1, 2))
+        with pytest.raises(TypeError):
+            rank(m, 0.5)
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=100, deadline=None)

@@ -498,7 +498,7 @@ class TestRayCertificate:
         expected = joint_context(terms)
         oracle_rays = joint_eigenrays_by_intersection(terms)
 
-        def no_rank(m):
+        def no_rank(m, shift=0):
             raise AssertionError("rank called on a nondegenerate pencil")
 
         monkeypatch.setattr(pencil, "rank", no_rank)
@@ -703,10 +703,16 @@ def _hermitian_den2() -> ExactMatrix:
     return ExactMatrix.from_rows(rows)
 
 
-def _counted_rank(monkeypatch) -> list[ExactMatrix]:
-    """Every matrix the certificate ranks, recorded through ``pencil.rank``."""
+def _counted_rank(monkeypatch) -> list[tuple[ExactMatrix, int]]:
+    """Every (matrix, shift) pair the certificate ranks, recorded through
+    ``pencil.rank``: the certificate ranks B - lambda*I as ``rank(B, lambda)``."""
     calls, exact_rank = [], pencil.rank
-    monkeypatch.setattr(pencil, "rank", lambda m: calls.append(m) or exact_rank(m))
+
+    def counted(m, shift=0):
+        calls.append((m, shift))
+        return exact_rank(m, shift)
+
+    monkeypatch.setattr(pencil, "rank", counted)
     return calls
 
 
@@ -761,7 +767,9 @@ class TestTraceCertificate:
         with pytest.raises(DegeneratePencilError) as err:
             joint_context(terms, (1, 1))
         assert err.value.multiplicities == expected == {-2: 1, 0: 2, 2: 1}
-        assert [(m.rows, m.cols) for m in calls] == [(4, 4), (4, 4)]
+        assert [(m.rows, m.cols) for m, _ in calls] == [(4, 4), (4, 4)]
+        # the block itself is ranked at each shift: no shifted matrix is built
+        assert calls == [(p, -2), (p, 0)]
 
     def test_matching_trace_with_another_square_sum_is_ranked(self):
         # [[0, 1], [1, 0]] has trace 0 = 2 * 0 but square sum 2, not 0: candidate 0
@@ -781,7 +789,7 @@ class TestTraceCertificate:
         expected = _full_rank_spectrum(p, {0, 3})
         calls = _counted_rank(monkeypatch)
         assert _blockwise([[0, 3], [3], [0], [3]])(p, {0, 3}) == expected == {0: 2, 3: 3}
-        assert [(m.rows, m.den) for m in calls] == [(2, 2)]
+        assert [(m.rows, m.den, lam) for m, lam in calls] == [(2, 2, 0)]
 
 
 # sha256 of json.dumps(joint_context(GHZ n).to_json(), sort_keys=True,
@@ -839,6 +847,7 @@ class TestBlockFloatStage:
         # two distinct blocks with own candidates -1 and 1: each ranks -1, and its
         # trace and square sum then settle 1
         assert len(calls) == 2
+        assert [(m.rows, lam) for m, lam in calls] == [(2, -1), (2, -1)]
         assert len(splits) == 1  # the float stage's split serves the certificate
 
     def test_blocks_of_unequal_size_in_a_degenerate_pencil(self, monkeypatch):
