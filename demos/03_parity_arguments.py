@@ -11,9 +11,7 @@ from qpencil import (
     ContextHypergraph,
     ParityScenario,
     analyze,
-    classical_bruteforce,
     eigenstate_table,
-    is_separating,
     joint_context,
     parse_pauli,
     realization,
@@ -30,7 +28,6 @@ def scenario(*texts, sites):
 ghzm = scenario("XXX", "XYY", "YXY", "YYX", sites=3)
 report = analyze(ghzm)
 print("three-qubit argument:", report.to_json())
-print("all classically achievable products:", classical_bruteforce(ghzm))
 
 # %%
 # The four words share one eigenbasis: eight entangled rays forming a
@@ -42,7 +39,7 @@ terms = [realization(parse_pauli(w)) for w in ("XXX", "XYY", "YXY", "YYX")]
 ctx = joint_context(terms, (1, 2, 4, 8))
 h = ContextHypergraph.from_ray_groups([ctx.rays])
 states = two_valued_states(h)
-print(f"\nstates: {len(states)}, separating: {is_separating(states, h)}")
+print(f"\nstates: {len(states)}")
 
 for ray, row in zip(ctx.rays, eigenstate_table(ctx, ghzm)):
     product = 1

@@ -223,8 +223,8 @@ def _sum_rows(terms: Iterable[tuple[tuple[int, int], SparseRow]]) -> SparseRow:
 class ExactMatrix:
     """Sparse matrix of Gaussian rationals over one common denominator.
 
-    ``nonzeros[i]`` lists row i's nonzero entries as (col, re, im) by strictly ascending
-    col < cols, where (re + i*im) / den is the entry; ``den`` > 0 is reduced against
+    ``nonzeros[i]`` lists row i's nonzero entries as int triples (col, re, im) by strictly
+    ascending col < cols, where (re + i*im) / den is the entry; ``den`` > 0 is reduced against
     every numerator on construction, so equal matrices have equal fields and hash alike.
     """
 
@@ -238,8 +238,10 @@ class ExactMatrix:
             raise ValueError("need one sparse row per row and a positive denominator")
         for row in self.nonzeros:
             prev = -1
-            for j, re, im in row:
-                if not prev < j < self.cols or not (re or im):
+            for j, re, im in row:  # re | im raises TypeError unless both are ints
+                if type(j) is not int or not prev < j < self.cols or not (re | im):
+                    if type(j) is not int:
+                        raise TypeError(f"row {row} has column index {j!r}, not an int")
                     raise ValueError(f"row {row} needs nonzeros in rising columns < {self.cols}")
                 prev = j
         nums = (x for row in self.nonzeros for _, re, im in row for x in (re, im))

@@ -108,14 +108,6 @@ class ContextHypergraph:
             "edges": [list(e) for e in self.edges],
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "ContextHypergraph":
-        return ContextHypergraph(
-            tuple(Ray(v) for v in data["vertices"]),
-            tuple(tuple(e) for e in data["edges"]),
-            data["dim"],
-        )
-
 
 def orthogonality_graph(rays: Sequence[Ray]) -> list[set[int]]:
     """Adjacency sets over vertex indices; edge iff exact inner product is zero."""
@@ -207,14 +199,6 @@ def two_valued_states(h: ContextHypergraph) -> list[TwoValuedState]:
     states = [TwoValuedState(tuple((ones >> i) & 1 for i in range(n))) for ones in found]
     states.sort(key=lambda s: s.values)
     return states
-
-
-def is_separating(states: Sequence[TwoValuedState], h: ContextHypergraph) -> bool:
-    """True iff every vertex pair is told apart by some state, that is iff the
-    vertices' value columns across the states are pairwise distinct."""
-    n = len(h.vertices)
-    columns = {tuple(s.values[v] for s in states) for v in range(n)}
-    return len(columns) == n
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from itertools import combinations
 from .pauli import PHASE_TEXT, PauliString, commutes, realization, serial_product
 from .pencil import Context, eigen_sign
 
-BRUTEFORCE_PAIR_CAP = 20
-
 
 class ParityError(Exception):
     """The scenario does not close into a forced parity argument."""
@@ -128,34 +126,6 @@ def analyze(s: ParityScenario) -> ContradictionReport:
         occurrence_parity=occurrences,
         contradiction=quantum != 1,
     )
-
-
-def classical_bruteforce(s: ParityScenario) -> set[int]:
-    """All products achievable by any +/-1 assignment to (site, letter) pairs.
-
-    The independent oracle for ``analyze``: enumerates every assignment
-    to the distinct non-identity (site, letter) pairs and collects the
-    product of the observables' classical values.
-    """
-    pairs = sorted(s.letter_occurrences())
-    if len(pairs) > BRUTEFORCE_PAIR_CAP:
-        raise ValueError(
-            f"{len(pairs)} distinct (site, letter) pairs exceeds the "
-            f"brute-force cap of {BRUTEFORCE_PAIR_CAP}"
-        )
-    index = {pair: k for k, pair in enumerate(pairs)}
-    results = set()
-    for bits in range(1 << len(pairs)):
-        total = 1
-        for factors in s.observables:
-            value = 1
-            for f in factors:
-                for site, letter in enumerate(f.letters):
-                    if letter != "I" and (bits >> index[(site, letter)]) & 1:
-                        value = -value
-            total *= value
-        results.add(total)
-    return results
 
 
 def eigenstate_table(context: Context, s: ParityScenario) -> list[tuple[int, ...]]:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own solver paths: state counting
 enumerates all 2^|V| assignments, joint eigenbases come from exact
-eigenspace intersection instead of the numerical pencil pipeline, and a
-Pauli word acts on a sparse vector letter by letter, without its matrix.
+eigenspace intersection instead of the numerical pencil pipeline, a
+Pauli word acts on a sparse vector letter by letter, without its matrix,
+and the classical parity value comes from every +/-1 assignment.
 """
 
 from __future__ import annotations
@@ -154,6 +155,14 @@ def admits_state(edges) -> bool:
     return search(0, 0)
 
 
+def is_separating(states, h) -> bool:
+    """True iff every vertex pair is told apart by some state, that is iff the
+    vertices' value columns across the states are pairwise distinct."""
+    n = len(h.vertices)
+    columns = {tuple(s.values[v] for s in states) for v in range(n)}
+    return len(columns) == n
+
+
 def eigenspace(matrix: ExactMatrix, eigenvalue: int):
     """Exact basis of ker(A - lambda I)."""
     shifted = matrix - ExactMatrix.identity(matrix.rows).scale(eigenvalue)
@@ -221,3 +230,34 @@ def check_sign_table(words, rays, eigentable) -> None:
         for word, s in zip(words, signs):
             expected = {b: (s * re, s * im) for b, (re, im) in vector.items()}
             assert apply_word(word, vector) == expected, (str(word), ray)
+
+
+BRUTEFORCE_PAIR_CAP = 20
+
+
+def classical_bruteforce(s) -> set[int]:
+    """All products achievable by any +/-1 assignment to (site, letter) pairs.
+
+    The independent oracle for ``parity.analyze``: enumerates every assignment
+    to the distinct non-identity (site, letter) pairs of a ``ParityScenario``
+    and collects the product of the observables' classical values.
+    """
+    pairs = sorted(s.letter_occurrences())
+    if len(pairs) > BRUTEFORCE_PAIR_CAP:
+        raise ValueError(
+            f"{len(pairs)} distinct (site, letter) pairs exceeds the "
+            f"brute-force cap of {BRUTEFORCE_PAIR_CAP}"
+        )
+    index = {p: k for k, p in enumerate(pairs)}
+    results = set()
+    for bits in range(1 << len(pairs)):
+        total = 1
+        for factors in s.observables:
+            value = 1
+            for f in factors:
+                for site, letter in enumerate(f.letters):
+                    if letter != "I" and (bits >> index[(site, letter)]) & 1:
+                        value = -value
+            total *= value
+        results.add(total)
+    return results

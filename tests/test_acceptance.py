@@ -22,12 +22,11 @@ from qpencil.logic import (
     ContextHypergraph,
     classify_contexts,
     enumerate_contexts,
-    is_separating,
     noncolorable_subsets,
     orthogonality_graph,
     two_valued_states,
 )
-from qpencil.parity import ParityScenario, analyze, classical_bruteforce, eigenstate_table
+from qpencil.parity import ParityScenario, analyze, eigenstate_table
 from qpencil.pauli import PauliString, multiply, parse_pauli, realization
 from qpencil.pencil import DegeneratePencilError, build, evaluate, joint_context
 
@@ -43,7 +42,9 @@ from _fixtures import (
 from _oracles import (
     admits_state,
     brute_state_count,
+    classical_bruteforce,
     conjugate_transpose,
+    is_separating,
     parity_proofs,
     signed_components,
 )

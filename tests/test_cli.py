@@ -14,9 +14,11 @@ from qpencil.cli import (
     run_scenario,
 )
 from qpencil import exact
-from qpencil.logic import ContextHypergraph, is_separating, two_valued_states
+from qpencil.logic import ContextHypergraph, two_valued_states
 from qpencil.pauli import PauliString, parse_pauli, realization
 from qpencil.pencil import VerificationError, joint_context
+
+from _oracles import is_separating
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 

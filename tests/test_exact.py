@@ -418,6 +418,17 @@ class TestRowContract:
         with pytest.raises(ValueError, match="needs nonzeros in rising columns <"):
             ExactMatrix(len(nonzeros), cols, nonzeros)
 
+    def test_a_float_column_index_is_rejected(self):
+        # once accepted, and then ranked 1 with no error
+        with pytest.raises(TypeError, match="column index 0.5, not an int"):
+            ExactMatrix(2, 2, (((0.5, 1, 0),), ((1, 1, 0),)))
+
+    @pytest.mark.parametrize("entry", [(0, 0.5, 0), (0, 1, 0.0), (0, Fraction(1, 2), 0)])
+    def test_a_non_int_numerator_is_rejected(self, entry):
+        # once accepted, and then rank failed with a misleading ArithmeticError
+        with pytest.raises(TypeError):
+            ExactMatrix(2, 2, ((entry,), ((1, 1, 0),)))
+
     def test_a_stored_zero_would_hide_a_pivot(self):
         # [[0, 1, 0], [1, 0, 1], [0, 1, 1]] has determinant -1; with its (0, 0) zero
         # stored, elimination would take it as the first pivot and find rank 2

@@ -1,6 +1,10 @@
+import ast
 import types
+from pathlib import Path
 
 import qpencil
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_all_lists_exactly_the_public_names():
@@ -20,3 +24,36 @@ def test_the_exact_layer_exports_no_scalar_type():
     assert exact == {
         "ExactMatrix", "Ray", "commutator_is_zero", "inner_product", "is_product_state"
     }
+
+
+def _references(path: Path) -> set[str]:
+    """The names that a file's code reads, as names, attributes or string
+    constants (perfbench binds the layers it traces by name), leaving out each
+    function's or class's references to itself from inside its own body."""
+    found = set()
+
+    def walk(node, inside: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        name = (
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.value if isinstance(node, ast.Constant) and type(node.value) is str
+            else None
+        )
+        if name is not None and name not in inside:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+
+    walk(ast.parse(path.read_text()), frozenset())
+    return found
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    # a name only tests call belongs in tests/_oracles.py, not in the package
+    users = [p for p in (ROOT / "src" / "qpencil").glob("*.py") if p.name != "__init__.py"]
+    users += ROOT.joinpath("demos").glob("*.py")
+    users += (p for p in ROOT.joinpath("perfbench").glob("*.py") if not p.name.startswith("test_"))
+    used = set().union(*map(_references, users))
+    assert sorted(set(qpencil.__all__) - used) == []

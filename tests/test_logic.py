@@ -13,7 +13,6 @@ from qpencil.logic import (
     TwoValuedState,
     classify_contexts,
     enumerate_contexts,
-    is_separating,
     noncolorable_subsets,
     orthogonality_graph,
     to_dot,
@@ -21,7 +20,7 @@ from qpencil.logic import (
 )
 
 from _fixtures import ALL_24_RAY_LITERALS, EXPECTED_BASES
-from _oracles import brute_maximal_cliques, brute_state_count
+from _oracles import brute_maximal_cliques, brute_state_count, is_separating
 
 
 @pytest.fixture(scope="module")
@@ -200,12 +199,14 @@ class TestHypergraphConstruction:
         ],
     )
     def test_malformed_json_rejected(self, data, message):
+        vertices = tuple(Ray(v) for v in data["vertices"])
         with pytest.raises(ValueError, match=message):
-            ContextHypergraph.from_json(data)
+            ContextHypergraph(vertices, tuple(map(tuple, data["edges"])), data["dim"])
 
     def test_json_roundtrip(self, pm_hypergraph):
         data = json.loads(json.dumps(pm_hypergraph.to_json()))
-        again = ContextHypergraph.from_json(data)
+        vertices = tuple(Ray(v) for v in data["vertices"])
+        again = ContextHypergraph(vertices, tuple(map(tuple, data["edges"])), data["dim"])
         assert again == pm_hypergraph
 
 

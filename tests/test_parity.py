@@ -3,17 +3,12 @@ import itertools
 import pytest
 
 from qpencil.exact import Ray
-from qpencil.parity import (
-    ParityError,
-    ParityScenario,
-    analyze,
-    classical_bruteforce,
-    eigenstate_table,
-)
+from qpencil.parity import ParityError, ParityScenario, analyze, eigenstate_table
 from qpencil.pauli import parse_pauli, realization
 from qpencil.pencil import VerificationError, joint_context
 
 from _fixtures import GHZ_PLUS, GHZM_WORDS
+from _oracles import classical_bruteforce
 
 
 def words(*texts):
