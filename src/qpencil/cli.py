@@ -480,7 +480,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ScenarioError as e:
         print(f"qpencil: scenario error: {e}", file=sys.stderr)
         return 1
-    except (PencilError, ParityError, ValueError, ArithmeticError) as e:
+    except (PencilError, ValueError, ArithmeticError) as e:
         print(f"qpencil: verification failure: {e}", file=sys.stderr)
         return 2
 

@@ -196,11 +196,6 @@ def inner_product(u: Ray, v: Ray) -> tuple[int, int]:
     return re, im
 
 
-def is_orthogonal(u: Ray, v: Ray) -> bool:
-    """True iff the exact inner product of the rays is zero."""
-    return inner_product(u, v) == (0, 0)
-
-
 SparseRow = tuple[tuple[int, int, int], ...]
 
 
@@ -234,6 +229,8 @@ class ExactMatrix:
     den: int = 1
 
     def __post_init__(self):
+        if type(self.den) is not int:  # not isinstance, which lets True pass
+            raise TypeError(f"denominator {self.den!r} is not an int")
         if len(self.nonzeros) != self.rows or self.den < 1:
             raise ValueError("need one sparse row per row and a positive denominator")
         for row in self.nonzeros:
@@ -456,16 +453,21 @@ def nullspace(m: ExactMatrix) -> list[tuple[Pair, ...]]:
 def is_product_state(r: Ray, site_dims: Sequence[int]) -> bool:
     """True iff the ray factorizes as a tensor product of one vector per site.
 
-    Checked exactly: every successive left/right reshape must have rank one.
+    Checked exactly: each successive left/right reshape X has rank one iff x_ab X
+    is the outer product of its column b and row a, x_ab its first nonzero entry.
     """
     total = math.prod(site_dims)
     if total != r.dim:
         raise ValueError(
             f"site dimensions {tuple(site_dims)} do not multiply to {r.dim}"
         )
+    first, lead = r.support[0]
+    scaled = {k: _gmul(c, lead) for k, c in r.support}  # x_ij x_ab at k = i*cols + j
     for split in range(1, len(site_dims)):
         cols = total // math.prod(site_dims[:split])
-        rows = _sparse(r.parts[i : i + cols] for i in range(0, total, cols))
-        if len(_echelon(ExactMatrix(total // cols, cols, rows))[1]) > 1:
+        b = first % cols
+        column = [(k - b, c) for k, c in r.support if k % cols == b]  # (i*cols, x_ib)
+        row = [(k % cols, c) for k, c in r.support if k // cols == first // cols]  # (j, x_aj)
+        if scaled != {i + j: _gmul(p, q) for i, p in column for j, q in row}:
             return False
     return True

@@ -10,18 +10,25 @@ collections.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .exact import Ray, is_orthogonal, is_product_state
+from .exact import Ray, inner_product, is_product_state
 
 SUBSET_SWEEP_EDGE_CAP = 30
 SUBSET_SWEEP_VERTEX_CAP = 32  # two half tables of 2^(|V|/2) entries, paired: 2^|V|
 # _LOW[i]: the bits of a packed sweep-table word whose edge mask lacks edge i
 _LOW = [sum(1 << p for p in range(64) if not (p >> i) & 1) for i in range(6)]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of a bitmask's set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -46,10 +53,10 @@ class ContextHypergraph:
     def __post_init__(self):
         if type(self.dim) is not int:  # not isinstance, which lets JSON's true pass
             raise ValueError(f"dimension {self.dim!r} is not an integer")
-        for i, v in enumerate(self.vertices):
-            if v.dim != self.dim:
-                raise ValueError(f"vertex {i} has dimension {v.dim}, not {self.dim}")
-        seen = set()
+        adjacency = orthogonality_graph(self.vertices)  # raises unless one dimension
+        if self.vertices and self.vertices[0].dim != self.dim:
+            raise ValueError(f"the vertices have dimension {self.vertices[0].dim}, not {self.dim}")
+        seen, covered = set(), 0
         for e in self.edges:
             if any(type(i) is not int for i in e):
                 raise ValueError(f"edge {e} has an index that is not an integer")
@@ -62,27 +69,24 @@ class ContextHypergraph:
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
-            for i, j in itertools.combinations(e, 2):
-                if not is_orthogonal(self.vertices[i], self.vertices[j]):
-                    raise ValueError(
-                        f"edge {e}: vertices {i} and {j} are not orthogonal"
-                    )
-        covered = set(itertools.chain.from_iterable(self.edges))
-        if covered != set(range(len(self.vertices))):
+            mask = sum(1 << i for i in e)
+            for i in e:  # the first pair (i, j > i) of e that is not orthogonal
+                for j in _bits(mask & ~adjacency[i] & -(2 << i)):
+                    raise ValueError(f"edge {e}: vertices {i} and {j} are not orthogonal")
+            covered |= mask
+        if covered != (1 << len(self.vertices)) - 1:
             raise ValueError("every vertex must belong to at least one edge")
 
     @staticmethod
     def from_ray_groups(groups: Sequence[Sequence[Ray]]) -> "ContextHypergraph":
         """Build from explicit contexts; rays deduplicate by canonical form."""
-        dims = {r.dim for g in groups for r in g}
-        if len(dims) != 1:
-            raise ValueError("all rays must share one dimension")
-        dim = dims.pop()
         # by dense components, each ray's parts built once
-        vertices = sorted(set(itertools.chain.from_iterable(groups)), key=lambda r: r.parts)
+        vertices = sorted({r for g in groups for r in g}, key=lambda r: r.parts)
+        if not vertices:
+            raise ValueError("cannot build a hypergraph from no rays")
         index = {r: i for i, r in enumerate(vertices)}
         edges = sorted(set(tuple(sorted(index[r] for r in g)) for g in groups))
-        return ContextHypergraph(tuple(vertices), tuple(edges), dim)
+        return ContextHypergraph(tuple(vertices), tuple(edges), vertices[0].dim)
 
     @staticmethod
     def completion_of(rays: Iterable[Ray]) -> "ContextHypergraph":
@@ -91,9 +95,8 @@ class ContextHypergraph:
         if not vertices:
             raise ValueError("cannot complete an empty ray set")
         dim = vertices[0].dim
-        adjacency = orthogonality_graph(vertices)
-        edges = enumerate_contexts(adjacency, dim)
-        return ContextHypergraph(tuple(vertices), tuple(edges), dim)
+        edges = enumerate_contexts(orthogonality_graph(vertices), dim)
+        return ContextHypergraph(tuple(vertices), edges, dim)
 
     def sub_hypergraph(self, edge_indices: Sequence[int]) -> "ContextHypergraph":
         """Induced sub-collection; vertices outside the chosen edges are dropped."""
@@ -109,20 +112,28 @@ class ContextHypergraph:
         }
 
 
-def orthogonality_graph(rays: Sequence[Ray]) -> list[set[int]]:
-    """Adjacency sets over vertex indices; edge iff exact inner product is zero."""
-    adjacency: list[set[int]] = [set() for _ in rays]
-    for i, j in itertools.combinations(range(len(rays)), 2):
-        if is_orthogonal(rays[i], rays[j]):
-            adjacency[i].add(j)
-            adjacency[j].add(i)
+def orthogonality_graph(rays: Sequence[Ray]) -> list[int]:
+    """Adjacency bitmasks: bit j of entry i is set iff j != i and rays i and j have
+    exact inner product zero. Rays whose supports share no index are orthogonal
+    with no arithmetic, so only pairs that share one are tested, each once."""
+    adjacency = [(1 << len(rays)) - 1 ^ 1 << i for i in range(len(rays))]
+    holders: dict[int, int] = {}  # support index -> the earlier rays nonzero there
+    for i, r in enumerate(rays):
+        if r.dim != rays[0].dim:
+            raise ValueError("all rays must share one dimension")
+        shared = 0
+        for j, _ in r.support:
+            shared |= holders.get(j, 0)
+            holders[j] = holders.get(j, 0) | 1 << i
+        for k in _bits(shared):
+            if inner_product(rays[k], r) != (0, 0):
+                adjacency[i] ^= 1 << k
+                adjacency[k] ^= 1 << i
     return adjacency
 
 
-def enumerate_contexts(
-    adjacency: Sequence[set[int]], d: int
-) -> tuple[tuple[int, ...], ...]:
-    """All maximal cliques (pivoting Bron-Kerbosch), asserted to have size d.
+def enumerate_contexts(adjacency: Sequence[int], d: int) -> tuple[tuple[int, ...], ...]:
+    """All maximal cliques (pivoting Bron-Kerbosch on bitmasks), asserted to have size d.
 
     A maximal clique smaller than d means some ray set cannot be completed
     to an orthonormal basis, so the hypergraph would be ill-formed. The
@@ -130,36 +141,31 @@ def enumerate_contexts(
     node's children are pushed reversed and pop in ascending order.
     """
     cliques: list[tuple[int, ...]] = []
-    stack: list[tuple[tuple[int, ...], set[int], set[int]]] = [
-        ((), set(range(len(adjacency))), set())
-    ]
+    stack = [((), (1 << len(adjacency)) - 1, 0)]  # (clique, candidates P, excluded X)
     while stack:
         r, p, x = stack.pop()
         if not p and not x:
-            cliques.append(tuple(sorted(r)))
+            cliques.append(c := tuple(sorted(r)))
+            if len(c) != d:  # the first one found is named
+                raise ValueError(
+                    f"maximal clique {c} has size {len(c)}, expected {d}: "
+                    "the ray set is not completable to full contexts"
+                )
             continue
-        # Tomita's pivot maximizes |P & N(u)|. The scan stops at the first u
-        # reaching |P| - [u in P]; a later u beats it only if it lies in X and
-        # is adjacent to all of P, and then neither pivot finds a clique here.
+        # Tomita's pivot maximizes |P & N(u)|, u ascending. The scan stops at the
+        # first u reaching |P| - [u in P]; a later u beats it only if it lies in X
+        # and is adjacent to all of P, and then neither pivot finds a clique here.
         best = -1
-        for u in p | x:
-            size = len(p & adjacency[u])
+        for u in _bits(p | x):
+            size = (p & adjacency[u]).bit_count()
             if size > best:
                 pivot, best = u, size
-                if size == len(p) - (u in p):
+                if size == p.bit_count() - (p >> u & 1):
                     break
-        children = []
-        for v in sorted(p - adjacency[pivot]):
-            children.append((r + (v,), p & adjacency[v], x & adjacency[v]))
-            p = p - {v}  # fresh sets, not in place: their layout picks the
-            x = x | {v}  # pivot among ties, and so the discovery order
-        stack.extend(reversed(children))
-    for c in cliques:
-        if len(c) != d:
-            raise ValueError(
-                f"maximal clique {c} has size {len(c)}, expected {d}: "
-                "the ray set is not completable to full contexts"
-            )
+        branch = p & ~adjacency[pivot]
+        for v in reversed([*_bits(branch)]):
+            earlier = branch & ((1 << v) - 1)  # siblings before v: moved from P to X
+            stack.append((r + (v,), p & ~earlier & adjacency[v], (x | earlier) & adjacency[v]))
     return tuple(sorted(cliques))
 
 
@@ -187,11 +193,8 @@ def two_valued_states(h: ContextHypergraph) -> list[TwoValuedState]:
         for e in edge_masks:
             if e & ones:
                 continue
-            cand = e & ~zeros
-            while cand:
-                v = cand & -cand
-                cand ^= v
-                rec(ones | v, zeros | co_edge[v.bit_length() - 1])
+            for v in _bits(e & ~zeros):
+                rec(ones | 1 << v, zeros | co_edge[v])
             return
         found.append(ones)
 
@@ -316,18 +319,14 @@ def classify_contexts(
 ) -> ContextClassification:
     """Partition vertices and edges by separability across the given sites."""
     separable = [is_product_state(v, site_dims) for v in h.vertices]
-    sep_v = tuple(i for i, s in enumerate(separable) if s)
-    ent_v = tuple(i for i, s in enumerate(separable) if not s)
-    sep_e, ent_e, mix_e = [], [], []
-    for k, e in enumerate(h.edges):
-        flags = [separable[i] for i in e]
-        if all(flags):
-            sep_e.append(k)
-        elif not any(flags):
-            ent_e.append(k)
-        else:
-            mix_e.append(k)
-    return ContextClassification(sep_v, ent_v, tuple(sep_e), tuple(ent_e), tuple(mix_e))
+    counts = [sum(separable[i] for i in e) for e in h.edges]  # separable rays per edge
+    return ContextClassification(
+        tuple(i for i, s in enumerate(separable) if s),
+        tuple(i for i, s in enumerate(separable) if not s),
+        tuple(k for k, c in enumerate(counts) if c == h.dim),
+        tuple(k for k, c in enumerate(counts) if c == 0),
+        tuple(k for k, c in enumerate(counts) if 0 < c < h.dim),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +348,7 @@ def to_dot(h: ContextHypergraph) -> str:
         lines.append(f'  v{i} [label="({label})"];')
     for k, e in enumerate(h.edges):
         color = _DOT_PALETTE[k % len(_DOT_PALETTE)]
-        chain = list(e)
-        for a, b in zip(chain, chain[1:]):
+        for a, b in zip(e, e[1:]):
             lines.append(f'  v{a} -- v{b} [color="{color}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

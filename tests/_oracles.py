@@ -4,17 +4,20 @@ These deliberately avoid the library's own solver paths: state counting
 enumerates all 2^|V| assignments, joint eigenbases come from exact
 eigenspace intersection instead of the numerical pencil pipeline, a
 Pauli word acts on a sparse vector letter by letter, without its matrix,
-and the classical parity value comes from every +/-1 assignment.
+the classical parity value comes from every +/-1 assignment, orthogonality
+from every pair's dense inner product, and separability from a Bareiss
+elimination of each reshape.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from qpencil.exact import ExactMatrix, Ray, nullspace
+from qpencil.exact import ExactMatrix, Ray, _echelon, _sparse, nullspace
 
 # Complex numbers as (re, im) Fraction pairs, with arithmetic of their own.
 
@@ -50,6 +53,36 @@ def raw_inner(u, v) -> tuple[Fraction, Fraction]:
         re, im = pair(a)
         acc = padd(acc, pmul((re, -im), pair(b)))
     return acc
+
+
+def orthogonal_neighbors(rays) -> list[set[int]]:
+    """The orthogonality graph as neighbor sets, by every pair's inner product
+    over all dense components, shared support or not."""
+    neighbors: list[set[int]] = [set() for _ in rays]
+    for i, j in itertools.combinations(range(len(rays)), 2):
+        if raw_inner(rays[i].parts, rays[j].parts) == (0, 0):
+            neighbors[i].add(j)
+            neighbors[j].add(i)
+    return neighbors
+
+
+def is_product_state_by_elimination(r: Ray, site_dims) -> bool:
+    """True iff the ray factorizes as a tensor product of one vector per site.
+
+    Checked exactly: every successive left/right reshape must have rank one,
+    by a Bareiss elimination of the reshape's dense rows.
+    """
+    total = math.prod(site_dims)
+    if total != r.dim:
+        raise ValueError(
+            f"site dimensions {tuple(site_dims)} do not multiply to {r.dim}"
+        )
+    for split in range(1, len(site_dims)):
+        cols = total // math.prod(site_dims[:split])
+        rows = _sparse(r.parts[i : i + cols] for i in range(0, total, cols))
+        if len(_echelon(ExactMatrix(total // cols, cols, rows))[1]) > 1:
+            return False
+    return True
 
 
 def signed_components(ray: Ray, s: int) -> tuple[tuple[int, int], ...]:

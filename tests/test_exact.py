@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,6 @@ from qpencil.exact import (
     commutator_is_zero,
     components,
     inner_product,
-    is_orthogonal,
     is_product_state,
     linear_combination,
     nullspace,
@@ -19,8 +20,8 @@ from qpencil.exact import (
 )
 from qpencil.pauli import parse_pauli, realization
 
-from _oracles import (conjugate_transpose, padd, pair, pdiv, pmul, psub, raw_inner,
-                      two_qubit_determinant)
+from _oracles import (conjugate_transpose, is_product_state_by_elimination, padd, pair,
+                      pdiv, pmul, psub, raw_inner, two_qubit_determinant)
 
 
 SIGMA_X = ExactMatrix.from_rows([[0, 1], [1, 0]])
@@ -202,8 +203,8 @@ class TestInnerProduct:
     def test_same_context_pair(self):
         # rows 4 of the square: (1,1,0,0) vs (-1,1,0,0)
         assert inner_product(Ray([1, 1, 0, 0]), Ray([-1, 1, 0, 0])) == (0, 0)
-        assert is_orthogonal(Ray([1, 1, 0, 0]), Ray([-1, 1, 0, 0]))
-        assert not is_orthogonal(Ray([1, 1, 1, 1]), Ray([-1, -1, -1, 1]))
+        assert inner_product(Ray([1, 1, 0, 0]), Ray([-1, 1, 0, 0])) == (0, 0)
+        assert not inner_product(Ray([1, 1, 1, 1]), Ray([-1, -1, -1, 1])) == (0, 0)
 
     def test_nonorthogonal_pair(self):
         # on the literal vectors the product is -2; canonicalization flips
@@ -215,7 +216,7 @@ class TestInnerProduct:
         with pytest.raises(ValueError):
             inner_product(Ray([1, 0]), Ray([1, 0, 0]))
         with pytest.raises(ValueError):
-            is_orthogonal(Ray([1, 0]), Ray([1, 0, 0]))
+            inner_product(Ray([1, 0]), Ray([1, 0, 0])) == (0, 0)
 
     @given(
         st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=2, max_size=5),
@@ -429,6 +430,13 @@ class TestRowContract:
         with pytest.raises(TypeError):
             ExactMatrix(2, 2, ((entry,), ((1, 1, 0),)))
 
+    @pytest.mark.parametrize("den", [1.0, 2.0, True])
+    def test_a_non_int_denominator_is_rejected(self, den):
+        # 1.0 was accepted and then failed in row(), 2.0 failed inside math.gcd,
+        # and True passed as den 1
+        with pytest.raises(TypeError, match="is not an int"):
+            ExactMatrix(2, 2, (((0, 1, 0),), ((1, 1, 0),)), den)
+
     def test_a_stored_zero_would_hide_a_pivot(self):
         # [[0, 1, 0], [1, 0, 1], [0, 1, 1]] has determinant -1; with its (0, 0) zero
         # stored, elimination would take it as the first pivot and find rank 2
@@ -470,6 +478,31 @@ class TestProductStates:
                 continue
             expected = two_qubit_determinant(v) == (0, 0)
             assert is_product_state(Ray(v), (2, 2)) == expected
+
+    @pytest.mark.parametrize("site_dims", [(2, 2), (2, 3), (3, 2), (2, 2, 2), (4, 2)])
+    def test_rank_one_rule_matches_elimination(self, site_dims):
+        # half the rays are products of random sparse site vectors, half are
+        # random sparse vectors over the whole space
+        rng = random.Random(sum(site_dims) * len(site_dims))
+        entries = [(0, 0), (0, 0), (1, 0), (-1, 0), (0, 1), (1, 1), (2, -1)]
+
+        def vector(n):
+            v = [rng.choice(entries) for _ in range(n)]
+            return v if any(c != (0, 0) for c in v) else vector(n)
+
+        outcomes = {True: 0, False: 0}
+        for k in range(200):
+            if k % 2:
+                v = [(1, 0)]
+                for w in map(vector, site_dims):
+                    v = [pmul(a, b) for a in v for b in w]
+            else:
+                v = vector(math.prod(site_dims))
+            expected = is_product_state_by_elimination(Ray(v), site_dims)
+            assert is_product_state(Ray(v), site_dims) == expected, v
+            assert expected or not k % 2
+            outcomes[expected] += 1
+        assert min(outcomes.values()) >= 20, outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +683,7 @@ class TestSparseKernelAgainstNaiveReference:
         ).filter(lambda v: any(c != (0, 0) for c in v))
         u, v = (Ray(data.draw(vec)) for _ in range(2))
         assert inner_product(u, v) == raw_inner(u.parts, v.parts)
-        assert is_orthogonal(u, v) == (raw_inner(u.parts, v.parts) == (0, 0))
+        assert (inner_product(u, v) == (0, 0)) == (raw_inner(u.parts, v.parts) == (0, 0))
 
     @given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(1, 3))
     @settings(max_examples=100, deadline=None)

@@ -20,7 +20,13 @@ from qpencil.logic import (
 )
 
 from _fixtures import ALL_24_RAY_LITERALS, EXPECTED_BASES
-from _oracles import brute_maximal_cliques, brute_state_count, is_separating
+from _oracles import (brute_maximal_cliques, brute_state_count, is_separating,
+                      orthogonal_neighbors)
+
+
+def neighbor_sets(adjacency: list[int]) -> list[set[int]]:
+    """Adjacency bitmasks as the neighbor sets the brute-force oracle reads."""
+    return [{j for j in range(len(adjacency)) if mask >> j & 1} for mask in adjacency]
 
 
 @pytest.fixture(scope="module")
@@ -45,20 +51,20 @@ class TestOrthogonalityGraph:
         rays = [Ray(v) for v in ALL_24_RAY_LITERALS]
         adj = orthogonality_graph(rays)
         assert len(adj) == 24
-        assert all(len(neighbors) == 9 for neighbors in adj)
+        assert all(neighbors.bit_count() == 9 for neighbors in adj)
 
     def test_context_is_complete_graph(self):
         rays = [Ray(v) for v in EXPECTED_BASES["row1"]]
         adj = orthogonality_graph(rays)
-        assert all(len(a) == 3 for a in adj)
+        assert all(a.bit_count() == 3 for a in adj)
 
     def test_nonorthogonal_pair_has_no_edge(self):
         adj = orthogonality_graph([Ray([1, 1, 1, 1]), Ray([-1, -1, -1, 1])])
-        assert adj == [set(), set()]
+        assert adj == [0, 0]
 
     def test_irreflexive_and_symmetric(self):
         rays = [Ray(v) for v in ALL_24_RAY_LITERALS[:10]]
-        adj = orthogonality_graph(rays)
+        adj = neighbor_sets(orthogonality_graph(rays))
         for i, neighbors in enumerate(adj):
             assert i not in neighbors
             for j in neighbors:
@@ -67,6 +73,39 @@ class TestOrthogonalityGraph:
     def test_mixed_dimension_rejected(self):
         with pytest.raises(ValueError):
             orthogonality_graph([Ray([1, 0]), Ray([1, 0, 0])])
+
+    def test_mixed_dimension_rejected_on_disjoint_supports(self):
+        # no inner product is taken between these rays, yet they do not compare
+        with pytest.raises(ValueError, match="all rays must share one dimension"):
+            orthogonality_graph([Ray([1, 0]), Ray([0, 1]), Ray([0, 0, 1])])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_all_pairs_oracle(self, seed):
+        # sparse Gaussian-integer rays in dimensions 2..16; each ray with two or
+        # more nonzeros gets a partner built orthogonal to it on two of them
+        rng = random.Random(seed)
+        entries = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (2, -1), (1, 3)]
+        kinds = {"shared, orthogonal": 0, "shared, not orthogonal": 0, "disjoint": 0}
+        for _ in range(40):
+            dim = rng.randint(2, 16)
+            rays = []
+            for _ in range(rng.randint(1, 10)):
+                support = sorted(rng.sample(range(dim), rng.randint(1, min(4, dim))))
+                rays.append(Ray([(j, rng.choice(entries)) for j in support], dim))
+                if len(support) >= 2:  # (a, b) and (-conj b, conj a) on two indices
+                    (j, (ar, ai)), (k, (br, bi)) = sorted(rng.sample(rays[-1].support, 2))
+                    rays.append(Ray([(j, (-br, bi)), (k, (ar, -ai))], dim))
+            rng.shuffle(rays)
+            expected = orthogonal_neighbors(rays)
+            assert neighbor_sets(orthogonality_graph(rays)) == expected
+            for i, j in itertools.combinations(range(len(rays)), 2):
+                if not {k for k, _ in rays[i].support} & {k for k, _ in rays[j].support}:
+                    kinds["disjoint"] += 1
+                elif j in expected[i]:
+                    kinds["shared, orthogonal"] += 1
+                else:
+                    kinds["shared, not orthogonal"] += 1
+        assert min(kinds.values()) >= 100, kinds
 
 
 class TestEnumerateContexts:
@@ -95,7 +134,7 @@ class TestEnumerateContexts:
         # 10 sites: one GHZ context of 1,024 rays, which a search that
         # recursed once per clique vertex could not reach
         n = 1 << 10
-        adjacency = [set(range(n)) - {i} for i in range(n)]
+        adjacency = [(1 << n) - 1 ^ 1 << i for i in range(n)]
         assert enumerate_contexts(adjacency, n) == (tuple(range(n)),)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -105,12 +144,12 @@ class TestEnumerateContexts:
         for _ in range(60):
             n = rng.randint(1, 12)
             density = rng.choice([0.3, 0.6, 0.9])
-            adjacency: list[set[int]] = [set() for _ in range(n)]
+            adjacency = [0] * n
             for i, j in itertools.combinations(range(n), 2):
                 if rng.random() < density:
-                    adjacency[i].add(j)
-                    adjacency[j].add(i)
-            expected = brute_maximal_cliques(adjacency)
+                    adjacency[i] |= 1 << j
+                    adjacency[j] |= 1 << i
+            expected = brute_maximal_cliques(neighbor_sets(adjacency))
             d = max(map(len, expected))
             if all(len(c) == d for c in expected):
                 assert enumerate_contexts(adjacency, d) == tuple(expected)
@@ -162,6 +201,15 @@ class TestHypergraphConstruction:
         h = ContextHypergraph.from_ray_groups(groups)
         assert len(h.vertices) == 4
         assert len(h.edges) == 1
+
+    def test_first_nonorthogonal_pair_is_named(self):
+        # (0, 3) and (1, 2) are the two non-orthogonal pairs; (0, 3) comes first
+        # in combinations order, although (1, 2) has the smaller second index
+        vertices = tuple(Ray(v) for v in [
+            (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 1, 1), (1, 1, 0, 0),
+        ])
+        with pytest.raises(ValueError, match="vertices 0 and 3 are not orthogonal"):
+            ContextHypergraph(vertices, ((0, 1, 2, 3),), 4)
 
     def test_nonorthogonal_edge_rejected(self):
         with pytest.raises(ValueError, match="not orthogonal"):
@@ -537,6 +585,19 @@ class TestClassification:
     def test_dimension_mismatch(self, pm_hypergraph):
         with pytest.raises(ValueError):
             classify_contexts(pm_hypergraph, (2, 3))
+
+    def test_ghz_context_at_the_site_cap(self):
+        # 10 sites: the 1,024 rays |b> +/- |~b> form one context, all entangled,
+        # whose 1,024 states each pick one ray
+        n = 1 << 10
+        rays = [Ray([(b, 1), (n - 1 - b, s)], n) for b in range(n // 2) for s in (1, -1)]
+        h = ContextHypergraph.completion_of(rays)
+        assert len(h.vertices) == n and h.edges == (tuple(range(n)),)
+        assert classify_contexts(h, (2,) * 10).counts() == {
+            "separable_vertices": 0, "entangled_vertices": n,
+            "separable_edges": 0, "entangled_edges": 1, "mixed_edges": 0,
+        }
+        assert len(two_valued_states(h)) == n
 
 
 class TestDotExport:
