@@ -11,7 +11,6 @@ from .exact import (
 from .logic import (
     ContextHypergraph,
     SubsetSweepResult,
-    TwoValuedState,
     classify_contexts,
     enumerate_contexts,
     noncolorable_subsets,
@@ -52,7 +51,6 @@ __all__ = [
     "is_product_state",
     "ContextHypergraph",
     "SubsetSweepResult",
-    "TwoValuedState",
     "classify_contexts",
     "enumerate_contexts",
     "noncolorable_subsets",

@@ -418,7 +418,11 @@ def _parse_coeffs(text: str | None) -> tuple[int, ...] | None:
         return None
     try:
         return tuple(int(x) for x in text.split(","))
-    except ValueError:
+    except ValueError:  # int() of a string also refuses more than 4,300 digits
+        signless = [x[1:] if x[:1] in ("+", "-") else x for x in map(str.strip, text.split(","))]
+        if all(x.isdecimal() for x in signless):  # not isdigit, which "²" passes
+            raise _UsageError("coefficients beyond the float stage's resolution: "
+                              f"a {max(map(len, signless))}-digit coefficient overflows float64")
         raise _UsageError(f"--coeffs expects integers, got {text!r}")
 
 

@@ -270,9 +270,6 @@ class ExactMatrix:
             out[j] = _scalar(re, im, self.den)
         return tuple(out)
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return linear_combination((1, 1), (self, other))
-
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return linear_combination((1, -1), (self, other))
 

@@ -32,13 +32,6 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 @dataclass(frozen=True)
-class TwoValuedState:
-    """A {0,1} per-vertex assignment with exactly one 1 on every edge."""
-
-    values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ContextHypergraph:
     """Deduplicated canonical rays (vertices) plus contexts (edges).
 
@@ -174,16 +167,16 @@ def enumerate_contexts(adjacency: Sequence[int], d: int) -> tuple[tuple[int, ...
 # vertex forces 0 on every other vertex of every edge containing it.
 
 
-def two_valued_states(h: ContextHypergraph) -> list[TwoValuedState]:
-    """Complete, deterministic enumeration by backtracking over edges.
+def two_valued_states(h: ContextHypergraph) -> list[int]:
+    """Every two-valued state as an int bitmask (bit v is vertex v's value),
+    ascending: complete, deterministic enumeration by backtracking over edges.
 
     Picks the first edge with no 1 yet, tries each still-available vertex
     (lowest index first) as its designated 1, and propagates 0 to its co-edge
     vertices, all others on its edges, whose mask is computed once per vertex.
     """
     edge_masks = [sum(1 << v for v in e) for e in h.edges]
-    n = len(h.vertices)
-    co_edge = [0] * n
+    co_edge = [0] * len(h.vertices)
     for e, mask in zip(h.edges, edge_masks):
         for v in e:
             co_edge[v] |= mask & ~(1 << v)
@@ -199,9 +192,7 @@ def two_valued_states(h: ContextHypergraph) -> list[TwoValuedState]:
         found.append(ones)
 
     rec(0, 0)
-    states = [TwoValuedState(tuple((ones >> i) & 1 for i in range(n))) for ones in found]
-    states.sort(key=lambda s: s.values)
-    return states
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------

@@ -189,10 +189,11 @@ def admits_state(edges) -> bool:
 
 
 def is_separating(states, h) -> bool:
-    """True iff every vertex pair is told apart by some state, that is iff the
-    vertices' value columns across the states are pairwise distinct."""
+    """True iff every vertex pair is told apart by some state (an int bitmask),
+    that is iff the vertices' value columns across the states are pairwise
+    distinct."""
     n = len(h.vertices)
-    columns = {tuple(s.values[v] for s in states) for v in range(n)}
+    columns = {tuple(s >> v & 1 for s in states) for v in range(n)}
     return len(columns) == n
 
 

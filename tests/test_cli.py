@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,7 +23,8 @@ from qpencil.pencil import VerificationError, joint_context
 
 from _oracles import is_separating
 
-GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "perfbench" / "golden"
 
 # three groups whose 24 rays have a maximal orthogonal clique of size 6 < d = 8
 NON_COMPLETABLE = (
@@ -218,6 +222,19 @@ class TestCommands:
         second = run_cli(capsys, "pm-square", "--format", "json")
         assert first == second
 
+    def test_python_m_qpencil_exits_with_main_s_code(self, capsys):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        ok, dot = (
+            subprocess.run([sys.executable, "-m", "qpencil", *argv], env=env,
+                           capture_output=True, text=True, timeout=120)
+            for argv in (["intro-pair"], ["bipartite", "--format", "dot"])
+        )
+        assert (ok.returncode, ok.stdout) == (0, run_cli(capsys, "intro-pair")[1])
+        assert dot.returncode == 1  # bipartite's degenerate group has no context
+
     @pytest.mark.parametrize("name", sorted(BUILTINS))
     def test_analyze_file_matches_builtin(self, capsys, name):
         import qpencil
@@ -339,8 +356,10 @@ class TestExitCodes:
             ("ghzm", f"{10**16},1,1,1", "pencil eigenvalue"),
             # a 401-digit entry overflows float64 itself
             ("intro-pair", f"{10**400},1", "integer division result too large"),
+            # past int()'s 4,300-digit string limit: named by its length, not echoed
+            ("intro-pair", "9" * 5000 + ",1", "a 5000-digit coefficient overflows float64\n"),
         ],
-        ids=["1e10", "1e16", "ghzm-1e16", "1e400"],
+        ids=["1e10", "1e16", "ghzm-1e16", "1e400", "5000-digits"],
     )
     def test_coeffs_beyond_float_resolution_is_1(self, capsys, command, coeffs, reason):
         # no exact check ran

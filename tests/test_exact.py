@@ -299,7 +299,8 @@ class TestCommutator:
         # denser rows) and on monomial ones (every row one entry, as for Pauli words)
         a, b = (data.draw(_sparse_matrix(n, n)) for _ in range(2))
         p, q = (data.draw(_monomial_matrix(n)) for _ in range(2))
-        for x, y in ((a, b), (a, a + b), (a, a @ a), (p, q), (p, p @ p), (p, q @ p @ q), (p, a)):
+        a_plus_b = linear_combination((1, 1), (a, b))
+        for x, y in ((a, b), (a, a_plus_b), (a, a @ a), (p, q), (p, p @ p), (p, q @ p @ q), (p, a)):
             assert commutator_is_zero(x, y) == (x @ y == y @ x)
 
 
@@ -330,11 +331,12 @@ class TestMatrixBasics:
         a = data.draw(_sparse_matrix(n, m))
         cases = [a]
         if n == m:
-            h = a + conjugate_transpose(a)
+            h = linear_combination((1, 1), (a, conjugate_transpose(a)))
             i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-            imaginary = [[(0, Fraction(1, 3)) if r == c == i else 0 for c in range(n)]
-                         for r in range(n)]
-            cases += [h, h.scale(Fraction(1, 3)), h + ExactMatrix.from_rows(imaginary)]
+            imaginary = ExactMatrix.from_rows(
+                [[(0, Fraction(1, 3)) if r == c == i else 0 for c in range(n)] for r in range(n)]
+            )
+            cases += [h, h.scale(Fraction(1, 3)), linear_combination((1, 1), (h, imaginary))]
             if i != j:  # entry (i, j) set, its mirror (j, i) cleared
                 one_sided = [list(h.row(r)) for r in range(n)]
                 one_sided[i][j] = data.draw(_SPARSE_ENTRY.filter(lambda v: v not in (0, (0, 0))))
@@ -373,7 +375,7 @@ class TestMatrixBasics:
         half = ExactMatrix.from_rows([[Fraction(1, 2)]])
         pairs = [
             (m.scale(Fraction(1, 3)).scale(3), m),
-            ((m + b) - b, m),
+            (linear_combination((1, 1), (m, b)) - b, m),
             (ExactMatrix.from_rows([[Fraction(2, 4)]]), half),
             (b.scale(0), ExactMatrix.from_rows([[0] * 4] * 4)),
         ]
@@ -617,7 +619,7 @@ class TestSparseKernelAgainstNaiveReference:
         # ranks come up often; entries are complex with denominators up to 3
         a = data.draw(_sparse_matrix(n, k)) @ data.draw(_sparse_matrix(k, m))
         b = data.draw(_sparse_matrix(n, m))
-        for x in (a, b, a + b):
+        for x in (a, b, linear_combination((1, 1), (a, b))):
             assert rank(x) == _naive_rank(_pairs(x))
             basis = [list(v) for v in nullspace(x)]
             assert basis == _naive_nullspace(_pairs(x))
@@ -661,7 +663,7 @@ class TestSparseKernelAgainstNaiveReference:
                 target[i][i] = -shift if kind in ("missing", "empty") else 0
         eye = ExactMatrix.from_rows([[int(i == j) for j in range(m)] for i in range(n)])
         t = ExactMatrix.from_rows(target)
-        x = t + eye.scale(shift)
+        x = linear_combination((1, 1), (t, eye.scale(shift)))
         assert linear_combination((1, -shift), (x, eye)) == t
         assert rank(x, shift) == rank(t) == _naive_rank(_pairs(t))
         if n == m:

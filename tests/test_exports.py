@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import types
 from pathlib import Path
 
@@ -50,10 +51,28 @@ def _references(path: Path) -> set[str]:
     return found
 
 
-def test_every_public_name_has_a_user_outside_the_tests():
-    # a name only tests call belongs in tests/_oracles.py, not in the package
+def _read_outside_the_tests() -> set[str]:
+    """The names read by the package's modules, the demos and non-test perfbench code."""
     users = [p for p in (ROOT / "src" / "qpencil").glob("*.py") if p.name != "__init__.py"]
     users += ROOT.joinpath("demos").glob("*.py")
     users += (p for p in ROOT.joinpath("perfbench").glob("*.py") if not p.name.startswith("test_"))
-    used = set().union(*map(_references, users))
-    assert sorted(set(qpencil.__all__) - used) == []
+    return set().union(*map(_references, users))
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    # a name only tests call belongs in tests/_oracles.py, not in the package
+    assert sorted(set(qpencil.__all__) - _read_outside_the_tests()) == []
+
+
+def test_every_public_method_has_a_user_outside_the_tests():
+    # the same rule for the public methods and properties of the exported
+    # classes; dataclass fields are data, not methods
+    used = _read_outside_the_tests()
+    unread = []
+    for name in qpencil.__all__:
+        cls = getattr(qpencil, name)
+        if isinstance(cls, type):
+            fields = dataclasses.fields(cls) if dataclasses.is_dataclass(cls) else ()
+            unread += [f"{name}.{m}" for m in vars(cls) if not m.startswith("_")
+                       and m not in {f.name for f in fields} and m not in used]
+    assert unread == []

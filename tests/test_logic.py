@@ -10,7 +10,6 @@ from qpencil import logic as logic_module
 from qpencil.exact import Ray, inner_product
 from qpencil.logic import (
     ContextHypergraph,
-    TwoValuedState,
     classify_contexts,
     enumerate_contexts,
     noncolorable_subsets,
@@ -266,19 +265,19 @@ class TestTwoValuedStates:
         states = two_valued_states(ghzm_hypergraph)
         assert len(states) == 8
         for s in states:
-            assert sum(s.values) == 1
+            assert s.bit_count() == 1
 
     def test_single_context_four_states(self):
         h = ContextHypergraph.from_ray_groups([[Ray(v) for v in EXPECTED_BASES["row1"]]])
         states = two_valued_states(h)
         assert len(states) == 4
-        assert sorted(s.values.index(1) for s in states) == [0, 1, 2, 3]
+        assert sorted(s.bit_length() - 1 for s in states) == [0, 1, 2, 3]
 
     def test_every_state_satisfies_every_edge(self, pm_hypergraph):
         sub = pm_hypergraph.sub_hypergraph([0, 5, 9, 13])
         for s in two_valued_states(sub):
             for e in sub.edges:
-                assert sum(s.values[i] for i in e) == 1
+                assert sum(s >> i & 1 for i in e) == 1
 
     def test_deterministic_order(self, ghzm_hypergraph):
         a = two_valued_states(ghzm_hypergraph)
@@ -374,8 +373,7 @@ class TestIsSeparating:
             n = rng.randint(1, 7)
             h = SimpleNamespace(edges=_random_edges(rng, n, rng.randint(1, 4)), vertices=range(n))
             random_states = [
-                TwoValuedState(tuple(rng.randint(0, 1) for _ in range(n)))
-                for _ in range(rng.randint(1, 4))
+                sum(rng.randint(0, 1) << i for i in range(n)) for _ in range(rng.randint(1, 4))
             ]
             for states in (two_valued_states(h), random_states, []):
                 expected = _separating_by_pairs(states, h)
@@ -383,7 +381,7 @@ class TestIsSeparating:
                 outcomes.add(expected)
         assert outcomes == {True, False}
 
-    @pytest.mark.parametrize("states", [[], [TwoValuedState((1,))]], ids=["none", "one"])
+    @pytest.mark.parametrize("states", [[], [1]], ids=["none", "one"])
     def test_one_vertex_is_separated(self, states):
         h = SimpleNamespace(edges=((0,),), vertices=range(1))
         assert is_separating(states, h) == _separating_by_pairs(states, h) is True
@@ -394,7 +392,7 @@ def _separating_by_pairs(states, h) -> bool:
     n = len(h.vertices)
     for u in range(n):
         for v in range(u + 1, n):
-            if not any(s.values[u] != s.values[v] for s in states):
+            if not any(s >> u & 1 != s >> v & 1 for s in states):
                 return False
     return True
 
