@@ -311,13 +311,13 @@ def linear_combination(
     """sum(c_i * M_i) for integer c_i, one pass over the numerator rows."""
     if not all(isinstance(c, int) for c in coefficients):
         raise TypeError(f"coefficients must be integers: {coefficients!r}")
-    shape = (matrices[0].rows, matrices[0].cols)
-    if len(coefficients) != len(matrices) or any((m.rows, m.cols) != shape for m in matrices):
-        raise ValueError("need one coefficient per matrix, all matrices of one shape")
+    shapes = {(m.rows, m.cols) for m in matrices}
+    if len(coefficients) != len(matrices) or len(shapes) != 1:
+        raise ValueError("need one coefficient per matrix, at least one matrix, all of one shape")
     den = math.lcm(*(m.den for m in matrices))
     factors = [(c * (den // m.den), 0) for c, m in zip(coefficients, matrices)]
     rows = zip(*(m.nonzeros for m in matrices))
-    return ExactMatrix(*shape, tuple(_sum_rows(zip(factors, r)) for r in rows), den)
+    return ExactMatrix(*shapes.pop(), tuple(_sum_rows(zip(factors, r)) for r in rows), den)
 
 
 def _row_times(ra: SparseRow, b: ExactMatrix) -> SparseRow:

@@ -35,8 +35,8 @@ def _bits(mask: int) -> Iterator[int]:
 class ContextHypergraph:
     """Deduplicated canonical rays (vertices) plus contexts (edges).
 
-    Every vertex belongs to at least one edge; every edge is a set of
-    ``dim`` pairwise-orthogonal vertices, hence an orthonormal basis.
+    Every vertex lies on an edge; each edge is ``dim`` pairwise-orthogonal
+    vertices, an orthonormal basis; ``edges=None`` takes all maximal such sets.
     """
 
     vertices: tuple[Ray, ...]
@@ -49,6 +49,8 @@ class ContextHypergraph:
         adjacency = orthogonality_graph(self.vertices)  # raises unless one dimension
         if self.vertices and self.vertices[0].dim != self.dim:
             raise ValueError(f"the vertices have dimension {self.vertices[0].dim}, not {self.dim}")
+        if self.edges is None:
+            object.__setattr__(self, "edges", enumerate_contexts(adjacency, self.dim))
         seen, covered = set(), 0
         for e in self.edges:
             if any(type(i) is not int for i in e):
@@ -87,9 +89,7 @@ class ContextHypergraph:
         vertices = sorted(set(rays), key=lambda r: r.parts)  # as in from_ray_groups
         if not vertices:
             raise ValueError("cannot complete an empty ray set")
-        dim = vertices[0].dim
-        edges = enumerate_contexts(orthogonality_graph(vertices), dim)
-        return ContextHypergraph(tuple(vertices), edges, dim)
+        return ContextHypergraph(tuple(vertices), None, vertices[0].dim)
 
     def sub_hypergraph(self, edge_indices: Sequence[int]) -> "ContextHypergraph":
         """Induced sub-collection; vertices outside the chosen edges are dropped."""

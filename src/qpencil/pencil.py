@@ -341,10 +341,10 @@ def _certified_context(p: Pencil, max_snap_norm: int) -> Context:
     coarse = math.ulp(max(-eigenvalues[0], eigenvalues[-1])) >= 1
     off = np.abs(eigenvalues - rounded) > _EIGENVALUE_INT_TOLERANCE
     if coarse or off.any():
+        worst = np.abs(eigenvalues).argmax() if coarse else off.argmax()
         raise UnresolvedSpectrumError(
-            f"pencil eigenvalue {float(eigenvalues[0 if coarse else off.argmax()])!r} does "
-            "not resolve to an integer; integer coefficients over dichotomic terms should "
-            "give an integer spectrum"
+            f"pencil eigenvalue {float(eigenvalues[worst])!r} does not resolve to an integer; "
+            "integer coefficients over dichotomic terms should give an integer spectrum"
         )
     if len(set(spectrum)) < len(spectrum):
         # fewer than d candidates, certified to sum to d: some multiplicity exceeds 1

@@ -390,6 +390,10 @@ class TestMatrixBasics:
             linear_combination((1, 1), (SIGMA_X, word("XI")))
         with pytest.raises(ValueError):
             linear_combination((1,), (SIGMA_X, SIGMA_Z))
+        with pytest.raises(ValueError):
+            linear_combination((), ())
+        with pytest.raises(ValueError):
+            linear_combination((1,), ())
 
     def test_rank_and_nullspace(self):
         m = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])

@@ -76,3 +76,24 @@ def test_every_public_method_has_a_user_outside_the_tests():
             unread += [f"{name}.{m}" for m in vars(cls) if not m.startswith("_")
                        and m not in {f.name for f in fields} and m not in used]
     assert unread == []
+
+
+def _top_level_names(path: Path):
+    """The names a module binds at its top level: functions, classes and constants."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_every_public_module_level_name_has_a_user_outside_the_tests():
+    # the same rule for every public function, class and constant that a
+    # module defines, exported or not
+    used = _read_outside_the_tests()
+    modules = [p for p in sorted((ROOT / "src" / "qpencil").glob("*.py"))
+               if p.name not in {"__init__.py", "__main__.py"}]
+    unread = [f"{p.stem}.{name}" for p in modules for name in _top_level_names(p)
+              if not name.startswith("_") and name not in used]
+    assert unread == []

@@ -17,6 +17,8 @@ from qpencil.logic import (
     to_dot,
     two_valued_states,
 )
+from qpencil.pauli import parse_pauli, realization
+from qpencil.pencil import joint_context
 
 from _fixtures import ALL_24_RAY_LITERALS, EXPECTED_BASES
 from _oracles import (brute_maximal_cliques, brute_state_count, is_separating,
@@ -172,6 +174,52 @@ class TestEnumerateContexts:
                 assert inner_product(
                     pm_hypergraph.vertices[i], pm_hypergraph.vertices[j]
                 ) == (0, 0)
+
+
+def _ghz_context_rays(n: int) -> list[Ray]:
+    """The n rays |b> +/- |~b> of one GHZ context on log2(n) sites."""
+    return [Ray([(b, 1), (n - 1 - b, s)], n) for b in range(n // 2) for s in (1, -1)]
+
+
+class TestCompletionFromOneGraph:
+    """``ContextHypergraph(vertices, None, dim)`` takes its edges from the
+    orthogonality graph it validates them against: one graph per completion."""
+
+    def test_completion_builds_one_graph(self, monkeypatch):
+        calls = []
+
+        def counted(rays):
+            calls.append(len(rays))
+            return orthogonality_graph(rays)
+
+        monkeypatch.setattr(logic_module, "orthogonality_graph", counted)
+        ContextHypergraph.completion_of([Ray(v) for v in ALL_24_RAY_LITERALS])
+        assert calls == [24]
+
+    @pytest.mark.parametrize(
+        "rays",
+        [[Ray(v) for v in ALL_24_RAY_LITERALS], _ghz_context_rays(1 << 10)],
+        ids=["pm-square", "ghz-1024"],
+    )
+    def test_derived_edges_are_the_completion(self, rays):
+        vertices = tuple(sorted(rays, key=lambda r: r.parts))
+        h = ContextHypergraph(vertices, None, rays[0].dim)
+        assert h == ContextHypergraph.completion_of(rays)
+        assert h.edges == enumerate_contexts(orthogonality_graph(vertices), rays[0].dim)
+
+    def test_ghz_mermin_star_is_not_completable(self):
+        # the five lines of the GHZ-Mermin star: their 40 eigenrays leave a
+        # maximal orthogonal set of 6 rays in dimension 8
+        lines = [("XXX", "XYY", "YXY", "YYX"), ("XII", "IXI", "IIX", "XXX"),
+                 ("XII", "IYI", "IIY", "XYY"), ("YII", "IXI", "IIY", "YXY"),
+                 ("YII", "IYI", "IIX", "YYX")]
+        rays = [r for line in lines
+                for r in joint_context([realization(parse_pauli(w)) for w in line]).rays]
+        assert len(set(rays)) == 40
+        with pytest.raises(ValueError, match=r"^maximal clique \(0, 2, 9, 10, 32, 39\) has "
+                                             r"size 6, expected 8: the ray set is not "
+                                             r"completable to full contexts$"):
+            ContextHypergraph.completion_of(rays)
 
 
 class TestHypergraphConstruction:
@@ -588,8 +636,7 @@ class TestClassification:
         # 10 sites: the 1,024 rays |b> +/- |~b> form one context, all entangled,
         # whose 1,024 states each pick one ray
         n = 1 << 10
-        rays = [Ray([(b, 1), (n - 1 - b, s)], n) for b in range(n // 2) for s in (1, -1)]
-        h = ContextHypergraph.completion_of(rays)
+        h = ContextHypergraph.completion_of(_ghz_context_rays(n))
         assert len(h.vertices) == n and h.edges == (tuple(range(n)),)
         assert classify_contexts(h, (2,) * 10).counts() == {
             "separable_vertices": 0, "entangled_vertices": n,

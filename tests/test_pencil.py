@@ -337,6 +337,12 @@ class TestJointContext:
         found = re.search(r"multiplicities (\{.*?\})", str(err.value)).group(1)
         assert ast.literal_eval(found) == {-1: 2, 1: 2, 3: 2, 5: 0}
 
+    def test_coarse_spectrum_names_its_largest_magnitude(self):
+        # 2^52 (I + Z) has spectrum {0, 2^53}; 2^53 is past float resolution, 0 is not
+        with pytest.raises(UnresolvedSpectrumError,
+                           match=r"^pencil eigenvalue 9007199254740992\.0 does not resolve"):
+            joint_context(mats("I", "Z"), (2**52, 2**52))
+
     def test_context_json_schema(self):
         ctx = joint_context(mats("ZX", "YY"), (1, 2))
         data = ctx.to_json()
