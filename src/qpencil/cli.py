@@ -85,9 +85,10 @@ def parse_scenario(text: bytes | str) -> ScenarioFile:
     """Parse the line-oriented scenario grammar; all errors carry line numbers."""
     if isinstance(text, bytes):
         try:
-            text = text.decode("utf-8")
+            text = text.decode("utf-8-sig")  # a leading byte-order mark is dropped
         except UnicodeDecodeError as e:
             raise ScenarioError(f"not UTF-8 text: {e}") from None
+    text = text.removeprefix("\ufeff")
     site_count: int | None = None
     mode: str | None = None
     groups: list[list[ObservableFactors]] = []
@@ -187,7 +188,8 @@ def _solve_groups(
             result = {"kind": "context", **ctx.to_json()}
         except (UnresolvedSpectrumError, OverflowError) as e:
             # Pauli words have an integer spectrum, here beyond float64's integers or range
-            raise _UsageError(f"coefficients beyond the float stage's resolution: {e}")
+            reason = "the pencil overflows float64" if isinstance(e, OverflowError) else e
+            raise _UsageError(f"coefficients beyond the float stage's resolution: {reason}")
         except DegeneratePencilError as e:
             ctx, result = None, {
                 "kind": "degenerate",

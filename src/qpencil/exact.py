@@ -1,14 +1,14 @@
-"""Exact arithmetic over the Gaussian rationals, with canonical projective rays.
+"""Exact arithmetic over the Gaussian integers, with canonical projective rays.
 
 Everything here is immutable and computes exactly. A matrix keeps, per row,
-only its nonzero entries as Gaussian-integer numerators over one common
-denominator, so its arithmetic runs on Python ints and a Pauli realization
-has one entry per row. Rank and nullspace come from fraction-free (Bareiss)
-elimination over Z[i]. Rays are projective Gaussian-integer vectors reduced
-to a unique canonical representative so they can be hashed, deduplicated
-and compared. There is one scalar form, the (re, im) pair: an exact input
-scalar is an int, a ``Fraction`` or an (re, im) pair of them, and entries,
-images and nullspace vectors read out as ``(Fraction, Fraction)`` pairs.
+only its nonzero Gaussian-integer entries, so its arithmetic runs on Python
+ints and a Pauli realization has one entry per row. Rank and nullspace come
+from fraction-free (Bareiss) elimination over Z[i]. Rays are projective
+Gaussian-integer vectors reduced to a unique canonical representative so
+they can be hashed, deduplicated and compared. There is one scalar form,
+the (re, im) pair: an exact input scalar is an int, a ``Fraction`` or an
+(re, im) pair of them, integral in a matrix entry, and entries, images and
+nullspace vectors read out as ``(Fraction, Fraction)`` pairs.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def _over_common_den(
     an (re, im) pair may be a tuple or a list. Values all of type int (so no bool)
     are their own numerators over 1, and no Fraction is built."""
     vals = [
-        v if type(v) is tuple and len(v) == 2  # as is: snapping passes d pairs per ray
+        v if type(v) is tuple and len(v) == 2  # as is: snapping passes each support's pairs
         else (v[0], v[1]) if isinstance(v, (tuple, list)) and len(v) == 2
         else (v, 0)
         for v in values
@@ -61,6 +61,14 @@ def _over_common_den(
         (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
         for re, im in vals
     ], den
+
+
+def _gaussian_ints(values: Iterable[ScalarLike]) -> list[tuple[int, int]]:
+    """The values as Gaussian-integer (re, im) pairs; a non-integral one raises."""
+    nums, den = _over_common_den(values)
+    if den != 1:
+        raise ValueError(f"matrix entries must be Gaussian integers, not over denominator {den}")
+    return nums
 
 
 # ---------------------------------------------------------------------------
@@ -216,23 +224,20 @@ def _sum_rows(terms: Iterable[tuple[tuple[int, int], SparseRow]]) -> SparseRow:
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Sparse matrix of Gaussian rationals over one common denominator.
+    """Sparse matrix of Gaussian integers.
 
     ``nonzeros[i]`` lists row i's nonzero entries as int triples (col, re, im) by strictly
-    ascending col < cols, where (re + i*im) / den is the entry; ``den`` > 0 is reduced against
-    every numerator on construction, so equal matrices have equal fields and hash alike.
+    ascending col < cols, where re + i*im is the entry, so equal matrices have equal fields
+    and hash alike.
     """
 
     rows: int
     cols: int
     nonzeros: tuple[SparseRow, ...]
-    den: int = 1
 
     def __post_init__(self):
-        if type(self.den) is not int:  # not isinstance, which lets True pass
-            raise TypeError(f"denominator {self.den!r} is not an int")
-        if len(self.nonzeros) != self.rows or self.den < 1:
-            raise ValueError("need one sparse row per row and a positive denominator")
+        if len(self.nonzeros) != self.rows:
+            raise ValueError("need one sparse row per row")
         for row in self.nonzeros:
             prev = -1
             for j, re, im in row:  # re | im raises TypeError unless both are ints
@@ -241,12 +246,6 @@ class ExactMatrix:
                         raise TypeError(f"row {row} has column index {j!r}, not an int")
                     raise ValueError(f"row {row} needs nonzeros in rising columns < {self.cols}")
                 prev = j
-        nums = (x for row in self.nonzeros for _, re, im in row for x in (re, im))
-        if self.den > 1 and (g := math.gcd(self.den, *nums)) > 1:
-            object.__setattr__(self, "den", self.den // g)
-            object.__setattr__(self, "nonzeros", tuple(
-                tuple((j, re // g, im // g) for j, re, im in row) for row in self.nonzeros
-            ))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[ScalarLike]]) -> "ExactMatrix":
@@ -254,8 +253,8 @@ class ExactMatrix:
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        nums, den = _over_common_den(x for row in rows for x in row)
-        return ExactMatrix(r, c, _sparse(nums[i * c : (i + 1) * c] for i in range(r)), den)
+        nums = _gaussian_ints(x for row in rows for x in row)
+        return ExactMatrix(r, c, _sparse(nums[i * c : (i + 1) * c] for i in range(r)))
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
@@ -267,23 +266,22 @@ class ExactMatrix:
     def row(self, i: int) -> tuple[Pair, ...]:
         out = [ZERO] * self.cols
         for j, re, im in self.nonzeros[i]:
-            out[j] = _scalar(re, im, self.den)
+            out[j] = _scalar(re, im, 1)
         return tuple(out)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return linear_combination((1, -1), (self, other))
 
     def scale(self, s: ScalarLike) -> "ExactMatrix":
-        [c], sden = _over_common_den([s])
-        rows = tuple(_sum_rows([(c, row)]) for row in self.nonzeros)
-        return ExactMatrix(self.rows, self.cols, rows, self.den * sden)
+        [c] = _gaussian_ints([s])
+        return ExactMatrix(self.rows, self.cols, tuple(_sum_rows([(c, r)]) for r in self.nonzeros))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             shapes = f"{self.rows}x{self.cols} by {other.rows}x{other.cols}"
             raise ValueError(f"cannot multiply {shapes}")
         rows = tuple(_row_times(ra, other) for ra in self.nonzeros)
-        return ExactMatrix(self.rows, other.cols, rows, self.den * other.den)
+        return ExactMatrix(self.rows, other.cols, rows)
 
     def is_hermitian(self) -> bool:
         """True iff square with entry (j, i) the conjugate of (i, j), in one pass over
@@ -299,10 +297,10 @@ class ExactMatrix:
         return True
 
     def apply(self, vec: Sequence[ScalarLike]) -> tuple[Pair, ...]:
-        """The exact image M v, read off the product with v as a one-column matrix."""
+        """The exact image M v: M times v's numerators as a column, over their denominator."""
         nums, vden = _over_common_den(vec)
-        image = self @ ExactMatrix(len(nums), 1, _sparse([x] for x in nums), vden)
-        return tuple(image.at(i, 0) for i in range(self.rows))
+        image = self @ ExactMatrix(len(nums), 1, _sparse([x] for x in nums))
+        return tuple(_scalar(*(row[0][1:] if row else (0, 0)), vden) for row in image.nonzeros)
 
 
 def linear_combination(
@@ -314,15 +312,14 @@ def linear_combination(
     shapes = {(m.rows, m.cols) for m in matrices}
     if len(coefficients) != len(matrices) or len(shapes) != 1:
         raise ValueError("need one coefficient per matrix, at least one matrix, all of one shape")
-    den = math.lcm(*(m.den for m in matrices))
-    factors = [(c * (den // m.den), 0) for c, m in zip(coefficients, matrices)]
+    factors = [(c, 0) for c in coefficients]
     rows = zip(*(m.nonzeros for m in matrices))
-    return ExactMatrix(*shapes.pop(), tuple(_sum_rows(zip(factors, r)) for r in rows), den)
+    return ExactMatrix(*shapes.pop(), tuple(_sum_rows(zip(factors, r)) for r in rows))
 
 
 def _row_times(ra: SparseRow, b: ExactMatrix) -> SparseRow:
-    """Row ra of A times B, as numerators over a.den * b.den; a one-entry row, as in
-    every Pauli realization, scales one row of B, whose nonzeros stay nonzero."""
+    """Row ra of A times B; a one-entry row, as in every Pauli realization,
+    scales one row of B, whose nonzeros stay nonzero."""
     if len(ra) != 1:
         return _sum_rows(((ar, ai), b.nonzeros[k]) for k, ar, ai in ra)
     [(k, ar, ai)] = ra
@@ -331,7 +328,7 @@ def _row_times(ra: SparseRow, b: ExactMatrix) -> SparseRow:
 
 def commutator_is_zero(a: ExactMatrix, b: ExactMatrix) -> bool:
     """True iff AB - BA vanishes exactly, compared row by row up to the first
-    row that differs; both products share the denominator."""
+    row that differs."""
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
         raise ValueError("commutator needs square matrices of equal dimension")
     an, bn = a.nonzeros, b.nonzeros
@@ -372,7 +369,7 @@ def components(m: ExactMatrix) -> list[list[int]]:
 def _echelon(
     m: ExactMatrix, shift: int = 0
 ) -> tuple[list[dict[int, tuple[int, int]]], list[int]]:
-    """Fraction-free forward (Bareiss) elimination of M - shift*I's numerators over Z[i].
+    """Fraction-free forward (Bareiss) elimination of M - shift*I over Z[i].
 
     Returns the rows as {col: (re, im)} and the pivot columns; the first
     len(pivots) rows are in row echelon form and the rest are zero. With p the
@@ -383,8 +380,8 @@ def _echelon(
     work = [{j: (re, im) for j, re, im in row} for row in m.nonzeros]
     for i, row in enumerate(work[: m.cols] if shift else ()):  # I's ones are at (i, i)
         re, im = row.pop(i, (0, 0))
-        if re != (x := shift * m.den) or im:  # a cancelled entry goes: a stored one is a pivot
-            row[i] = (re - x, im)
+        if re != shift or im:  # a cancelled entry goes: a stored one is a pivot
+            row[i] = (re - shift, im)
     pivots: list[int] = []
     q = (1, 0)
     for col in range(m.cols):

@@ -1,12 +1,13 @@
 """Generalized matrix pencils for co-diagonalizing commuting degenerate operators.
 
 A pencil is an integer linear combination sum(a_i * A_i) of pairwise-commuting
-Hermitian matrices. With binary-weight coefficients its spectrum separates
-every joint sign pattern of the terms, so a single numerical diagonalization
-of the pencil exposes the shared eigenbasis. Floating point appears only in
-the middle of the pipeline: eigenvectors are snapped to exact integer rays
-and every claim (eigenvalues, multiplicities, orthogonality, per-term signs)
-is certified in exact arithmetic before a context is returned.
+Hermitian Gaussian-integer matrices, such as Pauli words. With binary-weight
+coefficients its spectrum separates every joint sign pattern of the terms, so
+a single numerical diagonalization of the pencil exposes the shared
+eigenbasis. Floating point appears only in the middle of the pipeline:
+eigenvectors are snapped to exact integer rays and every claim (eigenvalues,
+multiplicities, orthogonality, per-term signs) is certified in exact
+Gaussian-integer arithmetic before a context is returned.
 """
 
 from __future__ import annotations
@@ -154,6 +155,8 @@ def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(m, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError("expected a square matrix or a stack of equal-size ones")
+    if not np.isfinite(a).all():  # before the tolerance, which an infinite entry defeats
+        raise ValueError("matrix has a non-finite entry")
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.conj().swapaxes(-1, -2)).max()) > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian to tolerance 1e-12")
@@ -209,7 +212,7 @@ def _block_stack(p: ExactMatrix, blocks: list[list[int]]) -> np.ndarray:
         for k, i in enumerate(idx):
             for j, re, im in p.nonzeros[i]:
                 at.append((b * s + k) * s + local[j])
-                values.append(complex(re / p.den, im / p.den))
+                values.append(complex(re, im))
     stack = np.zeros(len(blocks) * s * s, dtype=complex)
     stack[at] = values
     return stack.reshape(len(blocks), s, s)
@@ -238,20 +241,19 @@ def _exact_integer_spectrum(
     for idx, own in blocks:
         local = {g: k for k, g in enumerate(idx)}
         rows = tuple(tuple((local[j], re, im) for j, re, im in p_exact.nonzeros[i]) for i in idx)
-        block = ExactMatrix(len(idx), len(idx), rows, p_exact.den)
+        block = ExactMatrix(len(idx), len(idx), rows)
         distinct.setdefault(block, [0, own])[0] += 1
     for block, (count, own) in distinct.items():
-        left = block.rows  # eigenvalues not yet assigned, with their sums times den, den^2
+        left = block.rows  # eigenvalues not yet assigned, with their sum and square sum
         s1 = sum(re for i, row in enumerate(block.nonzeros) for j, re, _ in row if j == i)
         s2 = sum(re * re + im * im for row in block.nonzeros for _, re, im in row)
         for lam in [*sorted(set(own)), *sorted(spectrum.difference(own))]:
             if not left:
                 break
-            x = lam * block.den  # the block's own den, reduced on construction
-            settled = s1 == left * x and s2 == left * x * x  # every one left is lam
+            settled = s1 == left * lam and s2 == left * lam * lam  # every one left is lam
             m = left if settled else block.rows - rank(block, lam)
             multiplicities[lam] += count * m
-            left, s1, s2 = left - m, s1 - m * x, s2 - m * x * x
+            left, s1, s2 = left - m, s1 - m * lam, s2 - m * lam * lam
     if 0 in multiplicities.values() or sum(multiplicities.values()) != d:
         raise VerificationError(
             f"certified multiplicities {multiplicities} of the rounded eigenvalues "
@@ -264,12 +266,11 @@ def eigen_sign(operator: ExactMatrix, ray: Ray, name: str) -> int:
     """The eigenvalue (+1 or -1) of a dichotomic Hermitian operator on an exact ray.
 
     Raises VerificationError, naming ``name``, unless the ray is exactly an
-    eigenvector of ``operator`` with eigenvalue +1 or -1. With M = M_num/den,
-    M v = +/-v exactly when M_num v = +/-den*v, compared on integers: the
-    image's nonzeros must be +/-den times the ray's, index by index, with the
-    sign read off the ray's first nonzero.
-    ``operator`` must be Hermitian, so that column j of M_num is the conjugate
-    of row j and M_num v is built from the rows on the ray's support alone.
+    eigenvector of ``operator`` M with eigenvalue +1 or -1, compared on Gaussian
+    integers: the image's nonzeros must be +/- the ray's, index by index, with
+    the sign read off the ray's first nonzero.
+    ``operator`` must be Hermitian, so that column j of M is the conjugate
+    of row j and M v is built from the rows on the ray's support alone.
     """
     if operator.cols != ray.dim:
         raise ValueError("ray length does not match the operator")
@@ -280,10 +281,9 @@ def eigen_sign(operator: ExactMatrix, ray: Ray, name: str) -> int:
             image[i] = (re + ar * br + ai * bi, im + ar * bi - ai * br)
     if (0, 0) in image.values():  # terms that cancelled
         image = {i: z for i, z in image.items() if z != (0, 0)}
-    j, (re, im) = ray.support[0]
-    sign = 1 if image.get(j) == (operator.den * re, operator.den * im) else -1
-    sd = sign * operator.den
-    if image == {j: (sd * re, sd * im) for j, (re, im) in ray.support}:
+    j, first = ray.support[0]
+    sign = 1 if image.get(j) == first else -1
+    if image == {j: (sign * re, sign * im) for j, (re, im) in ray.support}:
         return sign
     raise VerificationError(f"{ray!r} is not a +/-1 eigenvector of {name}")
 

@@ -96,7 +96,7 @@ def conjugate_transpose(m: ExactMatrix) -> ExactMatrix:
     for i, row in enumerate(m.nonzeros):
         for j, re, im in row:
             cols[j].append((i, re, -im))
-    return ExactMatrix(m.cols, m.rows, tuple(map(tuple, cols)), m.den)
+    return ExactMatrix(m.cols, m.rows, tuple(map(tuple, cols)))
 
 
 def brute_state_count(edges: list[tuple[int, ...]], n_vertices: int) -> int:

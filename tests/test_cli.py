@@ -330,6 +330,17 @@ class TestExitCodes:
         assert code == 1
         assert "scenario error: not UTF-8 text" in err
 
+    def test_byte_order_mark_file_is_0(self, capsys, tmp_path):
+        # pm_square.scn as some editors save it, behind a UTF-8 byte-order mark;
+        # it once failed with "line 1: missing 'sites N' declaration"
+        plain = (ROOT / "src" / "qpencil" / "scenarios" / BUILTINS["pm-square"]).read_bytes()
+        marked = b"\xef\xbb\xbf" + plain
+        assert parse_scenario(marked) == parse_scenario(marked.decode()) == parse_scenario(plain)
+        path = tmp_path / "pm_square.scn"
+        path.write_bytes(marked)
+        golden = (GOLDEN / "pm-square.txt").read_text(encoding="utf-8")
+        assert run_cli(capsys, "analyze", "--file", str(path)) == (0, golden, "")
+
     @pytest.mark.parametrize(
         "command, flag", [("analyze", "--file"), ("intro-pair", "--out")], ids=["file", "out"]
     )
@@ -355,7 +366,7 @@ class TestExitCodes:
             ("intro-pair", f"{10**16},1", "pencil eigenvalue"),
             ("ghzm", f"{10**16},1,1,1", "pencil eigenvalue"),
             # a 401-digit entry overflows float64 itself
-            ("intro-pair", f"{10**400},1", "integer division result too large"),
+            ("intro-pair", f"{10**400},1", "the pencil overflows float64\n"),
             # past int()'s 4,300-digit string limit: named by its length, not echoed
             ("intro-pair", "9" * 5000 + ",1", "a 5000-digit coefficient overflows float64\n"),
         ],

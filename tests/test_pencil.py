@@ -50,7 +50,7 @@ def dense(m: ExactMatrix) -> np.ndarray:
     out = np.zeros((m.rows, m.cols), dtype=complex)
     for i, row in enumerate(m.nonzeros):
         for j, re, im in row:
-            out[i, j] = complex(re / m.den, im / m.den)
+            out[i, j] = complex(re, im)
     return out
 
 
@@ -172,6 +172,11 @@ class TestHermitianEigensystem:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # both were once accepted: the tolerance scaled with max|a| = inf, which gave
+        # eigenvalues [1, 1], and NaN compares false
+        for m in ([[1, np.inf], [0, 1]], [[np.nan]]):
+            with pytest.raises(ValueError, match="non-finite"):
+                hermitian_eigensystem(np.array(m))
 
     def test_stack_of_equal_size_matrices(self):
         rng = np.random.default_rng(5)
@@ -580,16 +585,16 @@ class TestRandomCommutingFamilies:
 
 
 class TestEigenSign:
-    def test_reflection_with_a_common_denominator(self):
-        # entries over 5: a kernel that ignored the denominator would see
-        # [[3, 4], [4, -3]], which has no +/-1 eigenvector
-        m = ExactMatrix.from_rows(
-            [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]
-        )
-        assert eigen_sign(m, Ray([2, 1]), "M") == 1
-        assert eigen_sign(m, Ray([1, -2]), "M") == -1
-        with pytest.raises(VerificationError, match="not a \\+/-1 eigenvector of M"):
-            eigen_sign(m, Ray([1, 0]), "M")
+    def test_reflection_over_a_denominator_is_rejected(self):
+        # (3X + 4Z)/5 has +/-1 eigenvectors (2, 1) and (1, -2), but it is no Gaussian-
+        # integer matrix; its numerator 3X + 4Z has eigenvalues +/-5 on them, not +/-1
+        with pytest.raises(ValueError, match="Gaussian integers"):
+            ExactMatrix.from_rows([[Fraction(3, 5), Fraction(4, 5)],
+                                   [Fraction(4, 5), Fraction(-3, 5)]])
+        m = ExactMatrix.from_rows([[3, 4], [4, -3]])
+        for parts in [(2, 1), (1, -2), (1, 0)]:
+            with pytest.raises(VerificationError, match="not a \\+/-1 eigenvector of M"):
+                eigen_sign(m, Ray(parts), "M")
 
     def test_image_leaking_off_the_support_is_rejected(self):
         # M (1, 0) = (1, 1): equal to v on v's support, nonzero off it
@@ -627,10 +632,9 @@ class TestEigenSign:
                 if parts.count((0, 0)) < len(parts):
                     rays.append(Ray(parts))
             cases += [(realization(w), str(w), r) for w in probes for r in rays]
-        reflection = ExactMatrix.from_rows(
-            [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]
-        )
-        for parts in [(2, 1), (1, -2), (1, 0), (0, 1), (1, 1), (2, -1)]:
+        # a signed swap of three indices: Hermitian and squaring to I, in odd dimension
+        reflection = ExactMatrix.from_rows([[0, 0, 1], [0, -1, 0], [1, 0, 0]])
+        for parts in [(1, 0, 1), (1, 0, -1), (0, 1, 0), (1, 0, 0), (1, 1, -1), (2, 0, 2)]:
             cases.append((reflection, "R", Ray(parts)))
         outcomes = set()
         for m, name, ray in cases:
@@ -695,17 +699,16 @@ def _differential_cases():
                 coeffs = [rng.choice((-1, 1)) * rng.randint(1, 7) for _ in words]
                 p = evaluate(build([realization(w) for w in words], coeffs))
                 cases.append(pytest.param(p, id=f"n{n}-k{k}-{len(cases)}"))
-    cases.append(pytest.param(_hermitian_den2(), id="hermitian-den2"))
+    cases.append(pytest.param(_hermitian_gaussian(), id="hermitian-gaussian"))
     return cases
 
 
-def _hermitian_den2() -> ExactMatrix:
-    """A non-Pauli Hermitian input over den 2: a Gaussian 2 x 2 block with eigenvalues
-    0 and 3, a shared 1 x 1 value 3 on two indices, and a zero index."""
-    half = Fraction(1, 2)
+def _hermitian_gaussian() -> ExactMatrix:
+    """A non-Pauli Hermitian input: a Gaussian 2 x 2 block with eigenvalues 0 and 6,
+    a shared 1 x 1 value 6 on two indices, and a zero index."""
     rows = [[0] * 5 for _ in range(5)]
-    rows[0][0], rows[0][3], rows[3][0], rows[3][3] = half, (1, half), (1, -half), 5 * half
-    rows[1][1] = rows[4][4] = 3
+    rows[0][0], rows[0][3], rows[3][0], rows[3][3] = 1, (2, 1), (2, -1), 5
+    rows[1][1] = rows[4][4] = 6
     return ExactMatrix.from_rows(rows)
 
 
@@ -786,16 +789,15 @@ class TestTraceCertificate:
                             "are not all positive with sum 2")
         assert _certificate_outcome(_blockwise([[0]]), p, {0}) == expected
 
-    def test_blocks_compare_against_their_own_reduced_den(self, monkeypatch):
-        # P is over den 2, but its 1 x 1 blocks (3) and (0) reduce to den 1, where
-        # their traces settle them; the 2 x 2 block over den 2 (eigenvalues 0, 3)
-        # ranks 0 and its trace settles 3
-        p = _hermitian_den2()
-        assert p.den == 2 and components(p) == [[0, 3], [1], [2], [4]]
-        expected = _full_rank_spectrum(p, {0, 3})
+    def test_non_pauli_blocks_rank_only_what_traces_leave(self, monkeypatch):
+        # the 1 x 1 blocks (6) and (0) are settled by their traces; the Gaussian
+        # 2 x 2 block (eigenvalues 0, 6) ranks 0, and its trace then settles 6
+        p = _hermitian_gaussian()
+        assert components(p) == [[0, 3], [1], [2], [4]]
+        expected = _full_rank_spectrum(p, {0, 6})
         calls = _counted_rank(monkeypatch)
-        assert _blockwise([[0, 3], [3], [0], [3]])(p, {0, 3}) == expected == {0: 2, 3: 3}
-        assert [(m.rows, m.den, lam) for m, lam in calls] == [(2, 2, 0)]
+        assert _blockwise([[0, 6], [6], [0], [6]])(p, {0, 6}) == expected == {0: 2, 6: 3}
+        assert [(m.rows, lam) for m, lam in calls] == [(2, 0)]
 
 
 # sha256 of json.dumps(joint_context(GHZ n).to_json(), sort_keys=True,
