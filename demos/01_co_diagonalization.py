@@ -13,6 +13,7 @@
 
 from qpencil import ExactMatrix, commutator_is_zero, joint_context
 from qpencil.exact import nullspace
+from qpencil.pencil import VerificationError, eigen_sign
 
 first = ExactMatrix.from_rows(
     [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]
@@ -25,38 +26,31 @@ print("commute:", commutator_is_zero(first, second))
 
 # %%
 # Each matrix on its own: both have eigenvalues +1 and -1 with multiplicity
-# two. A canonical exact eigenbasis of the first matrix, whose exact
-# entries read out as (re, im) pairs of Fractions:
-
-
-def scalar_text(z):
-    re, im = z
-    if im == 0:
-        return str(re)
-    return f"{re}{'+' if im > 0 else '-'}{abs(im)}i" if re else f"{im}i"
-
+# two. A canonical exact eigenbasis of the first matrix, one Gaussian-integer
+# ray per free column of first - lam*I:
 
 for lam in (1, -1):
-    shifted = first - ExactMatrix.identity(4).scale(lam)
-    for vec in nullspace(shifted):
-        print(f"eigenvalue {lam:+d}: ", [scalar_text(c) for c in vec])
+    for ray in nullspace(first, lam):
+        print(f"eigenvalue {lam:+d}: ", ray.to_json())
 
 # %%
-# None of those vectors is an eigenvector of the second matrix (apply it and
-# compare): the individual eigensystems are useless for joint measurement.
-# The second matrix squares to the identity, so an eigenvector's image is
-# +v or -v.
+# None of those vectors is an eigenvector of the second matrix: the individual
+# eigensystems are useless for joint measurement. The second matrix squares
+# to the identity, so ``eigen_sign`` finds its eigenvalue +1 or -1 on an
+# eigenvector, comparing the exact image with +v and -v, and raises otherwise.
 
 
-def is_eigenvector(matrix, vec):
-    image = matrix.apply(vec)
-    return any(image == tuple((s * re, s * im) for re, im in vec) for s in (1, -1))
+def is_eigenvector(matrix, ray):
+    try:
+        eigen_sign(matrix, ray, "second")
+    except VerificationError:
+        return False
+    return True
 
 
 for lam in (1, -1):
-    shifted = first - ExactMatrix.identity(4).scale(lam)
-    for vec in nullspace(shifted):
-        print("eigenvector of second matrix?", is_eigenvector(second, vec))
+    for ray in nullspace(first, lam):
+        print("eigenvector of second matrix?", is_eigenvector(second, ray))
 
 # %%
 # The pencil 1*first + 2*second has four distinct eigenvalues; its snapped

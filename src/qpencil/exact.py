@@ -5,10 +5,8 @@ only its nonzero Gaussian-integer entries, so its arithmetic runs on Python
 ints and a Pauli realization has one entry per row. Rank and nullspace come
 from fraction-free (Bareiss) elimination over Z[i]. Rays are projective
 Gaussian-integer vectors reduced to a unique canonical representative so
-they can be hashed, deduplicated and compared. There is one scalar form,
-the (re, im) pair: an exact input scalar is an int, a ``Fraction`` or an
-(re, im) pair of them, integral in a matrix entry, and entries, images and
-nullspace vectors read out as ``(Fraction, Fraction)`` pairs.
+they can be hashed, deduplicated and compared. The one scalar form is the
+Gaussian integer: an int or an (re, im) pair of ints in, an int pair out.
 """
 
 from __future__ import annotations
@@ -16,34 +14,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-ScalarLike = Union[int, Fraction, Sequence]  # a rational, or an (re, im) pair of them
-Pair = tuple[Fraction, Fraction]
-
-ZERO: Pair = (Fraction(0), Fraction(0))
-ONE: Pair = (Fraction(1), Fraction(0))
+ScalarLike = Union[int, Sequence[int]]  # an int, or an (re, im) pair of ints
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
-def _scalar(re: int, im: int, den: int) -> Pair:
-    return Fraction(re, den), Fraction(im, den)
-
-
-def _over_common_den(
-    values: Iterable[ScalarLike],
-) -> tuple[list[tuple[int, int]], int]:
-    """Gaussian-integer numerators of the values over the lcm of their denominators;
-    an (re, im) pair may be a tuple or a list. Values all of type int (so no bool)
-    are their own numerators over 1, and no Fraction is built."""
+def _gaussian_ints(values: Iterable[ScalarLike]) -> list[tuple[int, int]]:
+    """The values as (re, im) pairs of ints; a pair may be a tuple or a list.
+    Anything else, a bool, a ``Fraction`` or a numpy integer included, raises."""
     vals = [
         v if type(v) is tuple and len(v) == 2  # as is: snapping passes each support's pairs
         else (v[0], v[1]) if isinstance(v, (tuple, list)) and len(v) == 2
@@ -52,23 +30,8 @@ def _over_common_den(
     ]
     for re, im in vals:
         if type(re) is not int or type(im) is not int:
-            break
-    else:
-        return vals, 1
-    vals = [(_as_fraction(re), _as_fraction(im)) for re, im in vals]
-    den = math.lcm(*(x.denominator for v in vals for x in v))
-    return [
-        (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
-        for re, im in vals
-    ], den
-
-
-def _gaussian_ints(values: Iterable[ScalarLike]) -> list[tuple[int, int]]:
-    """The values as Gaussian-integer (re, im) pairs; a non-integral one raises."""
-    nums, den = _over_common_den(values)
-    if den != 1:
-        raise ValueError(f"matrix entries must be Gaussian integers, not over denominator {den}")
-    return nums
+            raise TypeError(f"cannot interpret ({re!r}, {im!r}) as a pair of exact integers")
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +107,7 @@ class Ray:
     __slots__ = ("support", "dim")
 
     def __init__(self, components: Iterable, dim: int | None = None):
-        """The ray through exact scalars, such as ``to_json()``'s output or
-        Gaussian-integer (re, im) pairs; their denominators are cleared first.
+        """The ray through Gaussian integers, such as ``to_json()``'s output.
         Given ``dim``, the components are the support instead: (index, scalar)
         pairs with ascending indices below ``dim``, every other component zero."""
         if dim is None:
@@ -159,7 +121,7 @@ class Ray:
                 prev = j
         if not dim:
             raise ValueError("a ray needs at least one component")
-        nums = _over_common_den([c for _, c in pairs])[0]
+        nums = _gaussian_ints([c for _, c in pairs])
         self.support = _canonical([(j, c) for (j, _), c in zip(pairs, nums) if c != (0, 0)])
         self.dim = dim
 
@@ -238,13 +200,14 @@ class ExactMatrix:
     def __post_init__(self):
         if len(self.nonzeros) != self.rows:
             raise ValueError("need one sparse row per row")
+        cols = self.cols
         for row in self.nonzeros:
             prev = -1
-            for j, re, im in row:  # re | im raises TypeError unless both are ints
-                if type(j) is not int or not prev < j < self.cols or not (re | im):
-                    if type(j) is not int:
-                        raise TypeError(f"row {row} has column index {j!r}, not an int")
-                    raise ValueError(f"row {row} needs nonzeros in rising columns < {self.cols}")
+            for j, re, im in row:
+                if not (type(j) is type(re) is type(im) is int and prev < j < cols and (re or im)):
+                    if not type(j) is type(re) is type(im) is int:
+                        raise TypeError(f"row {row} has {(j, re, im)!r}, not three ints")
+                    raise ValueError(f"row {row} needs nonzeros in rising columns < {cols}")
                 prev = j
 
     @staticmethod
@@ -255,26 +218,6 @@ class ExactMatrix:
             raise ValueError("ragged rows")
         nums = _gaussian_ints(x for row in rows for x in row)
         return ExactMatrix(r, c, _sparse(nums[i * c : (i + 1) * c] for i in range(r)))
-
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix(n, n, tuple(((i, 1, 0),) for i in range(n)))
-
-    def at(self, i: int, j: int) -> Pair:
-        return self.row(i)[j]
-
-    def row(self, i: int) -> tuple[Pair, ...]:
-        out = [ZERO] * self.cols
-        for j, re, im in self.nonzeros[i]:
-            out[j] = _scalar(re, im, 1)
-        return tuple(out)
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return linear_combination((1, -1), (self, other))
-
-    def scale(self, s: ScalarLike) -> "ExactMatrix":
-        [c] = _gaussian_ints([s])
-        return ExactMatrix(self.rows, self.cols, tuple(_sum_rows([(c, r)]) for r in self.nonzeros))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -296,17 +239,11 @@ class ExactMatrix:
                 seen[j] += 1
         return True
 
-    def apply(self, vec: Sequence[ScalarLike]) -> tuple[Pair, ...]:
-        """The exact image M v: M times v's numerators as a column, over their denominator."""
-        nums, vden = _over_common_den(vec)
-        image = self @ ExactMatrix(len(nums), 1, _sparse([x] for x in nums))
-        return tuple(_scalar(*(row[0][1:] if row else (0, 0)), vden) for row in image.nonzeros)
-
 
 def linear_combination(
     coefficients: Sequence[int], matrices: Sequence[ExactMatrix]
 ) -> ExactMatrix:
-    """sum(c_i * M_i) for integer c_i, one pass over the numerator rows."""
+    """sum(c_i * M_i) for integer c_i, in one pass over the rows."""
     if not all(isinstance(c, int) for c in coefficients):
         raise TypeError(f"coefficients must be integers: {coefficients!r}")
     shapes = {(m.rows, m.cols) for m in matrices}
@@ -424,23 +361,24 @@ def rank(m: ExactMatrix, shift: int = 0) -> int:
     return len(_echelon(m, operator.index(shift))[1])
 
 
-def nullspace(m: ExactMatrix) -> list[tuple[Pair, ...]]:
-    """Exact basis of the right nullspace: per free column f, the solution with
-    x_f = 1 and every other free entry 0, by back-substitution on the echelon rows."""
-    work, pivots = _echelon(m)
+def nullspace(m: ExactMatrix, shift: int = 0) -> list[Ray]:
+    """Exact basis of the right nullspace of M - shift*I, as rays: per free column f,
+    the solution with x_f = D and every other free entry 0, by back-substitution on
+    the echelon rows. The last pivot D is the pivot rows' minor on the pivot columns,
+    so by Cramer's rule every entry is a minor too and each division is exact in Z[i]."""
+    work, pivots = _echelon(m, operator.index(shift))
+    d = work[len(pivots) - 1][pivots[-1]] if pivots else (1, 0)
     basis = []
     for free in (c for c in range(m.cols) if c not in pivots):
-        x = {free: ONE}
+        x = {free: d}
         for row, pcol in zip(reversed(work[: len(pivots)]), reversed(pivots)):
-            sr = si = Fraction(0)  # sum over the row's later entries of row_j * x_j
+            sr = si = 0  # sum over the row's later entries of row_j * x_j
             for j, (er, ei) in row.items():
                 if j != pcol and j in x:
                     xr, xi = x[j]
                     sr, si = sr + er * xr - ei * xi, si + er * xi + ei * xr
-            dr, di = row[pcol]  # x_pcol = -s / d = -s * conj(d) / |d|^2
-            n = dr * dr + di * di
-            x[pcol] = ((-sr * dr - si * di) / n, (sr * di - si * dr) / n)
-        basis.append(tuple(x.get(c, ZERO) for c in range(m.cols)))
+            x[pcol] = _gauss_exact_div((-sr, -si), row[pcol])
+        basis.append(Ray(sorted(x.items()), m.cols))
     return basis
 
 

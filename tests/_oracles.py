@@ -5,8 +5,9 @@ enumerates all 2^|V| assignments, joint eigenbases come from exact
 eigenspace intersection instead of the numerical pencil pipeline, a
 Pauli word acts on a sparse vector letter by letter, without its matrix,
 the classical parity value comes from every +/-1 assignment, orthogonality
-from every pair's dense inner product, and separability from a Bareiss
-elimination of each reshape.
+from every pair's dense inner product, separability from a Bareiss
+elimination of each reshape, and a matrix's image and kernel from its dense
+rows, in Fraction-pair arithmetic and Gauss-Jordan elimination.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qpencil.exact import ExactMatrix, Ray, _echelon, _sparse, nullspace
+from qpencil.exact import ExactMatrix, Ray, _echelon, _sparse, linear_combination, nullspace
 
 # Complex numbers as (re, im) Fraction pairs, with arithmetic of their own.
 
@@ -44,6 +45,76 @@ def pmul(a, b):
 def pdiv(a, b):
     n = b[0] * b[0] + b[1] * b[1]
     return (a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n
+
+
+def dense_rows(m: ExactMatrix) -> list[list[tuple[int, int]]]:
+    """M's rows written out, zeros included, as (re, im) int pairs."""
+    out = [[(0, 0)] * m.cols for _ in range(m.rows)]
+    for i, row in enumerate(m.nonzeros):
+        for j, re, im in row:
+            out[i][j] = (re, im)
+    return out
+
+
+def identity(n: int) -> ExactMatrix:
+    """The n x n identity, from its dense rows."""
+    return ExactMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def shifted_rows(m: ExactMatrix, shift=0) -> list[list[tuple[Fraction, Fraction]]]:
+    """The dense rows of M - shift*I, I's ones on the main diagonal, as Fraction pairs."""
+    rows = [[pair(z) for z in row] for row in dense_rows(m)]
+    for i in range(min(m.rows, m.cols)):
+        rows[i][i] = psub(rows[i][i], pair(shift))
+    return rows
+
+
+def apply_dense(m: ExactMatrix, vec, shift=0) -> tuple[tuple[Fraction, Fraction], ...]:
+    """(M - shift*I) v, summed over every entry, zeros included, in Fraction pairs."""
+    image = []
+    for row in shifted_rows(m, shift):
+        acc = pair(0)
+        for a, x in zip(row, vec, strict=True):
+            acc = padd(acc, pmul(a, pair(x)))
+        image.append(acc)
+    return tuple(image)
+
+
+def reference_kernel(rows) -> list[list[tuple[Fraction, Fraction]]]:
+    """A right-kernel basis of dense rows: Gauss-Jordan to reduced row echelon
+    form over every entry in Fraction pairs, then per free column f the solution
+    with x_f = 1 and every other free entry 0."""
+    work = [[pair(z) for z in row] for row in rows]
+    cols = len(work[0]) if work else 0
+    pivots = []
+    for col in range(cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(work)) if work[i][col] != (0, 0)), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        lead = work[r][col]
+        work[r] = [pdiv(x, lead) for x in work[r]]
+        for i in range(len(work)):
+            if i != r:
+                f = work[i][col]
+                work[i] = [psub(x, pmul(f, y)) for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        vec = [pair(0)] * cols
+        vec[free] = pair(1)
+        for prow, pcol in enumerate(pivots):
+            vec[pcol] = psub(pair(0), work[prow][free])
+        basis.append(vec)
+    return basis
+
+
+def ray_of(vec) -> Ray:
+    """The ray through a nonzero vector of Fraction pairs, its denominators cleared."""
+    vec = [pair(z) for z in vec]
+    den = math.lcm(*(x.denominator for z in vec for x in z))
+    return Ray([(int(re * den), int(im * den)) for re, im in vec])
 
 
 def raw_inner(u, v) -> tuple[Fraction, Fraction]:
@@ -197,12 +268,6 @@ def is_separating(states, h) -> bool:
     return len(columns) == n
 
 
-def eigenspace(matrix: ExactMatrix, eigenvalue: int):
-    """Exact basis of ker(A - lambda I)."""
-    shifted = matrix - ExactMatrix.identity(matrix.rows).scale(eigenvalue)
-    return nullspace(shifted)
-
-
 def joint_eigenrays_by_intersection(matrices: list[ExactMatrix]) -> set[Ray]:
     """All common eigenrays of dichotomic operators via exact intersection.
 
@@ -210,17 +275,14 @@ def joint_eigenrays_by_intersection(matrices: list[ExactMatrix]) -> set[Ray]:
     solving the stacked system; collects one-dimensional intersections.
     """
     d = matrices[0].rows
+    eye = identity(d)
     rays: set[Ray] = set()
     for signs in itertools.product((1, -1), repeat=len(matrices)):
-        stacked_rows = []
-        for m, s in zip(matrices, signs):
-            shifted = m - ExactMatrix.identity(d).scale(s)
-            for i in range(d):
-                stacked_rows.append(list(shifted.row(i)))
-        stacked = ExactMatrix.from_rows(stacked_rows)
-        basis = nullspace(stacked)
+        stacked = [row for m, s in zip(matrices, signs)
+                   for row in linear_combination((1, -s), (m, eye)).nonzeros]
+        basis = nullspace(ExactMatrix(len(stacked), d, tuple(stacked)))
         if len(basis) == 1:
-            rays.add(Ray(basis[0]))
+            rays.add(basis[0])
     return rays
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -16,7 +17,6 @@ from qpencil.cli import (
     parse_scenario,
     run_scenario,
 )
-from qpencil import exact
 from qpencil.logic import ContextHypergraph, two_valued_states
 from qpencil.pauli import PauliString, parse_pauli, realization
 from qpencil.pencil import VerificationError, joint_context
@@ -177,14 +177,15 @@ class TestCommands:
         assert code == 0
         assert out == (GOLDEN / f"{name}.{suffix}").read_text(encoding="utf-8")
 
-    def test_no_gaussian_rational_on_the_integer_path(self, capsys, monkeypatch):
-        # from Pauli words to CLI output every scalar is a Gaussian integer:
-        # the exact layer builds Fractions only in these two functions
-        def refuse(*args):
-            raise RuntimeError("Fraction scalar built between words and output")
-
-        for name in ("_as_fraction", "_scalar"):
-            monkeypatch.setattr(exact, name, refuse)
+    def test_no_gaussian_rational_on_the_integer_path(self, capsys):
+        # from Pauli words to CLI output every scalar is a Gaussian integer: no
+        # module of the package imports fractions, so no path can build a Fraction
+        for path in sorted((ROOT / "src" / "qpencil").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    assert "fractions" not in {a.name for a in node.names}, path.name
+                elif isinstance(node, ast.ImportFrom):
+                    assert node.module != "fractions", path.name
         formats = ("text", "json")
         runs = [(name, "--format", fmt) for name in sorted(BUILTINS) for fmt in formats]
         runs += [("pm-square", "--format", "dot"), ("export",), ("subsets", "--critical")]

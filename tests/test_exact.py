@@ -3,10 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpencil import exact
 from qpencil.exact import (
     ExactMatrix,
     Ray,
@@ -20,8 +22,10 @@ from qpencil.exact import (
 )
 from qpencil.pauli import parse_pauli, realization
 
-from _oracles import (conjugate_transpose, is_product_state_by_elimination, padd, pair,
-                      pdiv, pmul, psub, raw_inner, two_qubit_determinant)
+from _oracles import (apply_dense, conjugate_transpose, dense_rows,
+                      is_product_state_by_elimination, padd, pair, pdiv, pmul, psub,
+                      raw_inner, ray_of, reference_kernel, shifted_rows,
+                      two_qubit_determinant)
 
 
 SIGMA_X = ExactMatrix.from_rows([[0, 1], [1, 0]])
@@ -34,15 +38,14 @@ def word(text):
 
 
 class TestScalars:
-    """An exact scalar is an int, a Fraction, or an (re, im) pair of them as a
-    tuple or list; readouts are (Fraction, Fraction) pairs."""
+    """An exact scalar is a Gaussian integer: an int, or an (re, im) pair of ints
+    as a tuple or list; readouts are (re, im) pairs of ints."""
 
     def test_exact_equality(self):
-        # integral Fractions are Gaussian integers: 3/3 - (2/2)i is 1 - i
-        unit = ExactMatrix.from_rows([[(Fraction(3, 3), Fraction(-2, 2))]])
+        unit = ExactMatrix.from_rows([[(1, -1)]])
         total = linear_combination((1, 1, 1), (unit,) * 3)
-        assert total.at(0, 0) == (3, -3)
-        assert all(type(x) is Fraction for x in total.at(0, 0))
+        assert dense_rows(total)[0][0] == (3, -3)
+        assert total.nonzeros == (((0, 3, -3),),)
         assert total == ExactMatrix.from_rows([[[3, -3]]])
 
     @pytest.mark.parametrize(
@@ -50,14 +53,15 @@ class TestScalars:
         [
             lambda: ExactMatrix.from_rows([[Fraction(1, 2)]]),
             lambda: ExactMatrix.from_rows([[1, (0, Fraction(-5, 6))]]),
-            lambda: SIGMA_X.scale(Fraction(1, 2)),
-            lambda: SIGMA_X.scale((1, Fraction(1, 3))),
+            lambda: ExactMatrix.from_rows([[(Fraction(3, 3), Fraction(-2, 2))]]),
+            lambda: Ray([Fraction(1, 2), Fraction(-1, 2)]),
+            lambda: Ray([1, (1, Fraction(1, 3))]),
         ],
-        ids=["from_rows", "from_rows-im", "scale", "scale-im"],
+        ids=["from_rows", "from_rows-im", "from_rows-integral", "Ray", "Ray-im"],
     )
-    def test_non_integral_matrix_entry_is_rejected(self, build):
-        # a matrix holds Gaussian integers; a ray or a vector to apply may be rational
-        with pytest.raises(ValueError, match="must be Gaussian integers"):
+    def test_a_fraction_is_rejected(self, build):
+        # one scalar form: a Fraction, even an integral one, is not a Gaussian integer
+        with pytest.raises(TypeError, match="exact integer"):
             build()
 
     @pytest.mark.parametrize(
@@ -66,7 +70,7 @@ class TestScalars:
         ids=["re", "im"],
     )
     def test_float_part_of_a_pair_is_rejected(self, build):
-        with pytest.raises(TypeError, match="exact rational"):
+        with pytest.raises(TypeError, match="exact integer"):
             build()
 
     @pytest.mark.parametrize(
@@ -74,15 +78,16 @@ class TestScalars:
         [
             lambda x: Ray([x, 1]),
             lambda x: ExactMatrix.from_rows([[1, 0], [0, x]]),
-            lambda x: SIGMA_X.scale(x),
+            lambda x: Ray([(1, x)]),
         ],
-        ids=["Ray", "from_rows", "scale"],
+        ids=["Ray", "from_rows", "Ray-im"],
     )
     @pytest.mark.parametrize(
-        "value", [0.5, "1", 1j, [1, 0, 0]], ids=["float", "str", "complex", "triple"]
+        "value", [0.5, "1", 1j, [1, 0, 0], True, np.int64(1)],
+        ids=["float", "str", "complex", "triple", "bool", "numpy"],
     )
     def test_inexact_scalar_is_rejected(self, build, value):
-        with pytest.raises(TypeError, match="exact rational"):
+        with pytest.raises(TypeError, match="exact integer"):
             build(value)
 
     @given(
@@ -93,25 +98,29 @@ class TestScalars:
         ).filter(lambda v: any(c not in (0, (0, 0)) for c in v))
     )
     @settings(max_examples=200)
-    def test_int_input_matches_fraction_input(self, values):
-        # all-int input builds no Fraction; the same values as Fractions must agree
+    def test_tuple_list_and_int_input_agree(self, values):
+        # a pair may be a tuple or a list, and an int is a pair with im = 0;
+        # the same values as Fractions are refused
+        lists = [list(c) if isinstance(c, tuple) else [c, 0] for c in values]
+        assert Ray(values) == Ray(lists)
+        m = ExactMatrix.from_rows([values, values[::-1]])
+        assert m == ExactMatrix.from_rows([lists, lists[::-1]])
+        assert dense_rows(m)[0] == [pair(c) for c in values]
         fractions = [tuple(map(Fraction, c)) if isinstance(c, tuple) else Fraction(c)
                      for c in values]
-        assert Ray(values) == Ray(fractions)
-        m = ExactMatrix.from_rows([values, values[::-1]])
-        assert m == ExactMatrix.from_rows([fractions, fractions[::-1]])
-        assert m.apply(values) == m.apply(fractions)
-        assert SIGMA_Y.scale(values[0]) == SIGMA_Y.scale(fractions[0])
+        with pytest.raises(TypeError):
+            Ray(fractions)
+        with pytest.raises(TypeError):
+            ExactMatrix.from_rows([fractions, fractions[::-1]])
 
-    def test_readouts_are_fraction_pairs(self):
+    def test_readouts_are_gaussian_integers(self):
         m = ExactMatrix.from_rows([[3, (0, 1)], [[2, -3], 0]])
-        assert m.row(0) == ((3, 0), (0, 1))
-        assert m.at(1, 0) == (2, -3)
-        assert m.apply([(0, 1), 2]) == ((0, 5), (3, 2))
-        assert m.apply([(0, Fraction(1, 2)), 1]) == ((0, Fraction(5, 2)), (Fraction(3, 2), 1))
+        assert m.nonzeros == (((0, 3, 0), (1, 0, 1)), ((0, 2, -3),))
         assert inner_product(Ray([1, (0, 1)]), Ray([(0, 1), 1])) == (0, 0)
-        readouts = [*m.row(1), *m.apply([1, 1]), *nullspace(SIGMA_X - SIGMA_X)[0]]
-        assert all(type(x) is Fraction for z in readouts for x in z)
+        [ray] = nullspace(ExactMatrix.from_rows([[1, (0, 1)], [(0, -1), 1]]))
+        assert ray.to_json() == [[1, 0], [0, 1]]
+        readouts = [*ray.parts, inner_product(ray, ray), *(e[1:] for e in m.nonzeros[1])]
+        assert all(type(x) is int for z in readouts for x in z)
 
 
 class TestRayCanonicalization:
@@ -122,8 +131,11 @@ class TestRayCanonicalization:
     def test_content_removed(self):
         assert Ray([2, 4, 0, -2]).to_json() == [1, 2, 0, -1]
 
-    def test_denominators_cleared(self):
-        assert Ray([Fraction(1, 2), Fraction(-1, 2)]).to_json() == [1, -1]
+    def test_denominators_are_not_cleared(self):
+        # a ray takes Gaussian integers only: the caller clears denominators
+        assert Ray([1, -1]).to_json() == [1, -1]
+        with pytest.raises(TypeError):
+            Ray([Fraction(1, 2), Fraction(-1, 2)])
 
     def test_gaussian_unit_and_content(self):
         # (1+i)*(1, i) scales back down to the same canonical ray
@@ -193,8 +205,10 @@ class TestRaySupport:
 
     def test_support_form_matches_dense_form(self):
         assert Ray([(1, 2), (3, (0, -2))], 4) == Ray([0, 2, 0, (0, -2)])
-        # an explicit zero in the support is dropped, and denominators cleared
-        assert Ray([(0, 0), (2, Fraction(1, 2))], 3) == Ray([0, 0, 1])
+        # an explicit zero in the support is dropped, and the content divided out
+        assert Ray([(0, 0), (2, 2)], 3) == Ray([0, 0, 1])
+        with pytest.raises(TypeError):
+            Ray([(0, 0), (2, Fraction(1, 2))], 3)
         assert Ray([(0, 1)], 1) != Ray([(0, 1)], 2)
 
     @pytest.mark.parametrize(
@@ -286,7 +300,7 @@ class TestTensor:
 
     def test_mixed_product_property(self):
         # (Z x X)(Y x Z) = ZY x XZ = (-iX) x (-iY) = -(X x Y)
-        assert word("ZX") @ word("YZ") == word("XY").scale(-1)
+        assert word("ZX") @ word("YZ") == linear_combination((-1,), (word("XY"),))
 
     def test_associativity_up_to_reshape(self):
         # (X x Z) x Y and X x (Z x Y) are the same three-site word
@@ -352,9 +366,10 @@ class TestMatrixBasics:
             imaginary = ExactMatrix.from_rows(
                 [[(0, 1) if r == c == i else 0 for c in range(n)] for r in range(n)]
             )
-            cases += [h, h.scale((0, 1)), linear_combination((1, 1), (h, imaginary))]
+            cases += [h, h @ _scalar_matrix(n, (0, 1)),
+                      linear_combination((1, 1), (h, imaginary))]
             if i != j:  # entry (i, j) set, its mirror (j, i) cleared
-                one_sided = [list(h.row(r)) for r in range(n)]
+                one_sided = dense_rows(h)
                 one_sided[i][j] = data.draw(_SPARSE_ENTRY.filter(lambda v: v not in (0, (0, 0))))
                 one_sided[j][i] = 0
                 cases.append(ExactMatrix.from_rows(one_sided))
@@ -393,10 +408,10 @@ class TestMatrixBasics:
             ]
         )
         pairs = [
-            (m.scale((0, 1)).scale((0, -1)), m),
-            (linear_combination((1, 1), (m, b)) - b, m),
-            (ExactMatrix.from_rows([[Fraction(4, 2)]]), ExactMatrix.from_rows([[2]])),
-            (b.scale(0), ExactMatrix.from_rows([[0] * 4] * 4)),
+            (m @ _scalar_matrix(4, (0, 1)) @ _scalar_matrix(4, (0, -1)), m),
+            (linear_combination((1, -1), (linear_combination((1, 1), (m, b)), b)), m),
+            (ExactMatrix.from_rows([[[2, 0]]]), ExactMatrix.from_rows([[2]])),
+            (linear_combination((0,), (b,)), ExactMatrix.from_rows([[0] * 4] * 4)),
         ]
         for x, y in pairs:
             assert x == y
@@ -418,8 +433,8 @@ class TestMatrixBasics:
         m = ExactMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
         assert rank(m) == 2
         ns = nullspace(m)
-        assert len(ns) == 1
-        image = m.apply(ns[0])
+        assert ns == [Ray([2, -1, 0])]
+        image = apply_dense(m, ns[0].parts)
         assert image == ((0, 0),) * 3
 
 
@@ -446,14 +461,24 @@ class TestRowContract:
 
     def test_a_float_column_index_is_rejected(self):
         # once accepted, and then ranked 1 with no error
-        with pytest.raises(TypeError, match="column index 0.5, not an int"):
+        with pytest.raises(TypeError, match="not three ints"):
             ExactMatrix(2, 2, (((0.5, 1, 0),), ((1, 1, 0),)))
 
-    @pytest.mark.parametrize("entry", [(0, 0.5, 0), (0, 1, 0.0), (0, Fraction(1, 2), 0)])
+    @pytest.mark.parametrize(
+        "entry",
+        [(0, 0.5, 0), (0, 1, 0.0), (0, Fraction(1, 2), 0), (0, True, 0), (0, 1, np.int32(1))],
+    )
     def test_a_non_int_numerator_is_rejected(self, entry):
-        # once accepted, and then rank failed with a misleading ArithmeticError
-        with pytest.raises(TypeError):
+        # once accepted: a float or Fraction then failed rank with a misleading
+        # ArithmeticError, and a bool or numpy integer passed for an int
+        with pytest.raises(TypeError, match="not three ints"):
             ExactMatrix(2, 2, ((entry,), ((1, 1, 0),)))
+
+    def test_a_numpy_integer_entry_is_rejected(self):
+        # once accepted: rank's products of 2**62 wrapped at 2**63 in int64
+        big = np.int64(2**62)
+        with pytest.raises(TypeError, match="not three ints"):
+            ExactMatrix(2, 2, (((0, big, 0), (1, 1, 0)), ((0, 1, 0), (1, big, 0))))
 
     def test_a_stored_zero_would_hide_a_pivot(self):
         # [[0, 1, 0], [1, 0, 1], [0, 1, 1]] has determinant -1; with its (0, 0) zero
@@ -555,38 +580,17 @@ def _naive_rank(a):
     return r
 
 
-def _naive_nullspace(a):
-    """Gauss-Jordan to reduced row echelon form over every entry, then one
-    basis vector per free column."""
-    work = [list(row) for row in a]
-    cols = len(work[0]) if work else 0
-    pivots = []
-    for col in range(cols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(work)) if work[i][col] != (0, 0)), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        lead = work[r][col]
-        work[r] = [pdiv(x, lead) for x in work[r]]
-        for i in range(len(work)):
-            if i != r:
-                f = work[i][col]
-                work[i] = [psub(x, pmul(f, y)) for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
-    basis = []
-    for free in (c for c in range(cols) if c not in pivots):
-        vec = [zero] * cols
-        vec[free] = one
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = psub(zero, work[prow][free])
-        basis.append(vec)
-    return basis
-
-
 def _pairs(m: ExactMatrix):
-    return [list(m.row(i)) for i in range(m.rows)]
+    return [[pair(z) for z in row] for row in dense_rows(m)]
+
+
+def _scalar_matrix(n, c):
+    """c times the n x n identity, for a Gaussian integer c."""
+    return ExactMatrix(n, n, tuple(((i, *c),) for i in range(n)))
+
+
+def _reference_rays(rows):
+    return [ray_of(v) for v in reference_kernel(rows)]
 
 
 # about three zeros in four entries, like the monomial Pauli realizations
@@ -622,11 +626,13 @@ class TestSparseKernelAgainstNaiveReference:
     @given(st.data(), st.integers(1, 5), st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
     def test_apply(self, data, n, m):
+        # M v as the product with a one-column matrix, against the dense oracle
         a = data.draw(_sparse_matrix(n, m))
         vec = data.draw(st.lists(_SPARSE_ENTRY, min_size=m, max_size=m))
         column = [[pair(x)] for x in vec]
         expected = [row[0] for row in _naive_matmul(_pairs(a), column)]
-        assert list(a.apply(vec)) == expected
+        image = a @ ExactMatrix.from_rows([[x] for x in vec])
+        assert [row[0] for row in _pairs(image)] == expected == list(apply_dense(a, vec))
 
     @given(st.data(), st.integers(1, 8), st.integers(1, 4), st.integers(1, 8))
     @settings(max_examples=100, deadline=None)
@@ -637,8 +643,7 @@ class TestSparseKernelAgainstNaiveReference:
         b = data.draw(_sparse_matrix(n, m))
         for x in (a, b, linear_combination((1, 1), (a, b))):
             assert rank(x) == _naive_rank(_pairs(x))
-            basis = [list(v) for v in nullspace(x)]
-            assert basis == _naive_nullspace(_pairs(x))
+            assert nullspace(x) == _reference_rays(_pairs(x))
 
     @given(st.data(), st.integers(3, 6), st.integers(2, 6), st.integers(2, 4))
     @settings(max_examples=100, deadline=None)
@@ -653,7 +658,7 @@ class TestSparseKernelAgainstNaiveReference:
         x = ExactMatrix.from_rows(rows)
         assert x.nonzeros[0][0] == (0, k, k)
         assert rank(x) == _naive_rank(_pairs(x))
-        assert [list(v) for v in nullspace(x)] == _naive_nullspace(_pairs(x))
+        assert nullspace(x) == _reference_rays(_pairs(x))
 
     @given(st.data(), st.integers(1, 5), st.integers(1, 3), st.integers(1, 5),
            st.integers(-3, 3))
@@ -668,7 +673,7 @@ class TestSparseKernelAgainstNaiveReference:
         factors = [data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
                                       min_size=r, max_size=r).map(ExactMatrix.from_rows))
                    for r, c in ((n, k), (k, m))]
-        target = _pairs(factors[0] @ factors[1])
+        target = dense_rows(factors[0] @ factors[1])
         for i in range(min(n, m)):
             kind = data.draw(st.sampled_from(["kept", "cancel", "zero", "missing", "empty"]))
             if kind in ("zero", "empty"):
@@ -677,19 +682,53 @@ class TestSparseKernelAgainstNaiveReference:
                 target[i][i] = -shift if kind in ("missing", "empty") else 0
         eye = ExactMatrix.from_rows([[int(i == j) for j in range(m)] for i in range(n)])
         t = ExactMatrix.from_rows(target)
-        x = linear_combination((1, 1), (t, eye.scale(shift)))
+        x = linear_combination((1, shift), (t, eye))
         assert linear_combination((1, -shift), (x, eye)) == t
         assert rank(x, shift) == rank(t) == _naive_rank(_pairs(t))
-        if n == m:
-            assert eye == ExactMatrix.identity(n)
+
+    @given(st.data(), st.integers(1, 5), st.integers(1, 3), st.integers(1, 5),
+           st.integers(-3, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_shifted_nullspace(self, data, n, k, m, shift):
+        # M = T + shift*I for T a product through inner dimension k of Gaussian-
+        # integer matrices, so M - shift*I is often rank-deficient; some of M's
+        # diagonal entries are then set to shift, zeroing that entry of M - shift*I
+        entry = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+        factors = [data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                                      min_size=r, max_size=r).map(ExactMatrix.from_rows))
+                   for r, c in ((n, k), (k, m))]
+        target = dense_rows(factors[0] @ factors[1])
+        for i in range(min(n, m)):
+            re, im = target[i][i]
+            target[i][i] = (shift, 0) if data.draw(st.booleans()) else (re + shift, im)
+        x = ExactMatrix.from_rows(target)
+        rays = nullspace(x, shift)
+        for ray in rays:  # (M - shift*I) v = 0, summed over every entry
+            assert apply_dense(x, ray.parts, shift) == ((0, 0),) * n
+        assert len(rays) == m - rank(x, shift)
+        # the same space as the reference kernel: together they add no rank
+        reference = _reference_rays(shifted_rows(x, shift))
+        assert len(reference) == len(rays)
+        stacked = [[pair(z) for z in r.parts] for r in rays + reference]
+        assert not rays or _naive_rank(stacked) == len(rays)
+
+    def test_an_inexact_back_substitution_raises(self, monkeypatch):
+        # from x_2 = D = 3 the rows give x_1 = -3/3 = -1, then x_0 = -(-1)/2, not in
+        # Z[i]; on a true Bareiss echelon Cramer's rule makes every entry a minor
+        tampered = [{0: (2, 0), 1: (1, 0)}, {1: (3, 0), 2: (1, 0)}], [0, 1]
+        monkeypatch.setattr(exact, "_echelon", lambda m, shift: tampered)
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            nullspace(ExactMatrix(2, 3, ((), ())))
 
     def test_shift_must_be_an_integer(self):
         m = ExactMatrix.from_rows([[2, 0], [0, 1]])
         assert rank(m, 1) == 1
-        with pytest.raises(TypeError):
-            rank(m, Fraction(1, 2))
-        with pytest.raises(TypeError):
-            rank(m, 0.5)
+        assert nullspace(m, 1) == [Ray([0, 1])]
+        for f in (rank, nullspace):
+            with pytest.raises(TypeError):
+                f(m, Fraction(1, 2))
+            with pytest.raises(TypeError):
+                f(m, 0.5)
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=100, deadline=None)
@@ -706,9 +745,9 @@ class TestSparseKernelAgainstNaiveReference:
     def test_linear_combination(self, data, n, m, terms):
         matrices = [data.draw(_sparse_matrix(n, m)) for _ in range(terms)]
         coefficients = data.draw(st.lists(st.integers(-4, 4), min_size=terms, max_size=terms))
-        expected = [[(Fraction(0), Fraction(0))] * m for _ in range(n)]
+        expected = [[(0, 0)] * m for _ in range(n)]
         for c, mat in zip(coefficients, matrices):
-            for i, row in enumerate(_pairs(mat)):
+            for i, row in enumerate(dense_rows(mat)):
                 for j, x in enumerate(row):
                     expected[i][j] = padd(expected[i][j], (c * x[0], c * x[1]))
         combined = linear_combination(coefficients, matrices)
@@ -740,7 +779,7 @@ def _principal(dense, idx):
 
 def _principal_blocks(m: ExactMatrix) -> list[ExactMatrix]:
     """The principal submatrices of m on its ``components``, from its dense rows."""
-    dense = _pairs(m)
+    dense = dense_rows(m)
     return [_principal(dense, idx) for idx in components(m)]
 
 
@@ -750,7 +789,7 @@ def _reassembled(m: ExactMatrix) -> ExactMatrix:
     for idx, block in zip(components(m), _principal_blocks(m)):
         for k, i in enumerate(idx):
             for l, j in enumerate(idx):
-                out[i][j] = block.at(k, l)
+                out[i][j] = dense_rows(block)[k][l]
     return ExactMatrix.from_rows(out)
 
 
