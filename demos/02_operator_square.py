@@ -36,7 +36,7 @@ for words in lines:
 # %%
 # The six contexts are pairwise disjoint (24 distinct rays). Completing the
 # picture means asking which OTHER orthonormal bases hide inside those rays:
-# every maximal clique of the orthogonality graph is one.
+# every 4-clique of the orthogonality graph (4 pairwise-orthogonal rays) is one.
 
 rays = [r for ctx in contexts for r in ctx.rays]
 h = ContextHypergraph.completion_of(rays)

@@ -204,10 +204,7 @@ def _completion(contexts: list[Context | None]) -> ContextHypergraph:
     if None in contexts:
         n = contexts.index(None) + 1
         raise ScenarioError(f"group {n} has a degenerate pencil and defines no context")
-    try:
-        return ContextHypergraph.completion_of([r for ctx in contexts for r in ctx.rays])
-    except ValueError as e:  # the rays do not complete to full contexts
-        raise ScenarioError(str(e)) from None
+    return ContextHypergraph.completion_of([r for ctx in contexts for r in ctx.rays])
 
 
 def scenario_hypergraph(

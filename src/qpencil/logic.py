@@ -36,7 +36,7 @@ class ContextHypergraph:
     """Deduplicated canonical rays (vertices) plus contexts (edges).
 
     Every vertex lies on an edge; each edge is ``dim`` pairwise-orthogonal
-    vertices, an orthonormal basis; ``edges=None`` takes all maximal such sets.
+    vertices, an orthonormal basis; ``edges=None`` takes every such set.
     """
 
     vertices: tuple[Ray, ...]
@@ -69,8 +69,8 @@ class ContextHypergraph:
                 for j in _bits(mask & ~adjacency[i] & -(2 << i)):
                     raise ValueError(f"edge {e}: vertices {i} and {j} are not orthogonal")
             covered |= mask
-        if covered != (1 << len(self.vertices)) - 1:
-            raise ValueError("every vertex must belong to at least one edge")
+        for v in _bits((1 << len(self.vertices)) - 1 & ~covered):  # the lowest is named
+            raise ValueError(f"every vertex must belong to at least one edge; vertex {v} is not")
 
     @staticmethod
     def from_ray_groups(groups: Sequence[Sequence[Ray]]) -> "ContextHypergraph":
@@ -85,7 +85,7 @@ class ContextHypergraph:
 
     @staticmethod
     def completion_of(rays: Iterable[Ray]) -> "ContextHypergraph":
-        """All contexts hiding in a ray set: maximal cliques of orthogonality."""
+        """All contexts hiding in a ray set: its bases, the cliques of size dim."""
         vertices = sorted(set(rays), key=lambda r: r.parts)  # as in from_ray_groups
         if not vertices:
             raise ValueError("cannot complete an empty ray set")
@@ -126,40 +126,29 @@ def orthogonality_graph(rays: Sequence[Ray]) -> list[int]:
 
 
 def enumerate_contexts(adjacency: Sequence[int], d: int) -> tuple[tuple[int, ...], ...]:
-    """All maximal cliques (pivoting Bron-Kerbosch on bitmasks), asserted to have size d.
+    """Every set of d pairwise-adjacent vertices (a d-clique), in ascending order.
 
-    A maximal clique smaller than d means some ray set cannot be completed
-    to an orthonormal basis, so the hypergraph would be ill-formed. The
-    search runs on an explicit stack, so a clique of any size fits; each
-    node's children are pushed reversed and pop in ascending order.
+    d pairwise-orthogonal rays span C^d, so no other ray is orthogonal to all
+    of them: each such clique is a basis and maximal. The search runs depth
+    first on an explicit stack, so a clique of any size fits. A node is a
+    clique with its later common neighbours; it is extended by each candidate
+    v, ascending, until v and the candidates after it are too few to reach d.
     """
     cliques: list[tuple[int, ...]] = []
-    stack = [((), (1 << len(adjacency)) - 1, 0)]  # (clique, candidates P, excluded X)
+    stack = [((), (1 << len(adjacency)) - 1)]  # (clique, candidates after its last vertex)
     while stack:
-        r, p, x = stack.pop()
-        if not p and not x:
-            cliques.append(c := tuple(sorted(r)))
-            if len(c) != d:  # the first one found is named
-                raise ValueError(
-                    f"maximal clique {c} has size {len(c)}, expected {d}: "
-                    "the ray set is not completable to full contexts"
-                )
+        r, p = stack.pop()
+        if len(r) == d:
+            cliques.append(r)
             continue
-        # Tomita's pivot maximizes |P & N(u)|, u ascending. The scan stops at the
-        # first u reaching |P| - [u in P]; a later u beats it only if it lies in X
-        # and is adjacent to all of P, and then neither pivot finds a clique here.
-        best = -1
-        for u in _bits(p | x):
-            size = (p & adjacency[u]).bit_count()
-            if size > best:
-                pivot, best = u, size
-                if size == p.bit_count() - (p >> u & 1):
-                    break
-        branch = p & ~adjacency[pivot]
-        for v in reversed([*_bits(branch)]):
-            earlier = branch & ((1 << v) - 1)  # siblings before v: moved from P to X
-            stack.append((r + (v,), p & ~earlier & adjacency[v], (x | earlier) & adjacency[v]))
-    return tuple(sorted(cliques))
+        children = []
+        for v in _bits(p):
+            later = p & -(2 << v)
+            if len(r) + 1 + later.bit_count() < d:
+                break
+            children.append((r + (v,), later & adjacency[v]))
+        stack.extend(reversed(children))  # popped ascending: lexicographic order
+    return tuple(cliques)
 
 
 # ---------------------------------------------------------------------------

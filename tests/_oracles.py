@@ -199,6 +199,14 @@ def brute_maximal_cliques(adjacency) -> list[tuple[int, ...]]:
     return sorted(cliques)
 
 
+def brute_cliques(adjacency, d: int) -> list[tuple[int, ...]]:
+    """Every d-clique, found by checking all d-subsets of the vertices."""
+    return [
+        members for members in itertools.combinations(range(len(adjacency)), d)
+        if all(b in adjacency[a] for a, b in itertools.combinations(members, 2))
+    ]
+
+
 def parity_proofs(edges) -> list[tuple[int, ...]]:
     """Every odd-size set S of edges in which each vertex lies in an even
     number of edges. No state exists on S: its values summed over S are |S|

@@ -7,9 +7,14 @@ sub-collections in well under a second; the rest complete in seconds.
 """
 
 import itertools
+import json
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
+
+from qpencil.cli import main
 
 from qpencil.exact import (
     ExactMatrix,
@@ -372,4 +377,81 @@ def test_criterion_9_property_suites(pm_contexts):
     print(
         f"CRITERION 9 PASS: commutation, exact eigenvector, solver-vs-oracle, "
         f"homomorphism and forced-classical properties all hold ({elapsed:.1f}s)"
+    )
+
+
+SCENARIOS = Path(__file__).resolve().parent / "scenarios"
+
+
+def analyze_file(capsys, name):
+    """``qpencil analyze --file`` on a scenario under tests/scenarios, as JSON,
+    with the hypergraph its report describes."""
+    assert main(["analyze", "--file", str(SCENARIOS / name), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    data = report["hypergraph"]
+    h = ContextHypergraph(tuple(Ray(v) for v in data["vertices"]),
+                          tuple(map(tuple, data["edges"])), data["dim"])
+    return report, h
+
+
+def sweep_error(capsys, name):
+    code = main(["subsets", "--file", str(SCENARIOS / name)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    return captured.err
+
+
+def test_mermin_star_completes_to_the_kernaghan_peres_set(capsys):
+    # The paper's second configuration: the five lines of the GHZ-Mermin star.
+    # Every one of its 40 rays lies in some basis, and its 25 bases are the
+    # Kernaghan-Peres set (Phys. Lett. A 198, 1, 1995).
+    start = time.perf_counter()
+    report, h = analyze_file(capsys, "mermin_star.scn")
+    assert (len(h.vertices), len(h.edges), h.dim) == (40, 25, 8)
+    assert Counter(v for e in h.edges for v in e) == {v: 5 for v in range(40)}
+    assert report["primary_edges"] == [0, 9, 15, 21, 24]
+    assert report["two_valued_states"] == 0
+    assert report["classification"] == {
+        "separable_vertices": 32, "entangled_vertices": 8,
+        "separable_edges": 16, "entangled_edges": 1, "mixed_edges": 8,
+    }
+    # independent witnesses for the 0: parity proofs, and a search for one state
+    proofs = parity_proofs(h.edges)
+    shapes = Counter((len(p), len({v for j in p for v in h.edges[j]})) for p in proofs)
+    assert shapes == {(11, 36): 320, (13, 38): 640, (15, 40): 64}
+    assert not admits_state(h.edges)
+    assert not admits_state([h.edges[j] for j in min(proofs, key=len)])
+    assert "40 vertices exceeds the sweep cap of 32" in sweep_error(capsys, "mermin_star.scn")
+    elapsed = time.perf_counter() - start
+    print(
+        f"\nMERMIN STAR PASS: 40 rays complete to 25 contexts, 5 per ray, with "
+        f"no two-valued state and 1,024 parity proofs ({elapsed:.2f}s)"
+    )
+
+
+def test_two_qubit_pauli_configuration(capsys, pm_hypergraph):
+    # The 15 maximal commuting sets of two-qubit Pauli words: the closure of
+    # the PM square in the paper's four-dimensional system (cf. Waegell &
+    # Aravind, J. Phys. A 44, 505303, 2011).
+    start = time.perf_counter()
+    report, h = analyze_file(capsys, "two_qubit_paulis.scn")
+    assert (len(h.vertices), len(h.edges), h.dim) == (60, 105, 4)
+    assert Counter(v for e in h.edges for v in e) == {v: 7 for v in range(60)}
+    assert report["primary_edges"] == [0, 8, 16, 33, 40, 45, 52, 73, 77, 82, 86, 97,
+                                       99, 102, 104]
+    assert report["two_valued_states"] == 0
+    assert not admits_state(h.edges)
+    assert report["classification"] == {
+        "separable_vertices": 36, "entangled_vertices": 24,
+        "separable_edges": 45, "entangled_edges": 24, "mixed_edges": 36,
+    }
+    index = {r: i for i, r in enumerate(h.vertices)}
+    for e in pm_hypergraph.edges:
+        assert tuple(sorted(index[pm_hypergraph.vertices[v]] for v in e)) in h.edges
+    assert "105 edges exceeds the sweep cap of 30" in sweep_error(capsys, "two_qubit_paulis.scn")
+    elapsed = time.perf_counter() - start
+    print(
+        f"\nTWO-QUBIT PASS: 60 rays complete to 105 contexts, 7 per ray, with "
+        f"no two-valued state; the PM square's 24 contexts are among them "
+        f"({elapsed:.2f}s)"
     )

@@ -26,8 +26,9 @@ from _oracles import is_separating
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "perfbench" / "golden"
 
-# three groups whose 24 rays have a maximal orthogonal clique of size 6 < d = 8
-NON_COMPLETABLE = (
+# three groups whose 24 rays have a maximal orthogonal clique of size 6 < d = 8;
+# every ray still lies in an 8-ray basis, so they complete
+UNEVEN_CLIQUES = (
     "sites 3\nmode hypergraph\n"
     "group\nIZX\nZYY\nZII\ngroup\nIZY\nYYX\nIXZ\ngroup\nYIY\nYZY\nXIZ\n"
 )
@@ -431,15 +432,30 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert "scenario error: group 1 has a degenerate pencil" in err
 
-    @pytest.mark.parametrize("command", ["analyze", "export", "subsets"])
-    def test_non_completable_rays_are_1(self, capsys, tmp_path, command):
-        path = _write(tmp_path, NON_COMPLETABLE)
-        code, out, err = run_cli(capsys, command, "--file", str(path))
-        assert (code, out) == (1, "")
-        assert err.startswith(
-            "qpencil: scenario error: maximal clique (0, 7, 10, 14, 19, 20) has size 6, "
-            "expected 8: the ray set is not completable"
-        )
+    def test_uneven_cliques_complete_by_bases(self, capsys, tmp_path):
+        path = str(_write(tmp_path, UNEVEN_CLIQUES))
+        code, out, _ = run_cli(capsys, "analyze", "--file", path)
+        assert code == 0
+        assert "hypergraph: 24 rays in 9 contexts (dim 8)\n" in out
+        assert "two-valued states: 64\n" in out
+        code, out, _ = run_cli(capsys, "subsets", "--file", path)
+        assert code == 0
+        assert out.startswith("swept 511 nonempty context sub-collections of 9 contexts\n"
+                              "no-state sub-collections: 0\n")
+        code, out, _ = run_cli(capsys, "export", "--file", path)
+        assert code == 0
+        assert len(json.loads(out)["edges"]) == 9
+
+    def test_failed_completion_is_2(self, capsys, monkeypatch):
+        # every group context is a basis, so its rays always complete; a
+        # ValueError here is a broken exact invariant
+        def fail(rays):
+            raise ValueError("injected completion failure")
+
+        monkeypatch.setattr(ContextHypergraph, "completion_of", staticmethod(fail))
+        code, out, err = run_cli(capsys, "pm-square")
+        assert (code, out) == (2, "")
+        assert err == "qpencil: verification failure: injected completion failure\n"
 
     def test_failed_exact_recheck_is_2(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
