@@ -10,7 +10,9 @@
 # The sweep covers all 2^24 - 1 sub-collections in one pass over the subset
 # lattice. On a 2-vCPU machine it takes about 0.1 s, and this whole script
 # about 0.4 s (``qpencil subsets --critical`` runs the same sweep from the
-# command line).
+# command line). The same sweep covers the paper's GHZ-Mermin star, 40 rays
+# in 25 contexts, in about 9 s: ``qpencil subsets --file
+# tests/scenarios/mermin_star.scn``.
 
 from qpencil import ContextHypergraph, joint_context, noncolorable_subsets
 from qpencil import parse_pauli, realization
@@ -31,12 +33,9 @@ print(f"no-state sub-collections: {result.total}")
 print(f"critical sub-collections: {len(result.critical)}")
 
 # %%
-# Shape of each critical collection: how many contexts it keeps and how
-# many rays those contexts cover. The smallest ones keep 9 contexts covering
-# 18 rays.
+# Critical collections tallied by shape: how many contexts each keeps and
+# how many rays those contexts cover, smallest shape first. The smallest
+# ones keep 9 contexts covering 18 rays.
 
-tally = {}
-for shape in result.critical_shapes(h):
-    tally[shape] = tally.get(shape, 0) + 1
-for (edges, vertices), count in sorted(tally.items()):
+for (edges, vertices), count in result.critical_shapes(h).items():
     print(f"  {edges} contexts / {vertices} rays: {count}")

@@ -21,7 +21,6 @@ import functools
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
@@ -452,7 +451,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 result = noncolorable_subsets(h)
             except ValueError as e:  # over the sweep's edge or vertex cap
                 raise _UsageError(str(e)) from None
-            shapes = Counter(result.critical_shapes(h))
             report = {
                 "command": "subsets",
                 "edges": len(h.edges),
@@ -461,7 +459,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "critical_count": len(result.critical),
                 "critical_shapes": [
                     {"contexts": ec, "rays": vc, "count": n}
-                    for (ec, vc), n in sorted(shapes.items())
+                    for (ec, vc), n in result.critical_shapes(h).items()
                 ],
             }
             if args.critical:

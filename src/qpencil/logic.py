@@ -17,8 +17,8 @@ import numpy as np
 
 from .exact import Ray, inner_product, is_product_state
 
-SUBSET_SWEEP_EDGE_CAP = 30
-SUBSET_SWEEP_VERTEX_CAP = 32  # two half tables of 2^(|V|/2) entries, paired: 2^|V|
+SUBSET_SWEEP_EDGE_CAP = 30  # a lattice table of 2^30 bytes
+SUBSET_SWEEP_VERTEX_CAP = 40  # two half tables of 2^ceil(|V|/2) vertex sets, unpruned: 2^20
 # _LOW[i]: the bits of a packed sweep-table word whose edge mask lacks edge i
 _LOW = [sum(1 << p for p in range(64) if not (p >> i) & 1) for i in range(6)]
 
@@ -201,10 +201,10 @@ class SubsetSweepResult:
     total: int
     critical: tuple[tuple[int, ...], ...]
 
-    def critical_shapes(self, h: ContextHypergraph) -> list[tuple[int, int]]:
-        """(edge count, induced vertex count) per critical collection."""
-        return [(len(edges), len({v for i in edges for v in h.edges[i]}))
-                for edges in self.critical]
+    def critical_shapes(self, h: ContextHypergraph) -> dict[tuple[int, int], int]:
+        """{(edge count, induced vertex count): critical collections of that shape}, ascending."""
+        shapes = [(len(s), len({v for i in s for v in h.edges[i]})) for s in self.critical]
+        return {shape: shapes.count(shape) for shape in sorted(set(shapes))}
 
 
 def _half_tables(
@@ -231,22 +231,25 @@ def noncolorable_subsets(
 ) -> SubsetSweepResult:
     """Sweep all nonempty edge sub-collections for no-state configurations.
 
-    A sub-collection S admits a state iff S is contained in E_T for some
-    vertex set T, where E_T is the set of edges T meets exactly once. E_T of
-    every undominated T is marked in a bit table over the 2^m edge bitmasks
-    (bit p of uint64 word w is mask 64w + p), built from tables over the two
-    halves of the vertices in order of first appearance in the edges (any
-    split is exact; on pm-square this one keeps fewer T); m passes close the
-    table downward (a subset-lattice zeta transform), and m more keep the
-    no-state S whose every S - {i} is colorable: the critical ones. ``jobs``
-    is accepted for compatibility and has no effect.
+    A sub-collection S admits a state iff S is contained in E_T for some vertex set
+    T, where E_T is the set of edges T meets exactly once. E_T of every undominated
+    T is marked in a bit table over the 2^m edge bitmasks (bit p of uint64 word w is
+    mask 64w + p) by pairing tables over the two halves of the vertices in order of
+    first appearance in the edges (any split is exact; on pm-square this one keeps
+    fewer T). The pairing costs the product of the pruned table sizes, so its time
+    depends on how much pruning leaves, as the state search's does:
+    1,408 x 1,255 = 1.8e6 pairs on 20 of pm-square's contexts (2^24 = 1.7e7),
+    1,839 x 1,624 = 3.0e6 on all 24, 49,259 x 20,515 = 1.0e9 on the 40-ray GHZ-Mermin
+    star (2^40 = 1.1e12). m passes close the table downward (a subset-lattice zeta
+    transform), and m more keep the no-state S whose every S - {i} is colorable: the
+    critical ones. ``jobs`` is accepted for compatibility and has no effect.
     """
     m, n = len(h.edges), len(h.vertices)
     caps = {"edges": (m, SUBSET_SWEEP_EDGE_CAP), "vertices": (n, SUBSET_SWEEP_VERTEX_CAP)}
     for what, (count, cap) in caps.items():
         if count > cap:
             raise ValueError(f"{count} {what} exceeds the sweep cap of {cap}")
-    order = list(dict.fromkeys([v for e in h.edges for v in e] + list(range(n))))
+    order = list(dict.fromkeys(v for e in h.edges for v in e))  # every vertex is on an edge
     zero1, once1 = _half_tables(h.edges, order[: n // 2])
     zero2, once2 = _half_tables(h.edges, order[n // 2 :])
     marked = np.zeros(max(1 << m, 64), dtype=bool)
@@ -272,8 +275,7 @@ def noncolorable_subsets(
             critical.reshape(-1, 2, 1 << (i - 6))[:, 1] &= half
     words = np.flatnonzero(critical).tolist()  # unpack only words that hold an S
     masks = [64 * w + p for w in words for p in range(64) if int(critical[w]) >> p & 1]
-    sets = sorted(tuple(i for i in range(m) if (mask >> i) & 1) for mask in masks)
-    return SubsetSweepResult(total, tuple(sets))
+    return SubsetSweepResult(total, tuple(sorted(tuple(_bits(mask)) for mask in masks)))
 
 
 # ---------------------------------------------------------------------------

@@ -86,10 +86,10 @@ class Pencil:
         object.__setattr__(self, "coefficients", coefficients)
         if not terms:
             raise PencilError("a pencil needs at least one term")
+        if not terms[0].rows:
+            raise PencilError("a pencil needs terms of dimension at least 1; term 0 has 0 rows")
         if len(coefficients) != len(terms):
-            raise PencilError(
-                f"{len(terms)} terms but {len(coefficients)} coefficients"
-            )
+            raise PencilError(f"{len(terms)} terms but {len(coefficients)} coefficients")
         d = terms[0].rows
         for i, t in enumerate(terms):
             if t.rows != t.cols:

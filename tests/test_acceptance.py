@@ -292,11 +292,9 @@ def test_criterion_8_subset_sweep(pm_hypergraph, pm_sweep):
     result, elapsed = pm_sweep
     assert result.total == 739824
     assert len(result.critical) == 512
-    shapes = result.critical_shapes(pm_hypergraph)
-    tally: dict[tuple[int, int], int] = {}
-    for shape in shapes:
-        tally[shape] = tally.get(shape, 0) + 1
-    assert tally == {(9, 18): 16, (11, 20): 240, (13, 22): 240, (15, 24): 16}
+    tally = result.critical_shapes(pm_hypergraph)
+    assert list(tally.items()) == [((9, 18), 16), ((11, 20), 240), ((13, 22), 240),
+                                   ((15, 24), 16)]  # ascending by shape
     assert tally[(9, 18)] >= 1  # the 18-9 configuration exists
     assert elapsed < 60.0
     check_critical_sets_are_parity_proofs(pm_hypergraph, result.critical)
@@ -421,11 +419,33 @@ def test_mermin_star_completes_to_the_kernaghan_peres_set(capsys):
     assert shapes == {(11, 36): 320, (13, 38): 640, (15, 40): 64}
     assert not admits_state(h.edges)
     assert not admits_state([h.edges[j] for j in min(proofs, key=len)])
-    assert "40 vertices exceeds the sweep cap of 32" in sweep_error(capsys, "mermin_star.scn")
+    # the sweep of all 2^25 - 1 sub-collections (cf. B. Waegell & P. K. Aravind,
+    # J. Phys. A 45, 405301, 2012)
+    sweep_start = time.perf_counter()
+    argv = ["subsets", "--file", str(SCENARIOS / "mermin_star.scn"), "--format", "json",
+            "--critical"]
+    assert main(argv) == 0
+    sweep_elapsed = time.perf_counter() - sweep_start
+    sweep = json.loads(capsys.readouterr().out)
+    assert (sweep["swept"], sweep["total_no_state"], sweep["critical_count"]) == (
+        2**25 - 1, 1415904, 5504)
+    assert sweep["critical_shapes"] == [
+        {"contexts": 11, "rays": 36, "count": 320}, {"contexts": 13, "rays": 38, "count": 960},
+        {"contexts": 13, "rays": 39, "count": 3840}, {"contexts": 15, "rays": 40, "count": 384},
+    ]
+    critical = [tuple(s) for s in sweep["critical"]]
+    assert set(proofs) <= set(critical)  # 1,024 of the 5,504 have a parity proof
+    for s in critical[::16]:  # the oracle's search: no state on S, one on each S - {i}
+        assert not admits_state([h.edges[j] for j in s])
+        for i in s:
+            assert admits_state([h.edges[j] for j in s if j != i]), (s, i)
+    assert sweep_elapsed < 60.0
     elapsed = time.perf_counter() - start
     print(
         f"\nMERMIN STAR PASS: 40 rays complete to 25 contexts, 5 per ray, with "
-        f"no two-valued state and 1,024 parity proofs ({elapsed:.2f}s)"
+        f"no two-valued state and 1,024 parity proofs; the sweep finds 1,415,904 "
+        f"no-state and 5,504 critical sub-collections, every parity proof among "
+        f"them ({sweep_elapsed:.1f}s sweep, {elapsed:.2f}s)"
     )
 
 

@@ -556,12 +556,18 @@ class TestSweepSplit:
     def test_random_hypergraphs_match_the_range_split(self, monkeypatch, m):
         rng = random.Random(100 + m)
         for _ in range(20):
-            n = rng.randint(2, 12)
-            h = SimpleNamespace(edges=_random_edges(rng, n, m), vertices=range(n))
+            edges = _random_edges(rng, rng.randint(2, 12), m)
+            # relabelled onto the vertices they cover: every vertex lies on an
+            # edge, as ContextHypergraph's coverage check guarantees
+            label = {v: k for k, v in enumerate(sorted({v for e in edges for v in e}))}
+            n = len(label)
+            h = SimpleNamespace(edges=tuple(tuple(label[v] for v in e) for e in edges),
+                                vertices=range(n))
             result, seen = _sweep_with_split(monkeypatch, h)
             reference, _ = _sweep_with_split(monkeypatch, h, _range_halves(n))
             assert result == reference, h
-            order = list(dict.fromkeys([v for e in h.edges for v in e] + list(range(n))))
+            order = list(dict.fromkeys(v for e in h.edges for v in e))
+            assert sorted(order) == list(range(n))
             assert [v for v, _ in seen] == [order[: n // 2], order[n // 2 :]]
 
     @pytest.mark.parametrize("picks", [range(8), range(4, 14), range(0, 24, 2), range(20)])

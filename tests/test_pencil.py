@@ -112,6 +112,14 @@ class TestBuildAndEvaluate:
         with pytest.raises(PencilError, match="^a pencil needs at least one term$"):
             build([])
 
+    def test_zero_dimensional_terms_rejected(self):
+        # unchecked, a 0 x 0 term fails inside numpy, not with a PencilError
+        message = "^a pencil needs terms of dimension at least 1; term 0 has 0 rows$"
+        with pytest.raises(PencilError, match=message):
+            joint_context([ExactMatrix(0, 0, ())])
+        with pytest.raises(PencilError, match=message):
+            build([ExactMatrix(0, 0, ())] * 2)
+
     def test_coefficient_count_mismatch(self):
         with pytest.raises(PencilError):
             build(mats("ZI", "IZ"), (1,))
