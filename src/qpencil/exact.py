@@ -351,8 +351,6 @@ def _echelon(
                     out[j] = (xr // n, xi // n)
         q = p
         pivots.append(col)
-        if len(pivots) == m.rows:
-            break
     return work, pivots
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,7 +35,7 @@ class PencilError(Exception):
 class DegeneratePencilError(PencilError):
     """The pencil has a repeated eigenvalue; the joint context is not unique.
 
-    Carries the exact multiplicity structure instead of guessing a basis.
+    Carries the certified count of each rounded eigenvalue instead of guessing a basis.
     """
 
     def __init__(self, multiplicities: dict[int, int]):
@@ -218,48 +219,33 @@ def _block_stack(p: ExactMatrix, blocks: list[list[int]]) -> np.ndarray:
     return stack.reshape(len(blocks), s, s)
 
 
-def _exact_integer_spectrum(
-    p_exact: ExactMatrix, spectrum: set[int], blocks: Sequence[tuple[Sequence[int], Sequence[int]]]
-) -> dict[int, int]:
-    """Certify integer candidate eigenvalues and their multiplicities exactly.
+def _verify_block_spectra(p_exact: ExactMatrix,
+                          blocks: Sequence[tuple[Sequence[int], Sequence[int]]]) -> None:
+    """Check the float stage's proposal for each of P's blocks exactly.
 
-    ``blocks`` pairs the index list of each of P's connected blocks
-    (``components``) with that block's own candidates. The multiplicity of
-    lambda is d - rank(P - lambda*I), summed as size(B) - rank(B - lambda*I)
-    over the distinct principal blocks B times their counts; every candidate
-    must have a positive one, and together they must sum to d. A block ranks
-    its own candidates first. Eigenspaces of distinct eigenvalues are
-    independent, so once a block's multiplicities sum to its size every other
-    candidate has multiplicity 0 there, and is not ranked.
-    B is Hermitian, so a ranked multiplicity is algebraic, and the R eigenvalues
-    mu left unassigned have exact sums from tr(B) and tr(B^2) = sum |b_ij|^2. If
-    sum(mu) = R*lambda and sum(mu^2) = R*lambda^2, every mu is lambda: no rank.
+    ``blocks`` pairs each connected block's index list with its rounded ``eigh``
+    eigenvalues, ascending; each distinct pair is checked once. In block B, a
+    value lambda proposed c times must have c = size(B) - rank(B - lambda*I), or
+    VerificationError is raised. B is Hermitian, so that multiplicity is algebraic,
+    and the R values mu not yet checked have exact sums tr(B) and tr(B^2): if they
+    are R*lambda and R*lambda^2, every mu is lambda, so c must be R, with no rank.
     """
-    d = p_exact.rows
-    multiplicities = dict.fromkeys(spectrum, 0)
-    distinct: dict[ExactMatrix, list] = {}
+    distinct: dict[tuple[ExactMatrix, tuple[int, ...]], None] = {}  # in first-seen order
     for idx, own in blocks:
         local = {g: k for k, g in enumerate(idx)}
         rows = tuple(tuple((local[j], re, im) for j, re, im in p_exact.nonzeros[i]) for i in idx)
-        block = ExactMatrix(len(idx), len(idx), rows)
-        distinct.setdefault(block, [0, own])[0] += 1
-    for block, (count, own) in distinct.items():
-        left = block.rows  # eigenvalues not yet assigned, with their sum and square sum
+        distinct[ExactMatrix(len(idx), len(idx), rows), tuple(own)] = None
+    for block, own in distinct:
+        left = block.rows  # eigenvalues not yet checked, with their sum and square sum
         s1 = sum(re for i, row in enumerate(block.nonzeros) for j, re, _ in row if j == i)
         s2 = sum(re * re + im * im for row in block.nonzeros for _, re, im in row)
-        for lam in [*sorted(set(own)), *sorted(spectrum.difference(own))]:
-            if not left:
-                break
+        for lam, c in Counter(own).items():
             settled = s1 == left * lam and s2 == left * lam * lam  # every one left is lam
             m = left if settled else block.rows - rank(block, lam)
-            multiplicities[lam] += count * m
+            if m != c:
+                raise VerificationError(f"rounded eigenvalue {lam} (x{c}) of a {block.rows} x "
+                                        f"{block.rows} block has certified multiplicity {m}")
             left, s1, s2 = left - m, s1 - m * lam, s2 - m * lam * lam
-    if 0 in multiplicities.values() or sum(multiplicities.values()) != d:
-        raise VerificationError(
-            f"certified multiplicities {multiplicities} of the rounded eigenvalues "
-            f"are not all positive with sum {d}"
-        )
-    return multiplicities
 
 
 def eigen_sign(operator: ExactMatrix, ray: Ray, name: str) -> int:
@@ -302,14 +288,15 @@ def joint_context(
     an exact re-check fails (UnresolvedSpectrumError: a float eigenvalue is no integer).
 
     The float stage diagonalizes P's connected diagonal blocks, one batched
-    ``eigh`` per block size, and pools their eigenvalues. Rounded eigenvalues
-    that repeat raise DegeneratePencilError with multiplicities certified on
-    P's distinct connected blocks by exact rank and exact power sums.
-    Otherwise each snapped ray v_k is certified exactly: every term A_i has
-    sign s_i = +/-1 on v_k and sum(a_i * s_i) = lambda_k, so P v_k = lambda_k
-    v_k. Rays of d distinct eigenvalues are independent and diagonalize P, so
-    the lambda_k are its whole spectrum, each simple, and (P being Hermitian)
-    the rays are pairwise orthogonal. With V the rays as columns, A_i = V diag(s_i) V^-1,
+    ``eigh`` per block size, and pools their eigenvalues: it proposes, and
+    exact arithmetic checks every proposal. If a rounded eigenvalue repeats,
+    each block's count of each of its values is certified by exact rank or
+    power sums, and DegeneratePencilError reports the counts. Otherwise each
+    snapped ray v_k is certified exactly: every term A_i has sign s_i = +/-1
+    on v_k and sum(a_i * s_i) = lambda_k, so P v_k = lambda_k v_k. Rays of d
+    distinct eigenvalues are independent and diagonalize P, so the lambda_k
+    are its whole spectrum, each simple, and (P being Hermitian) the rays are
+    pairwise orthogonal. With V the rays as columns, A_i = V diag(s_i) V^-1,
     so the terms commute; any other outcome runs the pairwise commutators first.
     """
     p = build(terms, coefficients)
@@ -347,10 +334,10 @@ def _certified_context(p: Pencil, max_snap_norm: int) -> Context:
             "integer coefficients over dichotomic terms should give an integer spectrum"
         )
     if len(set(spectrum)) < len(spectrum):
-        # fewer than d candidates, certified to sum to d: some multiplicity exceeds 1
-        # each block's index list with its own rounded eigenvalues
+        # each block's index list with its own rounded eigenvalues, ascending
         blocks = [b for idxs, w, _ in stages for b in zip(idxs, w.round().astype(int).tolist())]
-        raise DegeneratePencilError(_exact_integer_spectrum(p_exact, set(spectrum), blocks))
+        _verify_block_spectra(p_exact, blocks)
+        raise DegeneratePencilError(Counter(spectrum))
 
     d = p_exact.rows
     snapped = []

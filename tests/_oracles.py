@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 These deliberately avoid the library's own solver paths: state counting
-enumerates all 2^|V| assignments, joint eigenbases come from exact
-eigenspace intersection instead of the numerical pencil pipeline, a
+enumerates all 2^|V| assignments, joint eigenbases come from the trace
+and columns of each sign pattern's projector product instead of the
+numerical pencil pipeline or the library's elimination, a
 Pauli word acts on a sparse vector letter by letter, without its matrix,
 the classical parity value comes from every +/-1 assignment, orthogonality
 from every pair's dense inner product, separability from a Bareiss
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qpencil.exact import ExactMatrix, Ray, _echelon, _sparse, linear_combination, nullspace
+from qpencil.exact import ExactMatrix, Ray, _echelon, _sparse
 
 # Complex numbers as (re, im) Fraction pairs, with arithmetic of their own.
 
@@ -276,21 +277,38 @@ def is_separating(states, h) -> bool:
     return len(columns) == n
 
 
-def joint_eigenrays_by_intersection(matrices: list[ExactMatrix]) -> set[Ray]:
-    """All common eigenrays of dichotomic operators via exact intersection.
+def _times(m: ExactMatrix, v: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """M v for a dense vector of (re, im) int pairs, over M's stored row entries."""
+    out = []
+    for row in m.nonzeros:
+        re = im = 0
+        for k, ar, ai in row:
+            br, bi = v[k]
+            re, im = re + ar * br - ai * bi, im + ar * bi + ai * br
+        out.append((re, im))
+    return out
 
-    For every sign pattern, intersects the corresponding eigenspaces by
-    solving the stacked system; collects one-dimensional intersections.
+
+def joint_eigenrays_by_intersection(matrices: list[ExactMatrix]) -> set[Ray]:
+    """All common eigenrays of commuting dichotomic operators (A_i^2 = I), by
+    projectors: for every sign pattern s, Q_s = prod_i (I + s_i A_i) is 2^l
+    times the projector onto the joint eigenspace, so its trace is 2^l times
+    that space's dimension. Column j of Q_s is the factors applied to e_j one
+    at a time; a pattern of dimension 1 gives a nonzero column as its ray.
     """
-    d = matrices[0].rows
-    eye = identity(d)
+    d, l = matrices[0].rows, len(matrices)
     rays: set[Ray] = set()
-    for signs in itertools.product((1, -1), repeat=len(matrices)):
-        stacked = [row for m, s in zip(matrices, signs)
-                   for row in linear_combination((1, -s), (m, eye)).nonzeros]
-        basis = nullspace(ExactMatrix(len(stacked), d, tuple(stacked)))
-        if len(basis) == 1:
-            rays.add(basis[0])
+    for signs in itertools.product((1, -1), repeat=l):
+        trace, ray = 0, None
+        for j in range(d):
+            v = [(int(i == j), 0) for i in range(d)]
+            for m, s in zip(matrices, signs):
+                v = [(xr + s * yr, xi + s * yi) for (xr, xi), (yr, yi) in zip(v, _times(m, v))]
+            trace += v[j][0]  # Q_s is Hermitian: its diagonal is real
+            if ray is None and any(z != (0, 0) for z in v):
+                ray = v
+        if trace == 2**l:
+            rays.add(Ray(ray))
     return rays
 
 

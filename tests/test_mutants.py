@@ -1,0 +1,71 @@
+"""Mutants of the exact checks, each of which named deterministic tests must kill.
+
+Each row names a file, a snippet that must occur in it exactly once, a
+replacement that weakens a check, and the test ids that must then fail. The
+row's test copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory, applies the replacement there and runs pytest on those ids in a
+subprocess, which must exit 1: some test failed. Exit 0 means the mutant
+survived; any other code means the run itself broke.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+MUTANTS = [
+    pytest.param(
+        "src/qpencil/pencil.py",
+        "            if m != c:\n",
+        "            if False:\n",
+        ["tests/test_pencil.py::TestJointContext"
+         "::test_shifted_degenerate_eigenvalues_are_rejected",
+         "tests/test_pencil.py::TestBlockwiseCertificate::test_a_moved_count_is_rejected"],
+        id="proposal-check-never-raises",
+    ),
+    pytest.param(
+        "src/qpencil/pencil.py",
+        "settled = s1 == left * lam and s2 == left * lam * lam",
+        "settled = s1 == left * lam",
+        ["tests/test_pencil.py::TestTraceCertificate"
+         "::test_matching_trace_with_another_square_sum_is_ranked"],
+        id="settle-rule-without-square-sum",
+    ),
+    pytest.param(
+        "src/qpencil/pencil.py",
+        "    if image == {j: (sign * re, sign * im) for j, (re, im) in ray.support}:\n",
+        "    if image.get(j) == (sign * first[0], sign * first[1]):\n",
+        ["tests/test_pencil.py::TestEigenSign::test_image_leaking_off_the_support_is_rejected"],
+        id="eigen-sign-first-entry-only",
+    ),
+    pytest.param(
+        "src/qpencil/logic.py",
+        "children.append((r + (v,), later & adjacency[v]))",
+        "children.append((r + (v,), p & adjacency[v]))",
+        ["tests/test_logic.py::TestEnumerateContexts::test_matches_brute_force_cliques[0]"],
+        id="clique-child-keeps-earlier-candidates",
+    ),
+]
+
+
+@pytest.mark.parametrize("path,snippet,replacement,killers", MUTANTS)
+def test_mutant_is_killed(tmp_path, path, snippet, replacement, killers):
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", tmp_path)
+    target = tmp_path / path
+    source = target.read_text()
+    assert source.count(snippet) == 1, f"the snippet must occur exactly once in {path}"
+    target.write_text(source.replace(snippet, replacement))
+    env = {**os.environ, "PYTHONPATH": str(tmp_path / "src")}  # the mutant, not this checkout
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *killers],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 1, run.stdout[-3000:] + run.stderr[-3000:]

@@ -1,8 +1,8 @@
-import ast
 import hashlib
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -337,7 +337,7 @@ class TestJointContext:
 
     def test_shifted_degenerate_eigenvalues_are_rejected(self, monkeypatch):
         # the degenerate branch trusts no rounded eigenvalue: shifted by +2, the
-        # candidates -1, 1, 3, 5 get rank-certified multiplicities 2, 2, 2, 0
+        # first 1 x 1 block, (3), proposes 5, which its rank shows is no eigenvalue
         solve = pencil.hermitian_eigensystem
 
         def shifted(m):
@@ -345,10 +345,28 @@ class TestJointContext:
             return w + 2, v
 
         monkeypatch.setattr(pencil, "hermitian_eigensystem", shifted)
-        with pytest.raises(VerificationError, match="certified multiplicities") as err:
+        with pytest.raises(VerificationError, match=r"^rounded eigenvalue 5 \(x1\) of a "
+                           r"1 x 1 block has certified multiplicity 0$"):
             joint_context(mats("ZII", "IZI"))
-        found = re.search(r"multiplicities (\{.*?\})", str(err.value)).group(1)
-        assert ast.literal_eval(found) == {-1: 2, 1: 2, 3: 2, 5: 0}
+
+    @pytest.mark.parametrize("proposal,message", [
+        ([-2, 0, 0, 3], r"^rounded eigenvalue 3 \(x1\) of a 4 x 4 block has certified "
+                        r"multiplicity 0$"),
+        ([-2, 0, 2, 2], r"^rounded eigenvalue 0 \(x1\) of a 4 x 4 block has certified "
+                        r"multiplicity 2$"),
+    ], ids=["one-value-replaced", "one-count-moved"])
+    def test_tampered_degenerate_counts_are_rejected(self, monkeypatch, proposal, message):
+        # XI + IX is one 4 x 4 block with spectrum -2, 0 (x2), 2; a proposal of the
+        # right length with a wrong value or a wrong count must not be reported
+        solve = pencil.hermitian_eigensystem
+
+        def tampered(m):
+            w, v = solve(m)
+            return np.array([proposal], dtype=float), v
+
+        monkeypatch.setattr(pencil, "hermitian_eigensystem", tampered)
+        with pytest.raises(VerificationError, match=message):
+            joint_context(mats("XI", "IX"), (1, 1))
 
     def test_coarse_spectrum_names_its_largest_magnitude(self):
         # 2^52 (I + Z) has spectrum {0, 2^53}; 2^53 is past float resolution, 0 is not
@@ -531,9 +549,8 @@ class TestRayCertificate:
             joint_context(mats("ZII", "IZI"))
         assert err.value.multiplicities == {-3: 2, -1: 2, 1: 2, 3: 2}
         # P = diag(3, 3, -1, -1, 1, 1, -3, -3) has eight 1 x 1 blocks, four distinct:
-        # each distinct block's own candidate is its one entry, so its trace and
-        # square sum settle it without a rank, and that fills the block, so the
-        # other three candidates are certified absent without one either
+        # each distinct block proposes its one entry, which its trace and square
+        # sum settle without a rank
         assert calls == []
 
     def test_ghz_six_qubits_closed_form(self):
@@ -658,8 +675,8 @@ class TestEigenSign:
 
 
 def _full_rank_spectrum(p_exact: ExactMatrix, spectrum: set[int]) -> dict[int, int]:
-    """The multiplicity certificate on the whole d x d matrix: one exact rank of
-    P - lambda*I per candidate, with the same check and message."""
+    """The multiplicities on the whole d x d matrix: one exact rank of P - lambda*I
+    per candidate; every one must be positive, and together they must sum to d."""
     d = p_exact.rows
     ident = identity(d)
     multiplicities = {
@@ -673,28 +690,37 @@ def _full_rank_spectrum(p_exact: ExactMatrix, spectrum: set[int]) -> dict[int, i
     return multiplicities
 
 
-def _certificate_outcome(certify, p_exact, spectrum):
-    try:
-        return certify(p_exact, spectrum)
-    except VerificationError as e:
-        return str(e)
+def _verify(p_exact: ExactMatrix, proposals) -> Counter:
+    """``_verify_block_spectra`` on P's components, each with its proposal; the
+    count of every proposed value, as the degenerate branch reports it."""
+    pencil._verify_block_spectra(p_exact, list(zip(components(p_exact), proposals)))
+    return Counter(x for own in proposals for x in own)
 
 
-def _blockwise(proposed=None):
-    """``_exact_integer_spectrum`` on P's components, with the candidate lists
-    ``proposed`` (none by default) as their own."""
-    def certify(p_exact, spectrum):
-        blocks = components(p_exact)
-        own = proposed if proposed is not None else [()] * len(blocks)
-        return pencil._exact_integer_spectrum(p_exact, spectrum, list(zip(blocks, own)))
-    return certify
+def _block_proposals(p_exact: ExactMatrix) -> list[list[int]]:
+    """Each component's rounded float eigenvalues, ascending, as the float stage
+    proposes them."""
+    p = dense(p_exact)
+    return [[int(x) for x in np.round(np.linalg.eigvalsh(p[np.ix_(idx, idx)]))]
+            for idx in components(p_exact)]
 
 
-def _candidate_sets(p_exact: ExactMatrix) -> list[set[int]]:
-    """The rounded spectrum, and wrong candidate sets that fail the check."""
-    w, _ = hermitian_eigensystem(dense(p_exact))
-    exact = {int(x) for x in np.round(w)}
-    return [exact, {x + 2 for x in exact}, exact | {max(exact) + 1}, set(list(exact)[1:])]
+def _wrong_proposals(proposals: list[list[int]]) -> list[list[list[int]]]:
+    """Per block, of the right length each: its values shifted by +2, its largest
+    replaced by one past it, and, where it has a repeated value and another
+    value, one count moved from the first such repeat to that other value."""
+    wrong = []
+    for b, own in enumerate(proposals):
+        counts = Counter(own)
+        variants = [[x + 2 for x in own], [*own[:-1], own[-1] + 1]]
+        if len(counts) > 1 and max(counts.values()) > 1:
+            repeat = next(x for x, c in counts.items() if c > 1)
+            other = next(x for x in counts if x != repeat)
+            moved = list(own)
+            moved[moved.index(repeat)] = other
+            variants.append(sorted(moved))
+        wrong += [[*proposals[:b], v, *proposals[b + 1:]] for v in variants]
+    return wrong
 
 
 def _differential_cases():
@@ -734,43 +760,44 @@ def _counted_rank(monkeypatch) -> list[tuple[ExactMatrix, int]]:
 
 
 class TestBlockwiseCertificate:
-    """``_exact_integer_spectrum`` sums rank over distinct blocks; the outcome
-    must equal one rank of the whole P - lambda*I per candidate."""
+    """``_verify_block_spectra`` checks each block's proposal: a right one must
+    carry the multiplicities of one rank of the whole P - lambda*I per value, and
+    every wrong one must raise."""
 
     @pytest.mark.parametrize("p_exact", _differential_cases())
-    def test_matches_full_matrix_rank(self, p_exact):
-        for spectrum in _candidate_sets(p_exact):
-            expected = _certificate_outcome(_full_rank_spectrum, p_exact, spectrum)
-            got = _certificate_outcome(_blockwise(), p_exact, spectrum)
-            assert got == expected
+    def test_right_proposal_matches_full_matrix_rank(self, p_exact):
+        counts = _verify(p_exact, _block_proposals(p_exact))
+        assert counts == _full_rank_spectrum(p_exact, set(counts))
 
     @pytest.mark.parametrize("p_exact", _differential_cases())
-    def test_own_candidates_first_match_full_matrix_rank(self, p_exact):
-        # ranking each block's own candidates first, and stopping once they fill
-        # the block, must not change the outcome, whether the proposals are right,
-        # shifted or missing one
-        p = dense(p_exact)
-        own = [
-            sorted({int(x) for x in np.round(np.linalg.eigvalsh(p[np.ix_(idx, idx)]))})
-            for idx in components(p_exact)
-        ]
-        variants = [own, [[x + 2 for x in o] for o in own], [o[1:] for o in own]]
-        for spectrum in _candidate_sets(p_exact):
-            expected = _certificate_outcome(_full_rank_spectrum, p_exact, spectrum)
-            for variant in variants:
-                proposed = [[x for x in o if x in spectrum] for o in variant]
-                got = _certificate_outcome(_blockwise(proposed), p_exact, spectrum)
-                assert got == expected
+    def test_wrong_proposals_are_rejected(self, p_exact):
+        # shifted by +2, one value replaced, or one count moved, in each block in turn
+        for wrong in _wrong_proposals(_block_proposals(p_exact)):
+            with pytest.raises(VerificationError, match="has certified multiplicity"):
+                _verify(p_exact, wrong)
 
-    def test_partial_families_repeat_blocks(self):
+    def test_a_moved_count_is_rejected(self):
+        # 2I + XI on all four indices has spectrum 1 (x2), 3 (x2): so must its proposal
+        p = evaluate(build(mats("II", "XI"), (2, 1)))
+        assert _full_rank_spectrum(p, {1, 3}) == {1: 2, 3: 2}
+        pencil._verify_block_spectra(p, [(range(4), [1, 1, 3, 3])])
+        for wrong, message in [([1, 1, 1, 3], r"1 \(x3\) .* multiplicity 2$"),
+                               ([1, 3, 3, 3], r"1 \(x1\) .* multiplicity 2$")]:
+            with pytest.raises(VerificationError, match=message):
+                pencil._verify_block_spectra(p, [(range(4), wrong)])
+
+    def test_partial_families_repeat_blocks(self, monkeypatch):
         # k < n leaves every joint eigenspace of dimension 2^(n-k) > 1, and P
-        # repeats blocks, so the count of each distinct block matters
+        # repeats blocks: each distinct block and proposal is checked once
         p = evaluate(build(mats("XXI", "ZZI"), (3, -5)))
-        assert _blockwise()(p, {-8, -2, 2, 8}) == {-8: 2, -2: 2, 2: 2, 8: 2}
+        calls = _counted_rank(monkeypatch)
+        counts = _verify(p, _block_proposals(p))
+        assert counts == _full_rank_spectrum(p, set(counts)) == {-8: 2, -2: 2, 2: 2, 8: 2}
+        assert [(m.rows, lam) for m, lam in calls] == [(2, -8), (2, 2)]
 
 
 class TestTraceCertificate:
-    """Once a block's unassigned eigenvalues have the exact sum R*lambda and square
+    """Once a block's unchecked eigenvalues have the exact sum R*lambda and square
     sum R*lambda^2, all R of them are lambda, and no rank runs for it."""
 
     def test_connected_block_ranks_all_but_its_last_value(self, monkeypatch):
@@ -789,13 +816,14 @@ class TestTraceCertificate:
         assert calls == [(p, -2), (p, 0)]
 
     def test_matching_trace_with_another_square_sum_is_ranked(self):
-        # [[0, 1], [1, 0]] has trace 0 = 2 * 0 but square sum 2, not 0: candidate 0
-        # is ranked, has multiplicity 0, and fails as the full-matrix rank does
+        # [[0, 1], [1, 0]] has trace 0 = 2 * 0 but square sum 2, not 0: the proposal
+        # 0 (x2) is ranked, has multiplicity 0, and fails, as the full-matrix rank does
         p = ExactMatrix.from_rows([[0, 1], [1, 0]])
-        expected = _certificate_outcome(_full_rank_spectrum, p, {0})
-        assert expected == ("certified multiplicities {0: 0} of the rounded eigenvalues "
-                            "are not all positive with sum 2")
-        assert _certificate_outcome(_blockwise([[0]]), p, {0}) == expected
+        with pytest.raises(VerificationError, match=r"\{0: 0\}"):
+            _full_rank_spectrum(p, {0})
+        with pytest.raises(VerificationError, match=r"^rounded eigenvalue 0 \(x2\) of a 2 x 2 "
+                           r"block has certified multiplicity 0$"):
+            _verify(p, [[0, 0]])
 
     def test_non_pauli_blocks_rank_only_what_traces_leave(self, monkeypatch):
         # the 1 x 1 blocks (6) and (0) are settled by their traces; the Gaussian
@@ -804,7 +832,7 @@ class TestTraceCertificate:
         assert components(p) == [[0, 3], [1], [2], [4]]
         expected = _full_rank_spectrum(p, {0, 6})
         calls = _counted_rank(monkeypatch)
-        assert _blockwise([[0, 6], [6], [0], [6]])(p, {0, 6}) == expected == {0: 2, 6: 3}
+        assert _verify(p, [[0, 6], [6], [0], [6]]) == expected == {0: 2, 6: 3}
         assert [(m.rows, lam) for m, lam in calls] == [(2, 0)]
 
 
@@ -860,7 +888,7 @@ class TestBlockFloatStage:
             monkeypatch.setattr(module, "components", lambda m: splits.append(m) or split(m))
         with pytest.raises(DegeneratePencilError, match=re.escape(": -1 (x2), 1 (x2)")):
             joint_context(terms)
-        # two distinct blocks with own candidates -1 and 1: each ranks -1, and its
+        # two distinct blocks, each proposing -1 and 1: each ranks -1, and its
         # trace and square sum then settle 1
         assert len(calls) == 2
         assert [(m.rows, lam) for m, lam in calls] == [(2, -1), (2, -1)]
