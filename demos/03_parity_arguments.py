@@ -51,20 +51,22 @@ for ray, row in zip(ctx.rays, eigenstate_table(ctx, ghzm)):
 # Two qubits suffice. The third row and column of the operator square do
 # not commute elementwise, but their products do. The two-term pencil is
 # degenerate (the products are proportional), so use a three-term variant
-# to expose the Bell basis; the parity argument closes the same way.
+# to expose the Bell basis; the parity argument closes the same way. Each
+# product is composed symbolically on the Pauli words, as the CLI composes
+# a scenario file's '*' observables, and only then realized as a matrix.
 
-zx, xz, xx, zz = (realization(parse_pauli(t)) for t in ("ZX", "XZ", "XX", "ZZ"))
+table = scenario("ZX*XZ", "XX", "ZZ", "XX*ZZ", sites=2)
+zx_xz, xx, zz, xx_zz = (realization(w) for w in table.composed())
 
 try:
-    joint_context([zx @ xz, xx @ zz], (1, 2))
+    joint_context([zx_xz, xx_zz], (1, 2))
 except Exception as e:
     print("\ntwo-term pencil:", e)
 
-bell = joint_context([zx @ xz, xx, zz], (1, 2, 4))
+bell = joint_context([zx_xz, xx, zz], (1, 2, 4))
 bipartite = scenario("ZX*XZ", "XX*ZZ", sites=2)
 print("bipartite argument:", analyze(bipartite).to_json())
 
-table = scenario("ZX*XZ", "XX", "ZZ", "XX*ZZ", sites=2)
 print("\nco-measured values on the Bell basis:")
 for ray, row in zip(bell.rays, eigenstate_table(bell, table)):
     print(f"  {str(ray.to_json()):<16} {row}")

@@ -219,13 +219,6 @@ class ExactMatrix:
         nums = _gaussian_ints(x for row in rows for x in row)
         return ExactMatrix(r, c, _sparse(nums[i * c : (i + 1) * c] for i in range(r)))
 
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            shapes = f"{self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            raise ValueError(f"cannot multiply {shapes}")
-        rows = tuple(_row_times(ra, other) for ra in self.nonzeros)
-        return ExactMatrix(self.rows, other.cols, rows)
-
     def is_hermitian(self) -> bool:
         """True iff square with entry (j, i) the conjugate of (i, j), in one pass over
         the nonzeros: rows i in ascending order meet row j's entries in column order."""
@@ -254,15 +247,6 @@ def linear_combination(
     return ExactMatrix(*shapes.pop(), tuple(_sum_rows(zip(factors, r)) for r in rows))
 
 
-def _row_times(ra: SparseRow, b: ExactMatrix) -> SparseRow:
-    """Row ra of A times B; a one-entry row, as in every Pauli realization,
-    scales one row of B, whose nonzeros stay nonzero."""
-    if len(ra) != 1:
-        return _sum_rows(((ar, ai), b.nonzeros[k]) for k, ar, ai in ra)
-    [(k, ar, ai)] = ra
-    return tuple((j, ar * br - ai * bi, ar * bi + ai * br) for j, br, bi in b.nonzeros[k])
-
-
 def commutator_is_zero(a: ExactMatrix, b: ExactMatrix) -> bool:
     """True iff AB - BA vanishes exactly, compared row by row up to the first
     row that differs."""
@@ -277,7 +261,9 @@ def commutator_is_zero(a: ExactMatrix, b: ExactMatrix) -> bool:
             ab, ba = (ar * xr - ai * xi, ar * xi + ai * xr), (br * yr - bi * yi, br * yi + bi * yr)
             if j != jj or ab != ba:
                 return False
-        elif _row_times(ra, b) != _row_times(rb, a):
+        elif _sum_rows(((ar, ai), bn[k]) for k, ar, ai in ra) != _sum_rows(
+            ((br, bi), an[k]) for k, br, bi in rb
+        ):  # (AB)_i = sum_k a_ik B_k against (BA)_i = sum_k b_ik A_k
             return False
     return True
 

@@ -7,8 +7,8 @@ numerical pencil pipeline or the library's elimination, a
 Pauli word acts on a sparse vector letter by letter, without its matrix,
 the classical parity value comes from every +/-1 assignment, orthogonality
 from every pair's dense inner product, separability from a Bareiss
-elimination of each reshape, and a matrix's image and kernel from its dense
-rows, in Fraction-pair arithmetic and Gauss-Jordan elimination.
+elimination of each reshape, and a matrix's image, products, rank and kernel
+from its dense rows, in Fraction-pair arithmetic and textbook elimination.
 """
 
 from __future__ import annotations
@@ -62,9 +62,14 @@ def identity(n: int) -> ExactMatrix:
     return ExactMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
 
+def pair_rows(m: ExactMatrix) -> list[list[tuple[Fraction, Fraction]]]:
+    """M's dense rows as Fraction pairs."""
+    return [[pair(z) for z in row] for row in dense_rows(m)]
+
+
 def shifted_rows(m: ExactMatrix, shift=0) -> list[list[tuple[Fraction, Fraction]]]:
     """The dense rows of M - shift*I, I's ones on the main diagonal, as Fraction pairs."""
-    rows = [[pair(z) for z in row] for row in dense_rows(m)]
+    rows = pair_rows(m)
     for i in range(min(m.rows, m.cols)):
         rows[i][i] = psub(rows[i][i], pair(shift))
     return rows
@@ -79,6 +84,43 @@ def apply_dense(m: ExactMatrix, vec, shift=0) -> tuple[tuple[Fraction, Fraction]
             acc = padd(acc, pmul(a, pair(x)))
         image.append(acc)
     return tuple(image)
+
+
+def naive_matmul(a, b):
+    """The product of dense rows of (re, im) pairs, of ints or Fractions: a triple
+    loop over every (i, j, k), zeros included."""
+    out = [[(0, 0)] * len(b[0]) for _ in a]
+    for i in range(len(a)):
+        for j in range(len(b[0])):
+            for k in range(len(b)):
+                out[i][j] = padd(out[i][j], pmul(a[i][k], b[k][j]))
+    return out
+
+
+def product(*factors: ExactMatrix) -> ExactMatrix:
+    """The left-to-right product of exact matrices, by naive_matmul on their dense rows."""
+    rows = dense_rows(factors[0])
+    for f in factors[1:]:
+        rows = naive_matmul(rows, dense_rows(f))
+    return ExactMatrix.from_rows(rows)
+
+
+def naive_rank(a) -> int:
+    """The rank of dense Fraction-pair rows, by forward elimination over every
+    entry below each pivot."""
+    work = [list(row) for row in a]
+    r = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(r, len(work)) if work[i][col] != (0, 0)), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(r + 1, len(work)):
+            f = pdiv(work[i][col], work[r][col])
+            for j in range(len(work[0])):
+                work[i][j] = psub(work[i][j], pmul(f, work[r][j]))
+        r += 1
+    return r
 
 
 def reference_kernel(rows) -> list[list[tuple[Fraction, Fraction]]]:

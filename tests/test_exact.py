@@ -20,12 +20,12 @@ from qpencil.exact import (
     nullspace,
     rank,
 )
-from qpencil.pauli import parse_pauli, realization
+from qpencil.pauli import parse_pauli, realization, serial_product
 
 from _oracles import (apply_dense, conjugate_transpose, dense_rows,
-                      is_product_state_by_elimination, padd, pair, pdiv, pmul, psub,
-                      raw_inner, ray_of, reference_kernel, shifted_rows,
-                      two_qubit_determinant)
+                      is_product_state_by_elimination, naive_matmul, naive_rank, padd,
+                      pair, pair_rows, pmul, product, raw_inner, ray_of, reference_kernel,
+                      shifted_rows, two_qubit_determinant)
 
 
 SIGMA_X = ExactMatrix.from_rows([[0, 1], [1, 0]])
@@ -34,7 +34,8 @@ SIGMA_Z = ExactMatrix.from_rows([[1, 0], [0, -1]])
 
 
 def word(text):
-    return realization(parse_pauli(text))
+    """The matrix of a Pauli word, or of a '*'-joined product composed symbolically."""
+    return realization(serial_product([parse_pauli(f) for f in text.split("*")]))
 
 
 class TestScalars:
@@ -299,13 +300,15 @@ class TestTensor:
         assert word("YY") == literal
 
     def test_mixed_product_property(self):
-        # (Z x X)(Y x Z) = ZY x XZ = (-iX) x (-iY) = -(X x Y)
-        assert word("ZX") @ word("YZ") == linear_combination((-1,), (word("XY"),))
+        # (Z x X)(Y x Z) = ZY x XZ = (-iX) x (-iY) = -(X x Y), composed and as matrices
+        assert word("ZX*YZ") == linear_combination((-1,), (word("XY"),))
+        assert dense_rows(word("ZX*YZ")) == naive_matmul(dense_rows(word("ZX")),
+                                                          dense_rows(word("YZ")))
 
     def test_associativity_up_to_reshape(self):
         # (X x Z) x Y and X x (Z x Y) are the same three-site word
-        left = word("XZI") @ word("IIY")
-        right = word("XII") @ word("IZY")
+        left = word("XZI*IIY")
+        right = word("XII*IZY")
         assert left == right == word("XZY")
 
 
@@ -323,6 +326,13 @@ class TestCommutator:
         with pytest.raises(ValueError):
             commutator_is_zero(SIGMA_X, word("XI"))
 
+    def test_non_pauli_rows_are_compared_whole(self):
+        # A's first row has two entries, so no one-entry path applies: (AB)_0 =
+        # (1, 0) differs from (BA)_0 = (1, 1), while A and A^2 commute
+        a = ExactMatrix.from_rows([[1, 1], [1, 0]])
+        assert not commutator_is_zero(a, ExactMatrix.from_rows([[1, 0], [0, 0]]))
+        assert commutator_is_zero(a, ExactMatrix.from_rows([[2, 1], [1, 1]]))
+
     @given(st.data(), st.integers(1, 5))
     @settings(max_examples=200, deadline=None)
     def test_matches_whole_products(self, data, n):
@@ -331,8 +341,11 @@ class TestCommutator:
         a, b = (data.draw(_sparse_matrix(n, n)) for _ in range(2))
         p, q = (data.draw(_monomial_matrix(n)) for _ in range(2))
         a_plus_b = linear_combination((1, 1), (a, b))
-        for x, y in ((a, b), (a, a_plus_b), (a, a @ a), (p, q), (p, p @ p), (p, q @ p @ q), (p, a)):
-            assert commutator_is_zero(x, y) == (x @ y == y @ x)
+        cases = ((a, b), (a, a_plus_b), (a, product(a, a)), (p, q), (p, product(p, p)),
+                 (p, product(q, p, q)), (p, a))
+        for x, y in cases:
+            xs, ys = dense_rows(x), dense_rows(y)
+            assert commutator_is_zero(x, y) == (naive_matmul(xs, ys) == naive_matmul(ys, xs))
 
 
 class TestMatrixBasics:
@@ -366,7 +379,7 @@ class TestMatrixBasics:
             imaginary = ExactMatrix.from_rows(
                 [[(0, 1) if r == c == i else 0 for c in range(n)] for r in range(n)]
             )
-            cases += [h, h @ _scalar_matrix(n, (0, 1)),
+            cases += [h, product(h, _scalar_matrix(n, (0, 1))),
                       linear_combination((1, 1), (h, imaginary))]
             if i != j:  # entry (i, j) set, its mirror (j, i) cleared
                 one_sided = dense_rows(h)
@@ -377,10 +390,6 @@ class TestMatrixBasics:
             assert len(cases) == 4 or not cases[4].is_hermitian()
         for x in cases:
             assert x.is_hermitian() == (x == conjugate_transpose(x))
-
-    def test_matmul_shapes(self):
-        with pytest.raises(ValueError):
-            SIGMA_X @ word("XI")
 
     def test_row_count_must_fit(self):
         with pytest.raises(ValueError, match="need one sparse row per row"):
@@ -408,7 +417,7 @@ class TestMatrixBasics:
             ]
         )
         pairs = [
-            (m @ _scalar_matrix(4, (0, 1)) @ _scalar_matrix(4, (0, -1)), m),
+            (product(m, _scalar_matrix(4, (0, 1)), _scalar_matrix(4, (0, -1))), m),
             (linear_combination((1, -1), (linear_combination((1, 1), (m, b)), b)), m),
             (ExactMatrix.from_rows([[[2, 0]]]), ExactMatrix.from_rows([[2]])),
             (linear_combination((0,), (b,)), ExactMatrix.from_rows([[0] * 4] * 4)),
@@ -549,39 +558,9 @@ class TestProductStates:
 
 
 # ---------------------------------------------------------------------------
-# The kernel skips zero entries; these references do not, and work on plain
-# (re, im) Fraction pairs with the oracles' own arithmetic.
-
-
-def _naive_matmul(a, b):
-    """Triple loop over every (i, j, k), zeros included."""
-    out = [[(Fraction(0), Fraction(0))] * len(b[0]) for _ in a]
-    for i in range(len(a)):
-        for j in range(len(b[0])):
-            for k in range(len(b)):
-                out[i][j] = padd(out[i][j], pmul(a[i][k], b[k][j]))
-    return out
-
-
-def _naive_rank(a):
-    """Forward elimination over every entry below each pivot."""
-    work = [list(row) for row in a]
-    r = 0
-    for col in range(len(work[0]) if work else 0):
-        pivot = next((i for i in range(r, len(work)) if work[i][col] != (0, 0)), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(r + 1, len(work)):
-            f = pdiv(work[i][col], work[r][col])
-            for j in range(len(work[0])):
-                work[i][j] = psub(work[i][j], pmul(f, work[r][j]))
-        r += 1
-    return r
-
-
-def _pairs(m: ExactMatrix):
-    return [[pair(z) for z in row] for row in dense_rows(m)]
+# The kernel skips zero entries; the oracles' references (naive_matmul,
+# naive_rank, reference_kernel) do not, and work on plain (re, im) pairs with
+# the oracles' own arithmetic.
 
 
 def _scalar_matrix(n, c):
@@ -616,34 +595,16 @@ def _monomial_matrix(n):
 
 
 class TestSparseKernelAgainstNaiveReference:
-    @given(st.data(), st.integers(1, 5), st.integers(1, 5), st.integers(1, 5))
-    @settings(max_examples=100, deadline=None)
-    def test_matmul(self, data, n, k, m):
-        a = data.draw(_sparse_matrix(n, k))
-        b = data.draw(_sparse_matrix(k, m))
-        assert _pairs(a @ b) == _naive_matmul(_pairs(a), _pairs(b))
-
-    @given(st.data(), st.integers(1, 5), st.integers(1, 5))
-    @settings(max_examples=100, deadline=None)
-    def test_apply(self, data, n, m):
-        # M v as the product with a one-column matrix, against the dense oracle
-        a = data.draw(_sparse_matrix(n, m))
-        vec = data.draw(st.lists(_SPARSE_ENTRY, min_size=m, max_size=m))
-        column = [[pair(x)] for x in vec]
-        expected = [row[0] for row in _naive_matmul(_pairs(a), column)]
-        image = a @ ExactMatrix.from_rows([[x] for x in vec])
-        assert [row[0] for row in _pairs(image)] == expected == list(apply_dense(a, vec))
-
     @given(st.data(), st.integers(1, 8), st.integers(1, 4), st.integers(1, 8))
     @settings(max_examples=100, deadline=None)
     def test_rank(self, data, n, k, m):
         # a product through an inner dimension k has rank <= k, so deficient
         # ranks come up often; entries are Gaussian integers
-        a = data.draw(_sparse_matrix(n, k)) @ data.draw(_sparse_matrix(k, m))
+        a = product(data.draw(_sparse_matrix(n, k)), data.draw(_sparse_matrix(k, m)))
         b = data.draw(_sparse_matrix(n, m))
         for x in (a, b, linear_combination((1, 1), (a, b))):
-            assert rank(x) == _naive_rank(_pairs(x))
-            assert nullspace(x) == _reference_rays(_pairs(x))
+            assert rank(x) == naive_rank(pair_rows(x))
+            assert nullspace(x) == _reference_rays(pair_rows(x))
 
     @given(st.data(), st.integers(3, 6), st.integers(2, 6), st.integers(2, 4))
     @settings(max_examples=100, deadline=None)
@@ -657,8 +618,8 @@ class TestSparseKernelAgainstNaiveReference:
         rows[0][:2] = [(k, k), 1]
         x = ExactMatrix.from_rows(rows)
         assert x.nonzeros[0][0] == (0, k, k)
-        assert rank(x) == _naive_rank(_pairs(x))
-        assert nullspace(x) == _reference_rays(_pairs(x))
+        assert rank(x) == naive_rank(pair_rows(x))
+        assert nullspace(x) == _reference_rays(pair_rows(x))
 
     @given(st.data(), st.integers(1, 5), st.integers(1, 3), st.integers(1, 5),
            st.integers(-3, 3))
@@ -673,7 +634,7 @@ class TestSparseKernelAgainstNaiveReference:
         factors = [data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
                                       min_size=r, max_size=r).map(ExactMatrix.from_rows))
                    for r, c in ((n, k), (k, m))]
-        target = dense_rows(factors[0] @ factors[1])
+        target = dense_rows(product(*factors))
         for i in range(min(n, m)):
             kind = data.draw(st.sampled_from(["kept", "cancel", "zero", "missing", "empty"]))
             if kind in ("zero", "empty"):
@@ -684,7 +645,7 @@ class TestSparseKernelAgainstNaiveReference:
         t = ExactMatrix.from_rows(target)
         x = linear_combination((1, shift), (t, eye))
         assert linear_combination((1, -shift), (x, eye)) == t
-        assert rank(x, shift) == rank(t) == _naive_rank(_pairs(t))
+        assert rank(x, shift) == rank(t) == naive_rank(pair_rows(t))
 
     @given(st.data(), st.integers(1, 5), st.integers(1, 3), st.integers(1, 5),
            st.integers(-3, 3))
@@ -697,7 +658,7 @@ class TestSparseKernelAgainstNaiveReference:
         factors = [data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
                                       min_size=r, max_size=r).map(ExactMatrix.from_rows))
                    for r, c in ((n, k), (k, m))]
-        target = dense_rows(factors[0] @ factors[1])
+        target = dense_rows(product(*factors))
         for i in range(min(n, m)):
             re, im = target[i][i]
             target[i][i] = (shift, 0) if data.draw(st.booleans()) else (re + shift, im)
@@ -710,7 +671,7 @@ class TestSparseKernelAgainstNaiveReference:
         reference = _reference_rays(shifted_rows(x, shift))
         assert len(reference) == len(rays)
         stacked = [[pair(z) for z in r.parts] for r in rays + reference]
-        assert not rays or _naive_rank(stacked) == len(rays)
+        assert not rays or naive_rank(stacked) == len(rays)
 
     def test_an_inexact_back_substitution_raises(self, monkeypatch):
         # from x_2 = D = 3 the rows give x_1 = -3/3 = -1, then x_0 = -(-1)/2, not in
@@ -720,10 +681,14 @@ class TestSparseKernelAgainstNaiveReference:
         with pytest.raises(ArithmeticError, match="not divisible"):
             nullspace(ExactMatrix(2, 3, ((), ())))
 
-    def test_shift_must_be_an_integer(self):
+    def test_a_cancelled_diagonal_entry_is_dropped(self):
+        # diag(2, 1) - 1*I is diag(1, 0): the cancelled entry (1, 1) is no pivot
         m = ExactMatrix.from_rows([[2, 0], [0, 1]])
         assert rank(m, 1) == 1
         assert nullspace(m, 1) == [Ray([0, 1])]
+
+    def test_shift_must_be_an_integer(self):
+        m = ExactMatrix.from_rows([[2, 0], [0, 1]])
         for f in (rank, nullspace):
             with pytest.raises(TypeError):
                 f(m, Fraction(1, 2))
@@ -751,7 +716,7 @@ class TestSparseKernelAgainstNaiveReference:
                 for j, x in enumerate(row):
                     expected[i][j] = padd(expected[i][j], (c * x[0], c * x[1]))
         combined = linear_combination(coefficients, matrices)
-        assert _pairs(combined) == expected
+        assert pair_rows(combined) == expected
         assert combined == ExactMatrix.from_rows(
             [list(row) for row in expected]
         )
@@ -855,7 +820,7 @@ class TestComponents:
     @settings(max_examples=100, deadline=None)
     def test_blocks_reassemble_the_matrix(self, data, n):
         m = data.draw(_sparse_matrix(n, n))
-        pattern = [[x != (0, 0) for x in row] for row in _pairs(m)]
+        pattern = [[x != (0, 0) for x in row] for row in pair_rows(m)]
         assert components(m) == _components_reference(pattern)
         assert _reassembled(m) == m
         assert sum(rank(b) for b in _principal_blocks(m)) == rank(m)

@@ -50,6 +50,45 @@ MUTANTS = [
         ["tests/test_logic.py::TestEnumerateContexts::test_matches_brute_force_cliques[0]"],
         id="clique-child-keeps-earlier-candidates",
     ),
+    pytest.param(
+        "src/qpencil/exact.py",
+        "        if re != shift or im:",
+        "        if True:",
+        ["tests/test_exact.py::TestSparseKernelAgainstNaiveReference"
+         "::test_a_cancelled_diagonal_entry_is_dropped"],
+        id="shift-keeps-a-cancelled-entry",
+    ),
+    pytest.param(
+        "src/qpencil/logic.py",
+        "            shared |= holders.get(j, 0)\n",
+        "            shared |= holders.get(j, 0) if j == r.support[0][0] else 0\n",
+        ["tests/test_logic.py::TestOrthogonalityGraph::test_24_rays_are_9_regular"],
+        id="orthogonality-buckets-first-index-only",
+    ),
+    pytest.param(
+        "src/qpencil/exact.py",
+        "        if scaled != {i + j: _gmul(p, q) for i, p in column for j, q in row}:",
+        "        if any(scaled[i + j] != _gmul(p, q) for i, p in column for j, q in row"
+        " if i + j in scaled):",
+        ["tests/test_exact.py::TestProductStates::test_singlet_is_entangled"],
+        id="product-state-support-indices-only",
+    ),
+    pytest.param(
+        "src/qpencil/logic.py",
+        "    for i in range(m):  # keep S only",
+        "    for i in range(6, m):  # keep S only",
+        ["tests/test_acceptance.py::test_criterion_8_subset_sweep"],
+        id="criticality-skips-low-contexts",
+    ),
+    pytest.param(
+        "src/qpencil/exact.py",
+        "        ):  # (AB)_i = sum_k a_ik B_k against (BA)_i = sum_k b_ik A_k\n"
+        "            return False\n",
+        "        ):  # (AB)_i = sum_k a_ik B_k against (BA)_i = sum_k b_ik A_k\n"
+        "            pass\n",
+        ["tests/test_exact.py::TestCommutator::test_non_pauli_rows_are_compared_whole"],
+        id="commutator-general-rows-never-differ",
+    ),
 ]
 
 

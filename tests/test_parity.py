@@ -28,8 +28,8 @@ BIPARTITE = scenario("ZX*XZ", "XX*ZZ", sites=2)
 
 @pytest.fixture(scope="module")
 def bell_context():
-    zx, xz, xx, zz = (realization(parse_pauli(t)) for t in ("ZX", "XZ", "XX", "ZZ"))
-    return joint_context([zx @ xz, xx, zz], (1, 2, 4))
+    terms = scenario("ZX*XZ", "XX", "ZZ", sites=2).composed()
+    return joint_context([realization(w) for w in terms], (1, 2, 4))
 
 
 @pytest.fixture(scope="module")

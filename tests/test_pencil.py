@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from qpencil import cli, exact, pencil
-from qpencil.exact import (ExactMatrix, Ray, commutator_is_zero, components, linear_combination,
-                           rank)
+from qpencil.exact import ExactMatrix, Ray, commutator_is_zero, components
 from qpencil.parity import ParityScenario
-from qpencil.pauli import PauliString, commutes, multiply, parse_pauli, realization
+from qpencil.pauli import (PauliString, commutes, multiply, parse_pauli, realization,
+                           serial_product)
 from qpencil.pencil import (
     DEFAULT_MAX_SNAP_NORM,
     DegeneratePencilError,
@@ -37,12 +37,15 @@ from _fixtures import (
     HEADERS_PLAIN,
     SQUARE_TRIPLES,
 )
-from _oracles import (apply_dense, apply_word, check_sign_table, identity,
-                      joint_eigenrays_by_intersection, signed_components)
+from _oracles import (apply_dense, apply_word, check_sign_table,
+                      joint_eigenrays_by_intersection, naive_rank, shifted_rows,
+                      signed_components)
 
 
 def mats(*words):
-    return [realization(parse_pauli(word)) for word in words]
+    """The matrices of Pauli words; a '*'-joined product is composed symbolically."""
+    return [realization(serial_product([parse_pauli(f) for f in word.split("*")]))
+            for word in words]
 
 
 def dense(m: ExactMatrix) -> np.ndarray:
@@ -254,16 +257,13 @@ class TestJointContext:
         assert set(ctx.rays) == oracle_rays
 
     def test_degenerate_two_term_pencil_reports_multiplicities(self):
-        zx, xz, xx, zz = mats("ZX", "XZ", "XX", "ZZ")
-        first = zx @ xz
-        second = xx @ zz
+        first, second = mats("ZX*XZ", "XX*ZZ")
         with pytest.raises(DegeneratePencilError) as err:
             joint_context([first, second], (1, 2))
         assert err.value.multiplicities == {-1: 2, 1: 2}
 
     def test_three_term_variant_gives_bell_basis(self):
-        zx, xz, xx, zz = mats("ZX", "XZ", "XX", "ZZ")
-        ctx = joint_context([zx @ xz, xx, zz], (1, 2, 4))
+        ctx = joint_context(mats("ZX*XZ", "XX", "ZZ"), (1, 2, 4))
         bell = {Ray(v) for v in [(0, 1, 1, 0), (0, 1, -1, 0), (1, 0, 0, 1), (1, 0, 0, -1)]}
         assert set(ctx.rays) == bell
 
@@ -675,13 +675,12 @@ class TestEigenSign:
 
 
 def _full_rank_spectrum(p_exact: ExactMatrix, spectrum: set[int]) -> dict[int, int]:
-    """The multiplicities on the whole d x d matrix: one exact rank of P - lambda*I
-    per candidate; every one must be positive, and together they must sum to d."""
+    """The multiplicities on the whole d x d matrix: one rank of the dense P - lambda*I
+    per candidate, by the oracles' Fraction-pair elimination, which shares no code
+    with the certificate's; every one must be positive, and together they must sum
+    to d."""
     d = p_exact.rows
-    ident = identity(d)
-    multiplicities = {
-        lam: d - rank(linear_combination((1, -lam), (p_exact, ident))) for lam in spectrum
-    }
+    multiplicities = {lam: d - naive_rank(shifted_rows(p_exact, lam)) for lam in spectrum}
     if 0 in multiplicities.values() or sum(multiplicities.values()) != d:
         raise VerificationError(
             f"certified multiplicities {multiplicities} of the rounded eigenvalues "
