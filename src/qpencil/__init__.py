@@ -34,9 +34,7 @@ from .pencil import (
     SnapError,
     VerificationError,
     build,
-    default_coefficients,
     evaluate,
-    hermitian_eigensystem,
     joint_context,
     snap_to_ray,
 )
@@ -75,9 +73,7 @@ __all__ = [
     "SnapError",
     "VerificationError",
     "build",
-    "default_coefficients",
     "evaluate",
-    "hermitian_eigensystem",
     "joint_context",
     "snap_to_ray",
 ]

@@ -122,20 +122,14 @@ class Context:
         }
 
 
-def default_coefficients(l: int) -> tuple[int, ...]:
-    """Binary weights (1, 2, 4, ...): distinct sums over every sign pattern."""
-    if l < 1:
-        raise ValueError("need at least one term")
-    return tuple(2**i for i in range(l))
-
-
 def build(
     terms: Sequence[ExactMatrix], coefficients: Sequence[int] | None = None
 ) -> Pencil:
-    """Validate terms (square, Hermitian, equal dimension), not their commutation."""
+    """Validate terms (square, Hermitian, equal dimension), not their commutation;
+    default binary weights (1, 2, 4, ...) give distinct sums over every sign pattern."""
     terms = tuple(terms)
     if coefficients is None:
-        coefficients = default_coefficients(len(terms)) if terms else ()
+        coefficients = tuple(2**i for i in range(len(terms)))
     return Pencil(terms, coefficients)
 
 
@@ -145,23 +139,26 @@ def evaluate(p: Pencil) -> ExactMatrix:
     return linear_combination(p.coefficients, p.terms)
 
 
-def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
-    """Floating-point diagonalization of a Hermitian matrix, or of a stack of
-    equal-size ones, by ``numpy.linalg.eigh``.
+def hermitian_eigensystem(p: ExactMatrix,
+                          blocks: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``numpy.linalg.eigh`` of P's principal blocks on equal-size index lists.
 
-    Returns (eigenvalues ascending, eigenvector columns), per matrix of a
-    stack. The result only proposes candidates; ``joint_context`` certifies
-    them exactly.
+    Returns (eigenvalues ascending, eigenvector columns), per block. No float
+    check is made: P sums a ``Pencil``'s exactly Hermitian terms, so the stack is
+    Hermitian, and ``complex`` of an entry past float range raises OverflowError.
+    The result only proposes candidates; ``joint_context`` certifies them exactly.
     """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ValueError("expected a square matrix or a stack of equal-size ones")
-    if not np.isfinite(a).all():  # before the tolerance, which an infinite entry defeats
-        raise ValueError("matrix has a non-finite entry")
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.conj().swapaxes(-1, -2)).max()) > 1e-12 * scale:
-        raise ValueError("matrix is not Hermitian to tolerance 1e-12")
-    return np.linalg.eigh(a)
+    s = len(blocks[0])
+    local = {g: k for idx in blocks for k, g in enumerate(idx)}
+    at, values = [], []
+    for b, idx in enumerate(blocks):
+        for k, i in enumerate(idx):
+            for j, re, im in p.nonzeros[i]:
+                at.append((b * s + k) * s + local[j])
+                values.append(complex(re, im))
+    stack = np.zeros(len(blocks) * s * s, dtype=complex)
+    stack[at] = values
+    return np.linalg.eigh(stack.reshape(len(blocks), s, s))
 
 
 def snap_rays(
@@ -204,21 +201,6 @@ def snap_to_ray(vector, *, max_snap_norm: int = DEFAULT_MAX_SNAP_NORM) -> Ray:
     return snap_rays(np.asarray(vector).reshape(-1, 1), max_snap_norm=max_snap_norm)[0]
 
 
-def _block_stack(p: ExactMatrix, blocks: list[list[int]]) -> np.ndarray:
-    """The principal blocks of P on equal-size index lists, as one float array."""
-    s = len(blocks[0])
-    local = {g: k for idx in blocks for k, g in enumerate(idx)}
-    at, values = [], []
-    for b, idx in enumerate(blocks):
-        for k, i in enumerate(idx):
-            for j, re, im in p.nonzeros[i]:
-                at.append((b * s + k) * s + local[j])
-                values.append(complex(re, im))
-    stack = np.zeros(len(blocks) * s * s, dtype=complex)
-    stack[at] = values
-    return stack.reshape(len(blocks), s, s)
-
-
 def _verify_block_spectra(p_exact: ExactMatrix,
                           blocks: Sequence[tuple[Sequence[int], Sequence[int]]]) -> None:
     """Check the float stage's proposal for each of P's blocks exactly.
@@ -258,7 +240,7 @@ def eigen_sign(operator: ExactMatrix, ray: Ray, name: str) -> int:
     ``operator`` must be Hermitian, so that column j of M is the conjugate
     of row j and M v is built from the rows on the ray's support alone.
     """
-    if operator.cols != ray.dim:
+    if (operator.rows, operator.cols) != (ray.dim, ray.dim):
         raise ValueError("ray length does not match the operator")
     image: dict[int, tuple[int, int]] = {}
     for j, (br, bi) in ray.support:
@@ -316,8 +298,7 @@ def _certified_context(p: Pencil, max_snap_norm: int) -> Context:
     for idx in components(p_exact):
         by_size.setdefault(len(idx), []).append(idx)
     # per block size: the index lists, eigenvalues (block, i), vectors (block, entry, i)
-    stages = [(idxs, *hermitian_eigensystem(_block_stack(p_exact, idxs)))
-              for idxs in by_size.values()]
+    stages = [(idxs, *hermitian_eigensystem(p_exact, idxs)) for idxs in by_size.values()]
     pooled = np.concatenate([w.ravel() for _, w, _ in stages])
     order = np.argsort(pooled)
     eigenvalues = pooled[order]

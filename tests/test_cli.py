@@ -367,12 +367,22 @@ class TestExitCodes:
             # from 2^52 on every float is an integer, so none resolves the spectrum
             ("intro-pair", f"{10**16},1", "pencil eigenvalue"),
             ("ghzm", f"{10**16},1,1,1", "pencil eigenvalue"),
-            # a 401-digit entry overflows float64 itself
+            # finite entries up to float64's largest, ~1.8e308: the exact terms are
+            # Hermitian, so the float stage solves them unchecked, and the spectrum
+            # still fails to resolve
+            *[(command, f"{c},{rest}", "pencil eigenvalue")
+              for c in (10**154, 10**300, 9 * 10**307)
+              for command, rest in (("intro-pair", "1"), ("ghzm", "1,1,1"))],
+            # a 401-digit entry overflows float64 itself, as does one just past its range
             ("intro-pair", f"{10**400},1", "the pencil overflows float64\n"),
+            ("intro-pair", f"{9 * 10**308},1", "the pencil overflows float64\n"),
+            ("ghzm", f"{9 * 10**308},1,1,1", "the pencil overflows float64\n"),
             # past int()'s 4,300-digit string limit: named by its length, not echoed
             ("intro-pair", "9" * 5000 + ",1", "a 5000-digit coefficient overflows float64\n"),
         ],
-        ids=["1e10", "1e16", "ghzm-1e16", "1e400", "5000-digits"],
+        ids=["1e10", "1e16", "ghzm-1e16",
+             "1e154", "ghzm-1e154", "1e300", "ghzm-1e300", "9e307", "ghzm-9e307",
+             "1e400", "9e308", "ghzm-9e308", "5000-digits"],
     )
     def test_coeffs_beyond_float_resolution_is_1(self, capsys, command, coeffs, reason):
         # no exact check ran

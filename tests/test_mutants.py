@@ -89,6 +89,14 @@ MUTANTS = [
         ["tests/test_exact.py::TestCommutator::test_non_pauli_rows_are_compared_whole"],
         id="commutator-general-rows-never-differ",
     ),
+    pytest.param(
+        "src/qpencil/pencil.py",
+        "values.append(complex(re, im))",
+        # the conjugate block: the same spectrum, but conjugated eigenvectors
+        "values.append(complex(re, -im))",
+        ["tests/test_pencil.py::TestSparseWordOracle::test_random_full_families[2-12]"],
+        id="float-stage-conjugate-block",
+    ),
 ]
 
 

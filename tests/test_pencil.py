@@ -22,7 +22,6 @@ from qpencil.pencil import (
     UnresolvedSpectrumError,
     VerificationError,
     build,
-    default_coefficients,
     eigen_sign,
     evaluate,
     hermitian_eigensystem,
@@ -58,14 +57,6 @@ def dense(m: ExactMatrix) -> np.ndarray:
 
 
 class TestDefaultCoefficients:
-    def test_binary_weights(self):
-        assert default_coefficients(3) == (1, 2, 4)
-        assert default_coefficients(1) == (1,)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            default_coefficients(0)
-
     def test_row1_instantiation(self):
         ctx = joint_context(mats(*SQUARE_TRIPLES["row1"]), (1, 2, 4))
         assert ctx.pencil_eigenvalues == (-5, -3, 1, 7)
@@ -97,6 +88,7 @@ class TestBuildAndEvaluate:
     def test_noncommuting_terms_rejected(self):
         # build() leaves commutation to joint_context, which certifies it
         assert build(mats("ZI", "XI")).coefficients == (1, 2)
+        assert build(mats("ZI", "XI", "YI")).coefficients == (1, 2, 4)
         with pytest.raises(PencilError, match="^terms 0 and 1 do not commute$"):
             joint_context(mats("ZI", "XI"))
 
@@ -151,14 +143,32 @@ class TestBuildAndEvaluate:
             joint_context(p.terms, p.coefficients)
 
 
+def whole(m: ExactMatrix) -> list[list[int]]:
+    """Every index of m as one block, for the float stage."""
+    return [list(range(m.rows))]
+
+
+def random_hermitian(rng, n: int) -> ExactMatrix:
+    """A random n x n Hermitian Gaussian-integer matrix, entries in [-5, 5]."""
+    rows = [[(0, 0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = (int(rng.integers(-5, 6)), 0)
+        for j in range(i + 1, n):
+            re, im = (int(x) for x in rng.integers(-5, 6, size=2))
+            rows[i][j], rows[j][i] = (re, im), (re, -im)
+    return ExactMatrix.from_rows(rows)
+
+
 class TestHermitianEigensystem:
     def test_diagonal(self):
-        w, v = hermitian_eigensystem(np.diag([1.0, 2.0, 3.0]))
-        assert np.allclose(w, [1, 2, 3])
-        assert np.allclose(np.abs(v), np.eye(3))
+        m = ExactMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+        w, v = hermitian_eigensystem(m, whole(m))
+        assert np.allclose(w, [[1, 2, 3]])
+        assert np.allclose(np.abs(v), [np.eye(3)])
 
     def test_sigma_x(self):
-        w, v = hermitian_eigensystem(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        m = ExactMatrix.from_rows([[0, 1], [1, 0]])
+        (w,), (v,) = hermitian_eigensystem(m, whole(m))
         assert np.allclose(w, [-1, 1])
         # eigenvectors proportional to (1, -1) and (1, 1)
         assert abs(v[0, 0] + v[1, 0]) < 1e-10
@@ -166,44 +176,38 @@ class TestHermitianEigensystem:
 
     def test_row1_pencil_eigenvalues(self):
         p = evaluate(build(mats(*SQUARE_TRIPLES["row1"]), (1, 2, 4)))
-        w, _ = hermitian_eigensystem(dense(p))
-        assert np.allclose(w, [-5, -3, 1, 7])
+        w, _ = hermitian_eigensystem(p, whole(p))
+        assert np.allclose(w, [[-5, -3, 1, 7]])
 
     def test_postconditions_on_random_hermitian(self):
         rng = np.random.default_rng(11)
         for n in (2, 4, 8):
-            h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            h = (h + h.conj().T) / 2
-            w, v = hermitian_eigensystem(h)
+            m = random_hermitian(rng, n)
+            h = dense(m)
+            (w,), (v,) = hermitian_eigensystem(m, whole(m))
             assert np.all(np.diff(w) >= 0)
             assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-10
             assert np.max(np.abs(h @ v - v @ np.diag(w))) < 1e-9
             assert np.allclose(w, np.linalg.eigvalsh(h))
 
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        # both were once accepted: the tolerance scaled with max|a| = inf, which gave
-        # eigenvalues [1, 1], and NaN compares false
-        for m in ([[1, np.inf], [0, 1]], [[np.nan]]):
-            with pytest.raises(ValueError, match="non-finite"):
-                hermitian_eigensystem(np.array(m))
-
     def test_stack_of_equal_size_matrices(self):
+        # three 4 x 4 blocks on interleaved indices k, k + 3, k + 6, k + 9: each
+        # block's entries are read at its own local positions
         rng = np.random.default_rng(5)
-        h = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-        h = (h + h.conj().swapaxes(-1, -2)) / 2
-        w, v = hermitian_eigensystem(h)
+        blocks = [[k, k + 3, k + 6, k + 9] for k in range(3)]
+        rows = [[(0, 0)] * 12 for _ in range(12)]
+        for idx in blocks:
+            block = random_hermitian(rng, 4)
+            for a, row in enumerate(block.nonzeros):
+                for b, re, im in row:
+                    rows[idx[a]][idx[b]] = (re, im)
+        m = ExactMatrix.from_rows(rows)
+        w, v = hermitian_eigensystem(m, blocks)
         assert (w.shape, v.shape) == ((3, 4), (3, 4, 4))
-        for k in range(3):
-            assert np.allclose(w[k], np.linalg.eigvalsh(h[k]))
-            assert np.max(np.abs(h[k] @ v[k] - v[k] @ np.diag(w[k]))) < 1e-9
-
-    def test_non_hermitian_matrix_in_a_stack_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigensystem(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
-        with pytest.raises(ValueError, match="square"):
-            hermitian_eigensystem(np.zeros((2, 2, 3)))
+        for k, idx in enumerate(blocks):
+            h = dense(m)[np.ix_(idx, idx)]
+            assert np.allclose(w[k], np.linalg.eigvalsh(h))
+            assert np.max(np.abs(h @ v[k] - v[k] @ np.diag(w[k]))) < 1e-9
 
 
 class TestSnapToRay:
@@ -312,8 +316,8 @@ class TestJointContext:
         # of one dense eigensystem would be
         solve = pencil.hermitian_eigensystem
 
-        def identity_vectors(m):
-            w, v = solve(m)
+        def identity_vectors(p, blocks):
+            w, v = solve(p, blocks)
             return np.sort(w, axis=None).reshape(w.shape), np.broadcast_to(
                 np.eye(v.shape[-1], dtype=complex), v.shape
             )
@@ -327,8 +331,8 @@ class TestJointContext:
         # integers, so only the per-ray certificate can catch it
         solve = pencil.hermitian_eigensystem
 
-        def shifted(m):
-            w, v = solve(m)
+        def shifted(p, blocks):
+            w, v = solve(p, blocks)
             return w + 2, v
 
         monkeypatch.setattr(pencil, "hermitian_eigensystem", shifted)
@@ -340,8 +344,8 @@ class TestJointContext:
         # first 1 x 1 block, (3), proposes 5, which its rank shows is no eigenvalue
         solve = pencil.hermitian_eigensystem
 
-        def shifted(m):
-            w, v = solve(m)
+        def shifted(p, blocks):
+            w, v = solve(p, blocks)
             return w + 2, v
 
         monkeypatch.setattr(pencil, "hermitian_eigensystem", shifted)
@@ -360,8 +364,8 @@ class TestJointContext:
         # right length with a wrong value or a wrong count must not be reported
         solve = pencil.hermitian_eigensystem
 
-        def tampered(m):
-            w, v = solve(m)
+        def tampered(p, blocks):
+            w, v = solve(p, blocks)
             return np.array([proposal], dtype=float), v
 
         monkeypatch.setattr(pencil, "hermitian_eigensystem", tampered)
@@ -513,7 +517,7 @@ class TestSnapRays:
 
     @pytest.mark.parametrize("terms", _builtin_and_ghz_term_lists())
     def test_batch_matches_per_column_snap(self, terms):
-        _, v = hermitian_eigensystem(dense(evaluate(build(terms))))
+        _, v = np.linalg.eigh(dense(evaluate(build(terms))))
         reference = [_snap_column_reference(v[:, k], DEFAULT_MAX_SNAP_NORM) for k in range(len(v))]
         if None in reference:  # a degenerate pencil: eigh may mix an eigenspace
             first_bad = reference.index(None)
@@ -576,7 +580,7 @@ class TestRayCertificate:
                 expected[Ray(vec)] = (s, *zz)
         assert len(ctx.rays) == 2**n
         assert dict(zip(ctx.rays, ctx.eigentable)) == expected
-        weights = default_coefficients(len(words))
+        weights = [2**i for i in range(len(words))]
         for lam, signs in zip(ctx.pencil_eigenvalues, ctx.eigentable):
             assert lam == sum(a * s for a, s in zip(weights, signs))
         assert list(ctx.pencil_eigenvalues) == sorted(set(ctx.pencil_eigenvalues))
@@ -628,8 +632,13 @@ class TestEigenSign:
             eigen_sign(m, Ray([1, 0]), "M")
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            eigen_sign(mats("ZZ")[0], Ray([1, 0]), "ZZ")
+        # a non-square matrix has no eigenvectors: the 1 x 2 one once raised
+        # IndexError, and the 3 x 2 one gave the ray a sign of +1
+        for m, ray in [(mats("ZZ")[0], Ray([1, 0])),
+                       (ExactMatrix(1, 2, (((1, 1, 0),),)), Ray([0, 1])),
+                       (ExactMatrix(3, 2, (((0, 1, 0),), ((1, 1, 0),), ())), Ray([0, 1]))]:
+            with pytest.raises(ValueError, match="length"):
+                eigen_sign(m, ray, "M")
 
     def test_cancelled_image_entry_is_zero(self):
         # entry 2 of M (1, 1, 0) is 1 - 1: a cancelled sum must count as zero
@@ -852,12 +861,13 @@ GHZ_CONTEXT_SHA256 = {
 
 
 def _recorded_stacks(monkeypatch) -> list[tuple[int, ...]]:
-    """The shape of every array the float stage hands to ``hermitian_eigensystem``."""
+    """The shape (blocks, s, s) of every eigenvector stack ``hermitian_eigensystem`` returns."""
     shapes, solve = [], pencil.hermitian_eigensystem
 
-    def recorded(m):
-        shapes.append(np.shape(m))
-        return solve(m)
+    def recorded(p, blocks):
+        w, v = solve(p, blocks)
+        shapes.append(v.shape)
+        return w, v
 
     monkeypatch.setattr(pencil, "hermitian_eigensystem", recorded)
     return shapes
