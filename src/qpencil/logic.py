@@ -216,14 +216,15 @@ def _half_tables(
     (one T meets only at v); then E_U is in E_{U - v} for every U containing T."""
     subsets = np.arange(1 << len(vertices), dtype=np.uint32)
     zero = np.zeros_like(subsets)
-    once = np.zeros_like(subsets)
+    lone = np.zeros_like(subsets)  # the edges T meets at most once
     private = np.zeros_like(subsets)  # the vertices of T with a private edge
     for j, e in enumerate(edges):
         hit = subsets & sum(1 << k for k, v in enumerate(vertices) if v in e)
-        zero |= (hit == 0).astype(np.uint32) << j
-        once |= ((hit != 0) & (hit & (hit - 1) == 0)).astype(np.uint32) << j
-        private |= hit * (hit & (hit - 1) == 0)  # hit if T meets e once
-    return zero[private == subsets], once[private == subsets]
+        single = hit & (hit - 1) == 0
+        zero |= np.left_shift(hit == 0, j, dtype=np.uint32)
+        lone |= np.left_shift(single, j, dtype=np.uint32)
+        private |= hit * single  # hit if T meets e once
+    return zero[private == subsets], (lone ^ zero)[private == subsets]  # once: lone, not missed
 
 
 def noncolorable_subsets(
@@ -255,10 +256,13 @@ def noncolorable_subsets(
     marked = np.zeros(max(1 << m, 64), dtype=bool)
     marked[1 << m :] = True  # pad to one word; padding is never no-state
     rows = max(1, (1 << 16) // len(zero2))  # about 2^16 vertex sets per block
+    index = np.empty((rows, len(zero2)), dtype=np.intp)  # reused: no per-block cast to intp
     for lo in range(0, len(zero1), rows):
         z, o = zero1[lo : lo + rows, None], once1[lo : lo + rows, None]
-        marked[(o & zero2) | (z & once2)] = True
+        np.bitwise_or(o & zero2, z & once2, out=index[: len(z)])
+        marked[index[: len(z)]] = True
     colorable = np.packbits(marked, bitorder="little").view("<u8")
+    del marked  # the packed words are all that the passes below read
     for i in range(m):  # close downward: subsets of colorable sets are colorable
         if i < 6:
             colorable |= (colorable >> (1 << i)) & _LOW[i]
@@ -274,7 +278,7 @@ def noncolorable_subsets(
             half = colorable.reshape(-1, 2, 1 << (i - 6))[:, 0]
             critical.reshape(-1, 2, 1 << (i - 6))[:, 1] &= half
     words = np.flatnonzero(critical).tolist()  # unpack only words that hold an S
-    masks = [64 * w + p for w in words for p in range(64) if int(critical[w]) >> p & 1]
+    masks = [64 * w + p for w, c in zip(words, critical[words].tolist()) for p in _bits(c)]
     return SubsetSweepResult(total, tuple(sorted(tuple(_bits(mask)) for mask in masks)))
 
 

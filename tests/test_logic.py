@@ -452,6 +452,21 @@ def _random_edges(rng: random.Random, n: int, m: int) -> tuple[tuple[int, ...], 
     return tuple(tuple(sorted(rng.sample(range(n), min(k, n)))) for k in sizes)
 
 
+def _brute_half_tables(edges, vertices) -> tuple[list[int], list[int]]:
+    """``_half_tables`` by direct counting: every subset T of ``vertices`` (bit k
+    stands for ``vertices[k]``), ascending, is kept iff each vertex of T lies on
+    an edge that T meets only there; bit j of its zero (once) mask is set iff T
+    meets edge j in no (one) vertex."""
+    zero, once = [], []
+    for t in range(1 << len(vertices)):
+        chosen = [v for k, v in enumerate(vertices) if t >> k & 1]
+        counts = [sum(v in e for v in chosen) for e in edges]
+        if all(any(c == 1 and v in e for e, c in zip(edges, counts)) for v in chosen):
+            zero.append(sum(1 << j for j, c in enumerate(counts) if c == 0))
+            once.append(sum(1 << j for j, c in enumerate(counts) if c == 1))
+    return zero, once
+
+
 def _seeded_picks(seed: int) -> list[int]:
     rng = random.Random(seed)
     return sorted(rng.sample(range(24), rng.randint(6, 12)))
@@ -523,6 +538,22 @@ class TestNoncolorableSubsets:
         monkeypatch.setattr(logic_mod, cap, limit)
         with pytest.raises(ValueError, match="exceeds the sweep cap"):
             noncolorable_subsets(pm_hypergraph)
+
+
+class TestHalfTables:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_direct_counts_on_random_hypergraphs(self, m):
+        # both halves of the vertices 0..n-1 in random order; a vertex on no
+        # edge has no private edge, so no kept T holds it
+        rng = random.Random(200 + m)
+        for _ in range(20):
+            n = rng.randint(2, 12)
+            edges = _random_edges(rng, n, m)
+            order = rng.sample(range(n), n)
+            for half in (order[: n // 2], order[n // 2 :]):
+                zero, once = logic_module._half_tables(edges, half)
+                expected = _brute_half_tables(edges, half)
+                assert (zero.tolist(), once.tolist()) == expected, (edges, half)
 
 
 def _sweep_with_split(monkeypatch, h, halves=None):

@@ -81,6 +81,16 @@ MUTANTS = [
         id="criticality-skips-low-contexts",
     ),
     pytest.param(
+        "src/qpencil/logic.py",
+        "(lone ^ zero)[private == subsets]",
+        "lone[private == subsets]",  # a missed edge counts as met once
+        ["tests/test_logic.py::TestNoncolorableSubsets"
+         "::test_matches_oracle_on_random_hypergraphs[5]",
+         "tests/test_logic.py::TestHalfTables"
+         "::test_matches_direct_counts_on_random_hypergraphs[3]"],
+        id="once-mask-keeps-missed-edges",
+    ),
+    pytest.param(
         "src/qpencil/exact.py",
         "        ):  # (AB)_i = sum_k a_ik B_k against (BA)_i = sum_k b_ik A_k\n"
         "            return False\n",
