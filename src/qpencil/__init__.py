@@ -36,7 +36,6 @@ from .pencil import (
     build,
     evaluate,
     joint_context,
-    snap_to_ray,
 )
 
 __version__ = "0.1.0"
@@ -75,5 +74,4 @@ __all__ = [
     "build",
     "evaluate",
     "joint_context",
-    "snap_to_ray",
 ]

@@ -169,8 +169,8 @@ def load_builtin(name: str) -> ScenarioFile:
 
 def _solve_groups(
     s: ScenarioFile, coeffs: Sequence[int] | None, max_snap_norm: int = DEFAULT_MAX_SNAP_NORM
-) -> list[tuple[ParityScenario, Context | None, dict]]:
-    """Validate and solve each group in order; a degenerate group has no context."""
+) -> list[tuple[ParityScenario, Context | DegeneratePencilError]]:
+    """Validate and solve each group in order; a degenerate group keeps its error."""
     solved = []
     for group in s.groups:
         try:
@@ -184,25 +184,21 @@ def _solve_groups(
         matrices = [realization(w) for w in scenario.composed()]
         try:
             ctx = joint_context(matrices, coeffs, max_snap_norm=max_snap_norm)
-            result = {"kind": "context", **ctx.to_json()}
         except (UnresolvedSpectrumError, OverflowError) as e:
             # Pauli words have an integer spectrum, here beyond float64's integers or range
             reason = "the pencil overflows float64" if isinstance(e, OverflowError) else e
             raise _UsageError(f"coefficients beyond the float stage's resolution: {reason}")
         except DegeneratePencilError as e:
-            ctx, result = None, {
-                "kind": "degenerate",
-                "multiplicities": {str(k): v for k, v in e.multiplicities.items()},
-            }
-        solved.append((scenario, ctx, result))
+            ctx = e.with_traceback(None)  # a kept traceback would cycle through this frame
+        solved.append((scenario, ctx))
     return solved
 
 
-def _completion(contexts: list[Context | None]) -> ContextHypergraph:
+def _completion(contexts: list[Context | DegeneratePencilError]) -> ContextHypergraph:
     """The completion of the contexts' ray union; every group must define a context."""
-    if None in contexts:
-        n = contexts.index(None) + 1
-        raise ScenarioError(f"group {n} has a degenerate pencil and defines no context")
+    for n, ctx in enumerate(contexts, start=1):
+        if not isinstance(ctx, Context):
+            raise ScenarioError(f"group {n} has a degenerate pencil and defines no context")
     return ContextHypergraph.completion_of([r for ctx in contexts for r in ctx.rays])
 
 
@@ -211,16 +207,16 @@ def scenario_hypergraph(
 ) -> tuple[ContextHypergraph, list[Context]]:
     """Contexts of every group, then the completion of their ray union."""
     solved = _solve_groups(s, coeffs, max_snap_norm)
-    contexts = [ctx for _, ctx, _ in solved]
+    contexts = [ctx for _, ctx in solved]
     return _completion(contexts), contexts
 
 
-def _parity_keys(scenario: ParityScenario, ctx: Context | None) -> dict:
+def _parity_keys(scenario: ParityScenario, ctx: Context | DegeneratePencilError) -> dict:
     try:
         keys = {"parity": parity_analyze(scenario).to_json()}
     except ParityError as e:
         keys = {"parity": {"skipped": str(e)}}
-    if ctx is not None:
+    if isinstance(ctx, Context):
         # the rays are one certified basis: its states each pick one ray, so
         # there are d of them and they separate every pair of rays
         keys["states"] = {"count": len(ctx.rays), "separating": True}
@@ -251,7 +247,12 @@ def run_scenario(s: ScenarioFile, coeffs: Sequence[int] | None = None) -> dict:
     in parity mode and the hypergraph keys in hypergraph mode."""
     solved = _solve_groups(s, coeffs)
     groups = []
-    for scenario, ctx, result in solved:
+    for scenario, ctx in solved:
+        if isinstance(ctx, Context):
+            result = {"kind": "context", **ctx.to_json()}
+        else:
+            multiplicities = {str(k): v for k, v in ctx.multiplicities.items()}
+            result = {"kind": "degenerate", "multiplicities": multiplicities}
         entry = {
             "observables": [observable_text(o) for o in scenario.observables],
             "result": result,
@@ -261,7 +262,7 @@ def run_scenario(s: ScenarioFile, coeffs: Sequence[int] | None = None) -> dict:
         groups.append(entry)
     report = {"mode": s.mode, "sites": s.site_count, "groups": groups}
     if s.mode == "hypergraph":
-        report.update(_hypergraph_keys(s.site_count, [ctx for _, ctx, _ in solved]))
+        report.update(_hypergraph_keys(s.site_count, [ctx for _, ctx in solved]))
     return report
 
 

@@ -161,21 +161,19 @@ def hermitian_eigensystem(p: ExactMatrix,
     return np.linalg.eigh(stack.reshape(len(blocks), s, s))
 
 
-def snap_rays(
-    vectors, *, max_snap_norm: int = DEFAULT_MAX_SNAP_NORM, rows=None, dim: int | None = None
-) -> list[Ray]:
-    """Round every eigenvector column to its exact integer ray, in one vectorized pass.
+def snap_rays(vectors, blocks, dim: int, *,
+              max_snap_norm: int = DEFAULT_MAX_SNAP_NORM) -> list[Ray]:
+    """Round ``eigh``'s eigenvector stacks to exact integer rays, in one vectorized pass.
 
-    Each column is divided by its largest-magnitude entry (fixing scale and global
-    phase), then takes its own smallest multiplier k <= max_snap_norm (a broadcast
-    axis) that puts every entry within ``SNAP_TOLERANCE`` of a Gaussian integer.
-    With ``rows`` (an index array of the vectors' shape) and ``dim``, entry e of
-    column c is component rows[e, c] of a ``dim``-vector that is zero elsewhere,
-    as for an eigenvector of one diagonal block; ascending down each column.
+    ``vectors[b, e, c]`` is entry e of column c (of n) of block b: component blocks[b][e]
+    of a ``dim``-vector that is zero elsewhere. Rays come block by block, column by
+    column. Each column is divided by its largest-magnitude entry (fixing scale and
+    global phase), then takes its own smallest multiplier k <= max_snap_norm (a
+    broadcast axis) that puts every entry within ``SNAP_TOLERANCE`` of a Gaussian integer.
     """
     v = np.asarray(vectors, dtype=complex)
-    if rows is None:
-        rows, dim = np.broadcast_to(np.arange(len(v))[:, None], v.shape), len(v)
+    rows = np.repeat(np.array(blocks), v.shape[2], axis=0).T  # rows[e, b*n + c] = blocks[b][e]
+    v = v.transpose(1, 0, 2).reshape(rows.shape)  # v[e, b*n + c] = vectors[b, e, c]
     columns = np.arange(v.shape[1])
     lead = v[np.abs(v).argmax(axis=0), columns]
     w = v / np.where(lead == 0, 1, lead)
@@ -197,8 +195,9 @@ def snap_rays(
 
 
 def snap_to_ray(vector, *, max_snap_norm: int = DEFAULT_MAX_SNAP_NORM) -> Ray:
-    """``snap_rays`` on one vector."""
-    return snap_rays(np.asarray(vector).reshape(-1, 1), max_snap_norm=max_snap_norm)[0]
+    """``snap_rays`` on one vector, a one-block stack."""
+    v = np.asarray(vector).reshape(1, -1, 1)
+    return snap_rays(v, [range(v.shape[1])], v.shape[1], max_snap_norm=max_snap_norm)[0]
 
 
 def _verify_block_spectra(p_exact: ExactMatrix,
@@ -320,13 +319,9 @@ def _certified_context(p: Pencil, max_snap_norm: int) -> Context:
         _verify_block_spectra(p_exact, blocks)
         raise DegeneratePencilError(Counter(spectrum))
 
-    d = p_exact.rows
     snapped = []
-    for idxs, _, v in stages:  # column b*s + i of the (entry, column) array is v[b, :, i]
-        s = v.shape[1]
-        rows = np.repeat(np.array(idxs), s, axis=0).T
-        columns = v.transpose(1, 0, 2).reshape(s, -1)
-        snapped += snap_rays(columns, max_snap_norm=max_snap_norm, rows=rows, dim=d)
+    for idxs, _, v in stages:
+        snapped += snap_rays(v, idxs, p_exact.rows, max_snap_norm=max_snap_norm)
     rays = tuple(snapped[k] for k in order.tolist())
     named = [(t, f"term {i}") for i, t in enumerate(p.terms)]
     eigentable = []

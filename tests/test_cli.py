@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import os
 import subprocess
@@ -16,10 +17,11 @@ from qpencil.cli import (
     main,
     parse_scenario,
     run_scenario,
+    scenario_hypergraph,
 )
 from qpencil.logic import ContextHypergraph, two_valued_states
 from qpencil.pauli import PauliString, parse_pauli, realization
-from qpencil.pencil import VerificationError, joint_context
+from qpencil.pencil import Context, VerificationError, joint_context
 
 from _oracles import is_separating
 
@@ -208,8 +210,8 @@ class TestCommands:
         contexts = 0
         for s in scenarios:
             groups = run_scenario(s)["groups"]
-            for (_, ctx, _), group in zip(_solve_groups(s, None), groups):
-                if ctx is None:
+            for (_, ctx), group in zip(_solve_groups(s, None), groups):
+                if not isinstance(ctx, Context):  # a degenerate group's error
                     assert "states" not in group
                     continue
                 h = ContextHypergraph.from_ray_groups([ctx.rays])
@@ -218,6 +220,28 @@ class TestCommands:
                 assert group["states"] == expected == {"count": len(ctx.rays), "separating": True}
                 contexts += 1
         assert contexts == 9  # ghzm 1, bipartite 2 of 3, GHZ n = 1..6
+
+    def test_hypergraph_commands_build_no_context_json(self, monkeypatch):
+        # subsets, export and --format dot print no group's result, so the
+        # contexts they complete are never serialized; run_scenario's are
+        calls = []
+        to_json = Context.to_json
+        monkeypatch.setattr(Context, "to_json", lambda ctx: calls.append(ctx) or to_json(ctx))
+        _, contexts = scenario_hypergraph(load_builtin("pm-square"))
+        assert (len(contexts), len(calls)) == (6, 0)
+        run_scenario(load_builtin("pm-square"))
+        assert len(calls) == 6
+
+    def test_a_degenerate_group_leaves_no_reference_cycle(self):
+        # the group keeps its DegeneratePencilError, but not the solving frames
+        s = load_builtin("bipartite")
+        gc.collect()
+        gc.disable()
+        try:
+            run_scenario(s)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_determinism(self, capsys):
         first = run_cli(capsys, "pm-square", "--format", "json")
@@ -239,8 +263,6 @@ class TestCommands:
 
     @pytest.mark.parametrize("name", sorted(BUILTINS))
     def test_analyze_file_matches_builtin(self, capsys, name):
-        import qpencil
-
         path = (
             __import__("importlib.resources", fromlist=["files"])
             .files("qpencil")

@@ -107,6 +107,15 @@ MUTANTS = [
         ["tests/test_pencil.py::TestSparseWordOracle::test_random_full_families[2-12]"],
         id="float-stage-conjugate-block",
     ),
+    pytest.param(
+        "src/qpencil/pencil.py",
+        "v.transpose(1, 0, 2)",
+        "v.transpose(1, 2, 0)",  # block b's columns on another block's indices
+        ["tests/test_pencil.py::TestSnapRays"
+         "::test_stacked_blocks_snap_block_by_block_on_their_own_indices",
+         "tests/test_pencil.py::TestBlockFloatStage::test_ghz_context_json_is_unchanged[3]"],
+        id="snap-columns-paired-with-the-wrong-block",
+    ),
 ]
 
 

@@ -487,32 +487,58 @@ def _builtin_and_ghz_term_lists():
     return cases
 
 
+def snap_columns(v, **kwargs):
+    """``snap_rays`` on the columns of one block that covers every index."""
+    v = np.asarray(v)
+    return snap_rays(v[None], [range(len(v))], len(v), **kwargs)
+
+
 class TestSnapRays:
     def test_each_column_takes_its_own_smallest_multiplier(self):
         # columns need k = 1, 2 and 3; no single k <= 3 fits all three
         cols = [np.array(c, dtype=complex) for c in ([1, 1, 0], [2, 1, 0], [3, 0, 1])]
         phases = np.exp(1j * np.array([0.3, -1.1, 2.0]))
         v = np.column_stack([p * c / np.linalg.norm(c) for p, c in zip(phases, cols)])
-        assert snap_rays(v, max_snap_norm=3) == [Ray([1, 1, 0]), Ray([2, 1, 0]), Ray([3, 0, 1])]
-        assert snap_rays(v[:, :2], max_snap_norm=2) == [Ray([1, 1, 0]), Ray([2, 1, 0])]
+        assert snap_columns(v, max_snap_norm=3) == [Ray([1, 1, 0]), Ray([2, 1, 0]),
+                                                    Ray([3, 0, 1])]
+        assert snap_columns(v[:, :2], max_snap_norm=2) == [Ray([1, 1, 0]), Ray([2, 1, 0])]
         with pytest.raises(SnapError) as err:
-            snap_rays(v, max_snap_norm=2)
+            snap_columns(v, max_snap_norm=2)
         assert np.array_equal(err.value.vector, v[:, 2])
 
     def test_block_columns_land_on_their_rows(self):
         # the columns of one 2 x 2 block on indices 1 and 3 of a 4-vector
         v = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-        rows = np.array([[1, 1], [3, 3]])
-        assert snap_rays(v, rows=rows, dim=4) == [Ray([0, 1, 0, 1]), Ray([0, 1, 0, -1])]
+        assert snap_rays(v[None], [[1, 3]], 4) == [Ray([0, 1, 0, 1]), Ray([0, 1, 0, -1])]
         with pytest.raises(SnapError) as err:
-            snap_rays(np.column_stack([v[:, 0], [0.3, 0.7]]), rows=rows, dim=4)
+            snap_rays(np.column_stack([v[:, 0], [0.3, 0.7]])[None], [[1, 3]], 4)
         assert np.array_equal(err.value.vector, [0, 0.3, 0, 0.7])
+
+    def test_stacked_blocks_snap_block_by_block_on_their_own_indices(self):
+        # three 2 x 2 blocks on interleaved indices of a 7-vector; index 4 is in none
+        blocks = [[0, 3], [1, 5], [2, 6]]
+        v = np.array([
+            [[1.0, 1.0], [1.0, -1.0]],
+            [[1.0, 2.0], [1.0j, 1.0]],
+            [[0.0, 1.0], [1.0, 0.0]],
+        ]) * np.exp(1j * np.array([0.4, -0.9]))  # a global phase for each column
+        assert snap_rays(v, blocks, 7) == [
+            Ray([1, 0, 0, 1, 0, 0, 0]), Ray([1, 0, 0, -1, 0, 0, 0]),
+            Ray([0, 1, 0, 0, 0, (0, 1), 0]), Ray([0, 2, 0, 0, 0, 1, 0]),
+            Ray([0, 0, 0, 0, 0, 0, 1]), Ray([0, 0, 1, 0, 0, 0, 0]),
+        ]
+        v[1, :, 1] = [0.3, 0.7]  # the second block's second column: no ray
+        with pytest.raises(SnapError) as err:
+            snap_rays(v, blocks, 7)
+        expected = np.zeros(7, dtype=complex)
+        expected[[1, 5]] = [0.3, 0.7]
+        assert np.array_equal(err.value.vector, expected)
 
     @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [0.3, 0.7, 0.0]])
     def test_error_carries_the_failing_column(self, bad):
         v = np.column_stack([[1.0, 0.0, 0.0], bad, [0.0, 1.0, 1.0]])
         with pytest.raises(SnapError) as err:
-            snap_rays(v)
+            snap_columns(v)
         assert np.array_equal(err.value.vector, np.asarray(bad, dtype=complex))
 
     @pytest.mark.parametrize("terms", _builtin_and_ghz_term_lists())
@@ -522,12 +548,12 @@ class TestSnapRays:
         if None in reference:  # a degenerate pencil: eigh may mix an eigenspace
             first_bad = reference.index(None)
             with pytest.raises(SnapError) as err:
-                snap_rays(v)
+                snap_columns(v)
             assert np.array_equal(err.value.vector, v[:, first_bad])
             with pytest.raises(SnapError):
                 snap_to_ray(v[:, first_bad])
         else:
-            assert snap_rays(v) == [snap_to_ray(v[:, k]) for k in range(len(v))] == reference
+            assert snap_columns(v) == [snap_to_ray(v[:, k]) for k in range(len(v))] == reference
 
 
 class TestRayCertificate:
