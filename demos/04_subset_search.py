@@ -9,9 +9,9 @@
 #
 # The sweep covers all 2^24 - 1 sub-collections in one pass over the subset
 # lattice. On a 2-vCPU machine it takes about 0.1 s, and this whole script
-# about 0.4 s (``qpencil subsets --critical`` runs the same sweep from the
+# about 0.3 s (``qpencil subsets --critical`` runs the same sweep from the
 # command line). The same sweep covers the paper's GHZ-Mermin star, 40 rays
-# in 25 contexts, in about 9 s: ``qpencil subsets --file
+# in 25 contexts, in about 6 s: ``qpencil subsets --file
 # tests/scenarios/mermin_star.scn``.
 
 from qpencil import ContextHypergraph, joint_context, noncolorable_subsets

@@ -169,8 +169,8 @@ def load_builtin(name: str) -> ScenarioFile:
 
 def _solve_groups(
     s: ScenarioFile, coeffs: Sequence[int] | None, max_snap_norm: int = DEFAULT_MAX_SNAP_NORM
-) -> list[tuple[ParityScenario, Context | DegeneratePencilError]]:
-    """Validate and solve each group in order; a degenerate group keeps its error."""
+) -> list[tuple[ParityScenario, Context | dict[int, int]]]:
+    """Validate and solve each group in order; a degenerate group keeps its counts."""
     solved = []
     for group in s.groups:
         try:
@@ -189,12 +189,12 @@ def _solve_groups(
             reason = "the pencil overflows float64" if isinstance(e, OverflowError) else e
             raise _UsageError(f"coefficients beyond the float stage's resolution: {reason}")
         except DegeneratePencilError as e:
-            ctx = e.with_traceback(None)  # a kept traceback would cycle through this frame
+            ctx = e.multiplicities
         solved.append((scenario, ctx))
     return solved
 
 
-def _completion(contexts: list[Context | DegeneratePencilError]) -> ContextHypergraph:
+def _completion(contexts: list[Context | dict[int, int]]) -> ContextHypergraph:
     """The completion of the contexts' ray union; every group must define a context."""
     for n, ctx in enumerate(contexts, start=1):
         if not isinstance(ctx, Context):
@@ -211,7 +211,7 @@ def scenario_hypergraph(
     return _completion(contexts), contexts
 
 
-def _parity_keys(scenario: ParityScenario, ctx: Context | DegeneratePencilError) -> dict:
+def _parity_keys(scenario: ParityScenario, ctx: Context | dict[int, int]) -> dict:
     try:
         keys = {"parity": parity_analyze(scenario).to_json()}
     except ParityError as e:
@@ -251,8 +251,7 @@ def run_scenario(s: ScenarioFile, coeffs: Sequence[int] | None = None) -> dict:
         if isinstance(ctx, Context):
             result = {"kind": "context", **ctx.to_json()}
         else:
-            multiplicities = {str(k): v for k, v in ctx.multiplicities.items()}
-            result = {"kind": "degenerate", "multiplicities": multiplicities}
+            result = {"kind": "degenerate", "multiplicities": {str(k): v for k, v in ctx.items()}}
         entry = {
             "observables": [observable_text(o) for o in scenario.observables],
             "result": result,
@@ -276,22 +275,21 @@ def _ray_text(ray_json) -> str:
     ) + ")"
 
 
-def _render_context_table(result: dict, observables: list[str], out: list[str]):
+def _render_context_table(result: dict, texts: list[str], observables: list[str], out: list[str]):
     if result["kind"] == "degenerate":
         desc = ", ".join(
             f"{lam} (x{mult})" for lam, mult in result["multiplicities"].items()
         )
         out.append(f"  degenerate pencil spectrum: {desc}")
         return
-    ray_texts = [_ray_text(r) for r in result["rays"]]
-    ray_width = max(len("ray"), max(len(t) for t in ray_texts))
+    ray_width = max(len("ray"), max(len(t) for t in texts))
     widths = [max(len(o), 2) for o in observables]
     header = f"  {'eigenvalue':>10}  {'ray':<{ray_width}}  " + "  ".join(
         f"{o:>{w}}" for o, w in zip(observables, widths)
     )
     out.append(header)
     for lam, text, signs in zip(
-        result["pencil_eigenvalues"], ray_texts, result["eigentable"]
+        result["pencil_eigenvalues"], texts, result["eigentable"]
     ):
         out.append(
             f"  {lam:>10}  {text:<{ray_width}}  "
@@ -305,7 +303,8 @@ def render_text(report: dict) -> str:
     out.append(f"mode: {mode} | sites: {report['sites']}")
     for gi, group in enumerate(report["groups"], start=1):
         out.append(f"group {gi}: " + ", ".join(group["observables"]))
-        _render_context_table(group["result"], group["observables"], out)
+        texts = [_ray_text(r) for r in group["result"].get("rays", ())]  # for both tables
+        _render_context_table(group["result"], texts, group["observables"], out)
         if "parity" in group:
             p = group["parity"]
             if "skipped" in p:
@@ -321,12 +320,11 @@ def render_text(report: dict) -> str:
         if "states" in group:  # written together with "eigenstate_table"
             out.append(f"  two-valued states: {group['states']['count']} (separating)")
             out.append("  co-measured values per ray:")
-            rays = group["result"]["rays"]
-            width = max(len(_ray_text(r)) for r in rays)
-            for ray, row in zip(rays, group["eigenstate_table"]):
+            width = max(map(len, texts))
+            for text, row in zip(texts, group["eigenstate_table"]):
                 vals = "  ".join(f"{v:>+4d}" for v in row)
                 out.append(
-                    f"    {_ray_text(ray):<{width}}  {vals}   "
+                    f"    {text:<{width}}  {vals}   "
                     f"(row product {math.prod(row):+d})"
                 )
     if "hypergraph" in report:
@@ -468,7 +466,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             render = render_subsets_text
         elif args.command == "export" or args.format == "dot":
             h, _ = scenario_hypergraph(scenario, coeffs)
-            report, render = h.to_json(), lambda _: to_dot(h)
+            report, render = (h.to_json() if args.format == "json" else h), to_dot
         else:
             report = run_scenario(scenario, coeffs)
             render = render_text

@@ -47,6 +47,8 @@ class ContextHypergraph:
         if type(self.dim) is not int:  # not isinstance, which lets JSON's true pass
             raise ValueError(f"dimension {self.dim!r} is not an integer")
         adjacency = orthogonality_graph(self.vertices)  # raises unless one dimension
+        if len(set(self.vertices)) != len(self.vertices):
+            raise ValueError("a ray is listed twice among the vertices")
         if self.vertices and self.vertices[0].dim != self.dim:
             raise ValueError(f"the vertices have dimension {self.vertices[0].dim}, not {self.dim}")
         if self.edges is None:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qpencil import cli
 from qpencil.cli import (
     BUILTINS,
     ScenarioParseError,
@@ -16,6 +17,7 @@ from qpencil.cli import (
     load_builtin,
     main,
     parse_scenario,
+    render_text,
     run_scenario,
     scenario_hypergraph,
 )
@@ -211,7 +213,7 @@ class TestCommands:
         for s in scenarios:
             groups = run_scenario(s)["groups"]
             for (_, ctx), group in zip(_solve_groups(s, None), groups):
-                if not isinstance(ctx, Context):  # a degenerate group's error
+                if not isinstance(ctx, Context):  # a degenerate group's counts
                     assert "states" not in group
                     continue
                 h = ContextHypergraph.from_ray_groups([ctx.rays])
@@ -232,8 +234,35 @@ class TestCommands:
         run_scenario(load_builtin("pm-square"))
         assert len(calls) == 6
 
+    @pytest.mark.parametrize("name", ["ghzm", "bipartite"])
+    def test_each_ray_is_formatted_once(self, monkeypatch, name):
+        # the context table and the parity block's value lines share one text
+        # per ray: 8 rays, in ghzm's one context and bipartite's two
+        calls = []
+        ray_text = cli._ray_text
+        monkeypatch.setattr(cli, "_ray_text", lambda r: calls.append(r) or ray_text(r))
+        render_text(run_scenario(load_builtin(name)))
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("argv, builds", [
+        (["export", "--format", "dot"], 0),
+        (["pm-square", "--format", "dot"], 0),
+        (["export"], 1),
+    ], ids=["export-dot", "pm-square-dot", "export-json"])
+    def test_only_json_output_builds_the_hypergraph_json(self, capsys, monkeypatch, argv,
+                                                         builds):
+        calls = []
+        to_json = ContextHypergraph.to_json
+        monkeypatch.setattr(ContextHypergraph, "to_json", lambda h: calls.append(h) or to_json(h))
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == builds
+
+    def test_a_degenerate_group_keeps_its_certified_counts(self):
+        assert _solve_groups(load_builtin("bipartite"), None)[0][1] == {-1: 2, 1: 2}
+
     def test_a_degenerate_group_leaves_no_reference_cycle(self):
-        # the group keeps its DegeneratePencilError, but not the solving frames
+        # the group keeps its multiplicities, not the error and its solving frames
         s = load_builtin("bipartite")
         gc.collect()
         gc.disable()

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from qpencil import logic as logic_module
+from qpencil.cli import main
 from qpencil.exact import Ray, inner_product
 from qpencil.logic import (
     ContextHypergraph,
@@ -231,6 +232,20 @@ class TestHypergraphConstruction:
         assert len(h.vertices) == 4
         assert len(h.edges) == 1
 
+    def test_exported_json_with_a_copied_vertex_is_rejected(self, capsys):
+        assert main(["export"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        copy = len(data["vertices"])  # vertex 0 again, and an edge through it moved onto it
+        edge = next(e for e in data["edges"] if 0 in e)
+        edges = [*data["edges"], sorted(copy if i == 0 else i for i in edge)]
+        vertices = tuple(Ray(v) for v in [*data["vertices"], data["vertices"][0]])
+        with pytest.raises(ValueError, match="a ray is listed twice"):
+            ContextHypergraph(vertices, tuple(map(tuple, edges)), data["dim"])
+
+    def test_no_rays_are_rejected(self):
+        with pytest.raises(ValueError, match="cannot build a hypergraph from no rays"):
+            ContextHypergraph.from_ray_groups([])
+
     def test_first_nonorthogonal_pair_is_named(self):
         # (0, 3) and (1, 2) are the two non-orthogonal pairs; (0, 3) comes first
         # in combinations order, although (1, 2) has the smaller second index
@@ -268,11 +283,14 @@ class TestHypergraphConstruction:
              r"duplicate edge \(0, 1\)"),
             ({"dim": 2, "vertices": [[1, 0], [0, 1], [1, 1]], "edges": [[0, 1]]},
              "every vertex must belong to at least one edge"),
+            # accepted, it would have 4 two-valued states where its 2 rays have 2
+            ({"dim": 2, "vertices": [[1, 0], [0, 1], [1, 0], [0, 1]],
+              "edges": [[0, 1], [2, 3]]}, "a ray is listed twice"),
         ],
         ids=[
             "index-out-of-range", "vertex-dimension", "unsorted-edge",
             "float-dimension", "bool-index", "float-index",
-            "repeated-vertex", "duplicate-edge", "uncovered-vertex",
+            "repeated-vertex", "duplicate-edge", "uncovered-vertex", "ray-listed-twice",
         ],
     )
     def test_malformed_json_rejected(self, data, message):

@@ -116,6 +116,16 @@ MUTANTS = [
          "tests/test_pencil.py::TestBlockFloatStage::test_ghz_context_json_is_unchanged[3]"],
         id="snap-columns-paired-with-the-wrong-block",
     ),
+    pytest.param(
+        "src/qpencil/logic.py",
+        "        if len(set(self.vertices)) != len(self.vertices):\n",
+        "        if False:\n",
+        ["tests/test_logic.py::TestHypergraphConstruction"
+         "::test_malformed_json_rejected[ray-listed-twice]",
+         "tests/test_logic.py::TestHypergraphConstruction"
+         "::test_exported_json_with_a_copied_vertex_is_rejected"],
+        id="repeated-vertex-accepted",
+    ),
 ]
 
 
